@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation failure, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -24,19 +25,14 @@ import numpy as np
 from kinsde import __version__
 from kinsde.core import (
     DiracInit,
+    HistogramSpec,
     PhaseState,
     SimConfig,
     localized_lpq_norm,
     AdmissiblePair,
     validate_config,
 )
-from kinsde.ergodicity import (
-    bootstrap_noise_floor,
-    fit_exponential_decay,
-    h_envelope,
-    histogram_law,
-    tv_decay_experiment,
-)
+from kinsde.ergodicity import fit_exponential_decay, h_envelope, tv_decay_experiment
 from kinsde.fields import (
     ConfiningDrift,
     LyapunovV,
@@ -56,13 +52,13 @@ from kinsde.zvonkin import (
     OutOfTransformDomainError,
     SmallnessNotAchievedError,
     equivalence_experiment,
-    lambda_sweep,
 )
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
+# The key registry: every config key any subcommand reads, by group.
 _CORE_KEYS = {"T", "h", "N", "seed", "d1", "d2", "m", "scheme",
               "hist.min", "hist.max", "hist.bins"}
 _FIELD_KEYS = {"drift", "c1", "c2", "c3", "delta", "z.scale", "sigma", "rate",
@@ -93,8 +89,6 @@ class NumericFailure(RuntimeError):
 
 def _parse_config(text: str) -> dict:
     """Parse and validate keys, reporting the offending line verbatim."""
-    import ast
-
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -112,19 +106,27 @@ def _parse_config(text: str) -> dict:
     return out
 
 
+def _whole(key: str, val) -> int:
+    """``val`` as an int; integral floats such as 1e4 pass, anything else is refused."""
+    if isinstance(val, int) or (isinstance(val, float) and val.is_integer()):
+        return int(val)
+    raise ConfigError(f"{key} must be a whole number, got {val!r}")
+
+
 def _sim_config(kv: dict) -> SimConfig:
-    core = {k: v for k, v in kv.items() if k in _CORE_KEYS}
-    missing = [k for k in ("T", "h", "N") if k not in core]
+    missing = [k for k in ("T", "h", "N") if k not in kv]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    text = "\n".join(f"{k} = {v!r}" if not isinstance(v, str) else f"{k} = {v}"
-                     for k, v in core.items())
-    cfg = SimConfig.from_text(text)
-    if not (cfg.h > 0):
-        raise ConfigError(f"nonpositive step h = {cfg.h}")
-    if cfg.N < 1:
-        raise ConfigError(f"particle count N = {cfg.N} < 1")
-    return cfg
+    d1, d2 = _whole("d1", kv.get("d1", 1)), _whole("d2", kv.get("d2", 1))
+    bins = kv.get("hist.bins", 16)
+    bins = ([_whole("hist.bins", b) for b in bins] if isinstance(bins, (list, tuple))
+            else _whole("hist.bins", bins))
+    hist = HistogramSpec(kv.get("hist.min", -6.0), kv.get("hist.max", 6.0), bins, dim=d1 + d2)
+    return SimConfig(
+        T=float(kv["T"]), h=float(kv["h"]), N=_whole("N", kv["N"]),
+        seed=_whole("seed", kv.get("seed", 0)), d1=d1, d2=d2,
+        m=_whole("m", kv.get("m", d2)), scheme=str(kv.get("scheme", "euler")), hist=hist,
+    )
 
 
 def _build_kernel(kv: dict) -> MeanFieldKernel | None:
@@ -375,18 +377,14 @@ def cmd_zvonkin(kv, cfg, out, man, workers):
     eps = float(kv.get("zvonkin.eps", 0.1))
     report = equivalence_experiment(coeffs, cfg, _build_init(kv, "init.a", cfg),
                                     eps_target=eps, L=L, n_grid=n, workers=workers)
-    if coeffs.b is None:
-        b_scalar = 0.0
-    else:
-        b_scalar = lambda yy: np.asarray(coeffs.b(0.0, yy[:, None]))[:, 0]
-    sol = lambda_sweep(b_scalar, float(np.asarray(coeffs.sigma).ravel()[0]), eps, L, n)
+    sol = report.solution
     csv = out / "solution.csv"
     write_csv(csv, ["y", "u", "du", "d2u", "theta"],
               zip(sol.grid, sol.u, sol.du, sol.d2u, sol.theta_values), man.chash)
     man.add(csv)
     js = out / "zvonkin.json"
     write_json(js, {
-        "lambda": report.lam, "sup_bound": report.sup_bound, "tv": report.tv,
+        "lambda": sol.lam, "sup_bound": sol.sup_bound, "tv": report.tv,
         "noise_floor": report.noise_floor, "verdict": report.verdict,
         "out_of_domain_fraction": report.out_of_domain_fraction,
         "residual": sol.residual,

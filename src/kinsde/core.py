@@ -7,7 +7,6 @@ are ``(n, d1)`` arrays, velocity blocks ``(n, d2)``.
 
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -144,12 +143,10 @@ class HistogramSpec:
 
 _SCHEMES = ("euler", "tamed")
 
-_CONFIG_KEYS = ("T", "h", "N", "seed", "d1", "d2", "m", "scheme", "hist.min", "hist.max", "hist.bins")
-
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters shared by every experiment."""
+    """Simulation parameters shared by every experiment; h > 0 and N >= 1."""
 
     T: float
     h: float
@@ -162,6 +159,10 @@ class SimConfig:
     hist: HistogramSpec = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if not (self.h > 0):
+            raise ValueError(f"nonpositive step h = {self.h}")
+        if self.N < 1:
+            raise ValueError(f"particle count N = {self.N} < 1")
         if self.hist is None:
             object.__setattr__(self, "hist", HistogramSpec(-6.0, 6.0, 16, dim=self.d1 + self.d2))
 
@@ -171,75 +172,6 @@ class SimConfig:
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.h
-
-    def to_text(self) -> str:
-        lines = [
-            f"T = {self.T!r}",
-            f"h = {self.h!r}",
-            f"N = {self.N}",
-            f"seed = {self.seed}",
-            f"d1 = {self.d1}",
-            f"d2 = {self.d2}",
-            f"m = {self.m}",
-            f"scheme = {self.scheme}",
-            f"hist.min = {_fmt_axis(self.hist.lo)}",
-            f"hist.max = {_fmt_axis(self.hist.hi)}",
-            f"hist.bins = {_fmt_axis(self.hist.bins)}",
-        ]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SimConfig":
-        kv = parse_key_values(text)
-        unknown = [k for k in kv if k not in _CONFIG_KEYS]
-        if unknown:
-            raise KeyError(f"unknown config key: {unknown[0]}")
-        d1 = int(kv.get("d1", 1))
-        d2 = int(kv.get("d2", 1))
-        hist = HistogramSpec(
-            kv.get("hist.min", -6.0), kv.get("hist.max", 6.0), kv.get("hist.bins", 16),
-            dim=d1 + d2,
-        )
-        return cls(
-            T=float(kv["T"]),
-            h=float(kv["h"]),
-            N=int(kv["N"]),
-            seed=int(kv.get("seed", 0)),
-            d1=d1,
-            d2=d2,
-            m=int(kv.get("m", d2)),
-            scheme=str(kv.get("scheme", "euler")),
-            hist=hist,
-        )
-
-
-def _fmt_axis(arr: np.ndarray) -> str:
-    vals = np.asarray(arr).tolist()
-    if len(set(map(repr, vals))) == 1:
-        return repr(vals[0])
-    return repr(vals)
-
-
-def parse_key_values(text: str) -> dict:
-    """Parse the flat ``key = value`` config format.
-
-    Lines are UTF-8, ``#`` starts a comment.  Values are parsed as Python
-    literals where possible and kept as strings otherwise.
-    """
-    out: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line (expected 'key = value'): {raw!r}")
-        key, val = line.split("=", 1)
-        key, val = key.strip(), val.strip()
-        try:
-            out[key] = ast.literal_eval(val)
-        except (SyntaxError, ValueError):
-            out[key] = val
-    return out
 
 
 @dataclass(frozen=True)
@@ -302,7 +234,6 @@ class CoefficientSet:
     sigma_bounds: tuple[float, float]
     measure_dependent: bool = False
     growth: str = "linear"  # one of bounded | linear | superlinear
-    lipschitz_radius_constant: Callable[[float], float] | None = None
 
     def __post_init__(self):
         lo = min(self.sigma_bounds)
@@ -318,10 +249,6 @@ class CoefficientSet:
             raise ValueError(f"unknown growth class {self.growth!r}")
         if not isinstance(self.sigma, np.ndarray) and not callable(self.sigma):
             raise ValueError("sigma must be a constant matrix or a callable")
-
-    @property
-    def classical(self) -> bool:
-        return not self.measure_dependent
 
     def drift_y(self, t: float, x: np.ndarray, y: np.ndarray, law: EmpiricalLaw | None) -> np.ndarray:
         """Full y-block drift Z2 + b."""
@@ -391,16 +318,11 @@ def validate_config(
     Report-style on purpose: callers decide whether a violation is fatal.
     """
     bad: list[str] = []
-    if not (cfg.h > 0):
-        bad.append(f"nonpositive step h = {cfg.h}")
-    if cfg.h > 0 and cfg.T < cfg.h:
+    if cfg.T < cfg.h:
         bad.append(f"horizon T = {cfg.T} shorter than one step h = {cfg.h}")
-    if cfg.N < 1:
-        bad.append(f"particle count N = {cfg.N} < 1")
-    if cfg.h > 0:
-        k = cfg.T / cfg.h
-        if abs(k - round(k)) > 1e-9 * max(1.0, k):
-            bad.append(f"T/h = {k!r} is not integral within rounding tolerance")
+    k = cfg.T / cfg.h
+    if abs(k - round(k)) > 1e-9 * max(1.0, k):
+        bad.append(f"T/h = {k!r} is not integral within rounding tolerance")
     if np.any(cfg.hist.bins < 2):
         bad.append("histogram needs at least 2 bins per axis")
     if cfg.hist.dim != cfg.d1 + cfg.d2:
@@ -414,10 +336,6 @@ def validate_config(
             f"config dims (d1, d2, m) = {(cfg.d1, cfg.d2, cfg.m)} "
             f"do not match coefficients {(coeffs.d1, coeffs.d2, coeffs.m)}"
         )
-    lo, hi = min(coeffs.sigma_bounds), max(coeffs.sigma_bounds)
-    noise_free = isinstance(coeffs.sigma, np.ndarray) and not np.any(coeffs.sigma)
-    if not noise_free and not (np.isfinite(hi) and lo > 0):
-        bad.append("sigma_bounds must be finite and positive")
     if coeffs.growth == "superlinear" and cfg.scheme != "tamed":
         bad.append("superlinear drift requires tamed scheme")
     for (p, q) in pairs:

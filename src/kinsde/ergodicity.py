@@ -47,19 +47,10 @@ def histogram_law(law: EmpiricalLaw, spec: HistogramSpec) -> HistogramLaw:
     return HistogramLaw(spec, masses, max(0.0, 1.0 - inbox))
 
 
-def _check_binning(a: HistogramLaw, b: HistogramLaw):
-    sa, sb = a.spec, b.spec
-    if not (
-        np.array_equal(sa.lo, sb.lo)
-        and np.array_equal(sa.hi, sb.hi)
-        and np.array_equal(sa.bins, sb.bins)
-    ):
-        raise ValueError("binning mismatch between histogram laws")
-
-
 def empirical_var_distance(a: HistogramLaw, b: HistogramLaw) -> float:
     """sup over bin-measurable |f| <= 1 of |a(f) - b(f)|; range [0, 2]."""
-    _check_binning(a, b)
+    if a.spec != b.spec:
+        raise ValueError("binning mismatch between histogram laws")
     return float(np.sum(np.abs(a.masses - b.masses)) + abs(a.out_mass - b.out_mass))
 
 
@@ -70,12 +61,30 @@ def empirical_v_distance(a: HistogramLaw, b: HistogramLaw, V: LyapunovV | None) 
     this is exactly :func:`empirical_var_distance`.  Out-of-box mass gets the
     weight at the farthest box corner, a conservative overestimate.
     """
-    _check_binning(a, b)
-    if V is None:
-        return empirical_var_distance(a, b)
+    if V is None or a.spec != b.spec:
+        return empirical_var_distance(a, b)  # raises on mismatched binning
     w = V.value_points(a.spec.centers())
     w_out = float(V.value_points(a.spec.corner()[None, :])[0])
     return float(np.sum(w * np.abs(a.masses - b.masses)) + w_out * abs(a.out_mass - b.out_mass))
+
+
+def law_distances(
+    laws_a: Sequence[EmpiricalLaw],
+    laws_b: Sequence[EmpiricalLaw],
+    spec: HistogramSpec,
+    V: LyapunovV | None = None,
+) -> np.ndarray:
+    """Slice-by-slice distance between two law series binned on ``spec``.
+
+    Total variation, or the V-weighted variation when a Lyapunov weight is
+    supplied (see :func:`empirical_v_distance`).
+    """
+    if len(laws_a) != len(laws_b):
+        raise ValueError("law series differ in length")
+    return np.array([
+        empirical_v_distance(histogram_law(la, spec), histogram_law(lb, spec), V)
+        for la, lb in zip(laws_a, laws_b)
+    ])
 
 
 def bootstrap_noise_floor(
@@ -170,10 +179,7 @@ def tv_decay_experiment(
                               record_times=record_times, workers=workers)
     ens_b = simulate_ensemble(cfg, coeffs, init_b, stream=streams[1],
                               record_times=record_times, workers=workers)
-    tv = np.array([
-        empirical_var_distance(histogram_law(la, cfg.hist), histogram_law(lb, cfg.hist))
-        for la, lb in zip(ens_a.records, ens_b.records)
-    ])
+    tv = law_distances(ens_a.records, ens_b.records, cfg.hist)
     floor = bootstrap_noise_floor(ens_a.records[-1], cfg.hist, n_boot=n_boot, seed=cfg.seed)
     return TVDecaySeries(ens_a.record_times, tv, floor)
 

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, EmpiricalLaw, PhaseState
+from kinsde.core import CoefficientSet, EmpiricalLaw
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,6 @@ class RieszDrift:
     def magnitude_field(self) -> Callable:
         """|b| as a scalar field (t, pts) -> (n,), for norm estimation."""
         return lambda t, pts: np.sqrt(np.sum(self(pts) ** 2, axis=1))
-
-
-def riesz_eval(drift: RieszDrift, x) -> np.ndarray:
-    """Single-point convenience wrapper; returns a (d,) vector."""
-    return drift(np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
 @dataclass(frozen=True)
@@ -165,11 +160,6 @@ class LyapunovV:
         return LyapunovBlocks(v, grad_x, grad_y, hess_xy, hess_yy)
 
 
-def lyapunov_eval(V: LyapunovV, s: PhaseState) -> LyapunovBlocks:
-    """Value plus the four derivative blocks used by the drift conditions."""
-    return V.blocks(s.x, s.y)
-
-
 @dataclass(frozen=True)
 class PhiFamily:
     """Rate function for the Lyapunov drift condition.
@@ -204,10 +194,6 @@ class PhiFamily:
 
     def with_c0(self, c0: float) -> "PhiFamily":
         return PhiFamily(self.kind, c0, self.beta)
-
-
-def phi_eval(phi: PhiFamily, r: float) -> float:
-    return float(phi(r))
 
 
 # --- mean-field interaction ------------------------------------------------------
@@ -285,7 +271,7 @@ def interaction_z2(
     The declared kernel bound must be <= 1 and is spot-checked by sampling;
     a violated bound rejects the construction.  With ``mu = None`` the
     reference measure is the Dirac mass at the origin, matching how the
-    classical (measure-free) reading of the field is defined elsewhere.
+    measure-free reading of the field is defined elsewhere.
     The built field is Lipschitz in the measure argument in total variation
     with constant at most ``kappa * bound``.
     """

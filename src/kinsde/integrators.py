@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, EmpiricalLaw, PhaseState, SimConfig, validate_config
+from kinsde.core import CoefficientSet, EmpiricalLaw, SimConfig, validate_config
 
 BLOWUP_THRESHOLD = 1e12
 UNSTABLE_DEAD_FRACTION = 1e-3
@@ -28,10 +28,6 @@ _PURPOSE_INIT = 1
 _PURPOSE_BOOT = 2
 
 SNAPSHOT_FORMAT = 1
-
-
-class BlowupError(ArithmeticError):
-    """A step produced a non-finite state (needs taming or a smaller step)."""
 
 
 class DegenerateReweightingError(ArithmeticError):
@@ -62,14 +58,14 @@ def bootstrap_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return _philox(seed, _PURPOSE_BOOT, stream, 0)
 
 
-# --- single-step schemes ----------------------------------------------------------
+# --- the step scheme --------------------------------------------------------------
 
 def _tame(v: np.ndarray, h: float) -> np.ndarray:
     mag = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
     return v / (1.0 + h * mag)
 
 
-def _step_arrays(
+def step_arrays(
     coeffs: CoefficientSet,
     t: float,
     h: float,
@@ -79,6 +75,11 @@ def _step_arrays(
     dW: np.ndarray,
     tamed: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """One Euler-Maruyama step of a particle block with caller-supplied increments.
+
+    ``tamed`` replaces each drift vector v by v / (1 + h |v|).  Non-finite
+    results are returned as they are; the ensemble loop masks them.
+    """
     fx = coeffs.z1(t, x, y)
     fy = coeffs.drift_y(t, x, y, law)
     if tamed:
@@ -87,58 +88,7 @@ def _step_arrays(
     return x + h * fx, y + h * fy + coeffs.apply_sigma(t, y, dW)
 
 
-def em_step(
-    s: PhaseState,
-    t: float,
-    h: float,
-    coeffs: CoefficientSet,
-    law: EmpiricalLaw | None = None,
-    dW: np.ndarray | None = None,
-) -> PhaseState:
-    """One Euler-Maruyama step; the Brownian increment is caller-supplied."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    dW = np.zeros(coeffs.m) if dW is None else np.asarray(dW, dtype=float)
-    x1, y1 = _step_arrays(coeffs, t, h, s.x[None, :], s.y[None, :], law, dW[None, :], tamed=False)
-    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(y1))):
-        raise BlowupError(f"blowup at t = {t}")
-    return PhaseState(x1[0], y1[0])
-
-
-def tamed_em_step(
-    s: PhaseState,
-    t: float,
-    h: float,
-    coeffs: CoefficientSet,
-    law: EmpiricalLaw | None = None,
-    dW: np.ndarray | None = None,
-) -> PhaseState:
-    """Euler step with each drift vector v replaced by v / (1 + h |v|)."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    dW = np.zeros(coeffs.m) if dW is None else np.asarray(dW, dtype=float)
-    x1, y1 = _step_arrays(coeffs, t, h, s.x[None, :], s.y[None, :], law, dW[None, :], tamed=True)
-    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(y1))):
-        raise BlowupError(f"blowup at t = {t}")
-    return PhaseState(x1[0], y1[0])
-
-
 # --- ensembles --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PathSample:
-    """One recorded trajectory with its exact driving increments."""
-
-    times: np.ndarray
-    states: tuple
-    increments: np.ndarray | None = None
-
-    def __post_init__(self):
-        if len(self.states) != self.times.size:
-            raise ValueError("states must align with the time grid")
-        if self.increments is not None and self.increments.shape[0] != self.times.size - 1:
-            raise ValueError("need exactly one increment per step")
-
 
 @dataclass
 class Ensemble:
@@ -180,15 +130,6 @@ class Ensemble:
         if self.n_dead == 0:
             return EmpiricalLaw(self.x, self.y)
         return EmpiricalLaw(self.x[self.alive], self.y[self.alive])
-
-    def path_sample(self, i: int) -> PathSample:
-        if self.paths_x is None:
-            raise ValueError("ensemble was run without store_paths")
-        states = tuple(
-            PhaseState(self.paths_x[k, i], self.paths_y[k, i]) for k in range(self.times.size)
-        )
-        inc = None if self.increments is None else self.increments[:, i, :]
-        return PathSample(self.times, states, inc)
 
 
 def _resolve_record_indices(cfg: SimConfig, record_times) -> np.ndarray | None:
@@ -259,13 +200,13 @@ def _run_loop(
             # overflow and invalid values are handled by the death mask below
             with np.errstate(over="ignore", invalid="ignore"):
                 if pool is None:
-                    nx, ny = _step_arrays(coeffs, t, h, x, y, law, dW, tamed)
+                    nx, ny = step_arrays(coeffs, t, h, x, y, law, dW, tamed)
                 else:
                     nx = np.empty_like(x)
                     ny = np.empty_like(y)
 
                     def work(blk: slice):
-                        nx[blk], ny[blk] = _step_arrays(
+                        nx[blk], ny[blk] = step_arrays(
                             coeffs, t, h, x[blk], y[blk], law, dW[blk], tamed
                         )
 

@@ -15,15 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, EmpiricalLaw, SimConfig, validate_config
-from kinsde.ergodicity import (
-    DecayFit,
-    bootstrap_noise_floor,
-    empirical_v_distance,
-    empirical_var_distance,
-    fit_exponential_decay,
-    histogram_law,
-)
+from kinsde.core import CloudInit, CoefficientSet, EmpiricalLaw, SimConfig, validate_config
+from kinsde.ergodicity import DecayFit, bootstrap_noise_floor, fit_exponential_decay, law_distances
 from kinsde.integrators import Ensemble, _resolve_record_indices, _run_loop, simulate_ensemble
 
 
@@ -41,9 +34,6 @@ class MeasureFlow:
     def law_at(self, t: float) -> EmpiricalLaw:
         idx = int(np.argmin(np.abs(self.times - t)))
         return self.clouds[idx]
-
-    def histograms(self, spec) -> list:
-        return [histogram_law(c, spec) for c in self.clouds]
 
     @staticmethod
     def from_ensemble(ens: Ensemble) -> "MeasureFlow":
@@ -67,12 +57,8 @@ def rho_lambda(a: MeasureFlow, b: MeasureFlow, lam: float, spec, V=None) -> floa
         raise ValueError("lam must be nonnegative")
     if a.times.size != b.times.size or not np.allclose(a.times, b.times):
         raise ValueError("flows live on different grids")
-    best = 0.0
-    for t, ca, cb in zip(a.times, a.clouds, b.clouds):
-        ha, hb = histogram_law(ca, spec), histogram_law(cb, spec)
-        tv = empirical_var_distance(ha, hb) if V is None else empirical_v_distance(ha, hb, V)
-        best = max(best, math.exp(-lam * t) * tv)
-    return best
+    dist = law_distances(a.clouds, b.clouds, spec, V)
+    return float(max((math.exp(-lam * t) * d for t, d in zip(a.times, dist)), default=0.0))
 
 
 # --- interacting particle system ----------------------------------------------------
@@ -236,7 +222,7 @@ def girsanov_flow_bound(
 
     xi = drift_difference_xi(coeffs, delta_z2)
     if init is None:
-        init = _flow_init(flow_nu)  # the two decoupled runs share one initial law
+        init = CloudInit(flow_nu.clouds[0])  # the two decoupled runs share one initial law
     rec_idx = _resolve_record_indices(cfg, record_times)
     rec_set = set(rec_idx.tolist())
     h, n = cfg.h, cfg.N
@@ -276,14 +262,10 @@ def girsanov_flow_bound(
     )
 
     times = rec_idx * h
-    tv = np.empty(times.size)
+    tv = law_distances(ens_ref.records, ens_tgt.records, cfg.hist, V)
     pinsker = np.empty(times.size)
     xi_bound = np.empty(times.size)
     for j, k in enumerate(rec_idx.tolist()):
-        href = histogram_law(ens_ref.records[j], cfg.hist)
-        htgt = histogram_law(ens_tgt.records[j], cfg.hist)
-        tv[j] = (empirical_var_distance(href, htgt) if V is None
-                 else empirical_v_distance(href, htgt, V))
         logw, a_t = snapshots[k]
         w = np.exp(logw)
         pinsker[j] = math.sqrt(max(0.0, 2.0 * float(np.mean(w * logw))))
@@ -292,20 +274,6 @@ def girsanov_flow_bound(
     ok = bool(np.all(tv <= pinsker + floor))
     return FlowBoundReport(times, tv, pinsker, xi_bound, floor,
                            "bound respected" if ok else "bound violated")
-
-
-class _flow_init:
-    """Start from the t = 0 cloud of a flow (resized by tiling if needed)."""
-
-    def __init__(self, flow: MeasureFlow):
-        self.cloud = flow.clouds[0]
-
-    def sample(self, n, seed, stream):
-        c = self.cloud
-        if c.n == n:
-            return c.x.copy(), c.y.copy()
-        reps = -(-n // c.n)
-        return (np.tile(c.x, (reps, 1))[:n], np.tile(c.y, (reps, 1))[:n])
 
 
 # --- uniform ergodicity sweep --------------------------------------------------------
@@ -358,9 +326,7 @@ def uniform_ergodicity_sweep(
         flow_b, _ = particle_system_run(
             cfg, coeffs, init_b, record_times, stream=base_stream + 2 * i + 1, workers=workers
         )
-        ha = flow_a.histograms(cfg.hist)
-        hb = flow_b.histograms(cfg.hist)
-        tv = np.array([empirical_var_distance(a, b) for a, b in zip(ha, hb)])
+        tv = law_distances(flow_a.clouds, flow_b.clouds, cfg.hist)
         floor = bootstrap_noise_floor(flow_a.clouds[-1], cfg.hist, n_boot=n_boot, seed=cfg.seed + i)
         window = flow_a.times >= fit_from
         fit = fit_exponential_decay(flow_a.times[window], tv[window], noise_floor=floor)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from kinsde.core import CoefficientSet, EmpiricalLaw, SimConfig
-from kinsde.ergodicity import bootstrap_noise_floor, empirical_var_distance, histogram_law
+from kinsde.ergodicity import bootstrap_noise_floor, law_distances
 from kinsde.integrators import simulate_ensemble
 
 LAMBDA_CAP = float(2**40)
@@ -267,10 +267,9 @@ class _TransformedInit:
 class EquivalenceReport:
     tv: float
     noise_floor: float
-    lam: float
-    sup_bound: float
     out_of_domain_fraction: float
     verdict: str  # equivalent | inconclusive
+    solution: ZvonkinSolution  # carries lambda and ||u|| + ||u'||
 
 
 def equivalence_experiment(
@@ -319,12 +318,10 @@ def equivalence_experiment(
 
     law_a = ens_a.law()
     law_b_back = EmpiricalLaw(ens_b.x[ens_b.alive], y_back[ens_b.alive])
-    tv = empirical_var_distance(
-        histogram_law(law_a, cfg.hist), histogram_law(law_b_back, cfg.hist)
-    )
+    tv = float(law_distances([law_a], [law_b_back], cfg.hist)[0])
     floor = bootstrap_noise_floor(law_a, cfg.hist, n_boot=n_boot, seed=cfg.seed)
     verdict = "equivalent" if tv < 3.0 * floor or tv == 0.0 else "inconclusive"
     return EquivalenceReport(
-        tv=tv, noise_floor=floor, lam=sol.lam, sup_bound=sol.sup_bound,
-        out_of_domain_fraction=out_frac, verdict=verdict,
+        tv=tv, noise_floor=floor, out_of_domain_fraction=out_frac, verdict=verdict,
+        solution=sol,
     )

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kinsde.cli import main
+from kinsde.cli import _parse_config, _sim_config, main
 from kinsde.integrators import load_snapshot
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 BASE = """
 T = 0.5
@@ -48,6 +51,28 @@ class TestConfigHandling:
         cfg.write_text("T = 1.0\nh = 0.0\nN = 5\ndrift = zero\n")
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
         assert "nonpositive step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["N = 2.5", "seed = 1.9", "d1 = 1.7", "d2 = 1.5", "m = 1.5",
+                 "hist.bins = 8.5", "hist.bins = [8, 8.5]", "d1 = [1, 1]"],
+    )
+    def test_non_integral_count_exit_2(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, f"drift = zero\n{line}\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "whole number" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        cfg = write_cfg(tmp_path, "drift = zero\nN = 2e2\nseed = 9.0\nhist.bins = 8.0\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        law, meta = load_snapshot(tmp_path / "snapshot")
+        assert law.n == 200 and meta["seed"] == 9
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_parses(self, path):
+        cfg = _sim_config(_parse_config(path.read_text(encoding="utf-8")))
+        assert cfg.n_steps >= 1
+        assert cfg.hist.dim == cfg.d1 + cfg.d2
 
 
 class TestSimulate:

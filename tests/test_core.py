@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
+from kinsde.cli import ConfigError, _parse_config, _sim_config
 from kinsde.core import (
     AdmissiblePair,
     EmpiricalLaw,
-    HistogramSpec,
     NormDivergedError,
     PhaseState,
     SimConfig,
     ball_lp_seminorm,
     center_lattice,
     localized_lpq_norm,
-    parse_key_values,
     validate_config,
 )
 from kinsde.fields import linear_langevin_coefficients, zero_coefficients
@@ -61,13 +60,7 @@ class TestAdmissiblePair:
 
 
 class TestSimConfig:
-    def test_roundtrip_text(self):
-        cfg = SimConfig(T=2.0, h=0.01, N=100, seed=7, d1=1, d2=1, m=1,
-                        hist=HistogramSpec(-4.0, 4.0, 8, dim=2))
-        again = SimConfig.from_text(cfg.to_text())
-        assert again == cfg
-
-    def test_from_text_with_comments(self):
+    def test_config_with_comments(self):
         text = """
         # run setup
         T = 1.0
@@ -75,16 +68,20 @@ class TestSimConfig:
         N = 10
         seed = 1
         """
-        cfg = SimConfig.from_text(text)
+        cfg = _sim_config(_parse_config(text))
         assert cfg.n_steps == 2
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(KeyError):
-            SimConfig.from_text("T = 1.0\nh = 0.5\nN = 1\nbogus = 3\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            _parse_config("T = 1.0\nh = 0.5\nN = 1\nbogus = 3\n")
 
-    def test_parse_key_values_malformed_line(self):
+    def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
-            parse_key_values("just words\n")
+            _parse_config("just words\n")
+
+    def test_nonpositive_particle_count(self):
+        with pytest.raises(ValueError, match="particle count"):
+            SimConfig(T=1.0, h=0.1, N=0, seed=0)
 
 
 class TestValidateConfig:
@@ -93,9 +90,8 @@ class TestValidateConfig:
         assert validate_config(cfg, linear_langevin_coefficients()) == []
 
     def test_nonpositive_step(self):
-        cfg = SimConfig(T=1.0, h=0.0, N=10, seed=0)
-        bad = validate_config(cfg, linear_langevin_coefficients())
-        assert any("nonpositive step" in b for b in bad)
+        with pytest.raises(ValueError, match="nonpositive step"):
+            SimConfig(T=1.0, h=0.0, N=10, seed=0)
 
     def test_non_integral_horizon(self):
         cfg = SimConfig(T=1.0, h=0.3, N=10, seed=0)

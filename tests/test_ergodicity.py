@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, PhaseState, SimConfig
 from kinsde.ergodicity import (
@@ -11,6 +13,7 @@ from kinsde.ergodicity import (
     fit_h_envelope,
     h_envelope,
     histogram_law,
+    law_distances,
     moment_bound_check,
     tv_decay_experiment,
 )
@@ -80,6 +83,45 @@ class TestVarDistance:
         b = histogram_law(_law(rng, 10), HistogramSpec(-4.0, 4.0, 10, dim=2))
         with pytest.raises(ValueError, match="binning mismatch"):
             empirical_var_distance(a, b)
+
+
+_COORD = st.floats(-6.0, 6.0, allow_nan=False)
+_CLOUD = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30).map(
+    lambda pts: EmpiricalLaw(np.array(pts)[:, :1], np.array(pts)[:, 1:])
+)
+_SERIES_PAIR = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(*[st.lists(_CLOUD, min_size=k, max_size=k)] * 2)
+)
+
+
+class TestLawDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(_SERIES_PAIR)
+    def test_total_variation_properties(self, pair):
+        a, b = pair
+        d = law_distances(a, b, SPEC2)
+        assert d.shape == (len(a),)
+        assert np.all((d >= 0.0) & (d <= 2.0 + 1e-12))
+        assert np.array_equal(d, law_distances(b, a, SPEC2))
+        assert np.all(law_distances(a, a, SPEC2) == 0.0)
+        pairwise = [empirical_var_distance(histogram_law(la, SPEC2), histogram_law(lb, SPEC2))
+                    for la, lb in zip(a, b)]
+        assert d.tolist() == pairwise
+
+    @settings(max_examples=30, deadline=None)
+    @given(_SERIES_PAIR)
+    def test_weighted_distance_symmetric_and_zero_on_identical(self, pair):
+        a, b = pair
+        V = LyapunovV(0.5, 1, 1)
+        d = law_distances(a, b, SPEC2, V)
+        assert np.all(d >= law_distances(a, b, SPEC2))  # V >= 1
+        assert np.array_equal(d, law_distances(b, a, SPEC2, V))
+        assert np.all(law_distances(a, a, SPEC2, V) == 0.0)
+
+    def test_series_length_mismatch(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="length"):
+            law_distances([_law(rng, 5)], [_law(rng, 5), _law(rng, 5)], SPEC2)
 
 
 class TestVDistance:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kinsde.core import EmpiricalLaw, PhaseState
+from kinsde.core import EmpiricalLaw
 from kinsde.fields import (
     ConfiningDrift,
     LyapunovV,
@@ -10,25 +10,22 @@ from kinsde.fields import (
     PhiFamily,
     RieszDrift,
     interaction_z2,
-    lyapunov_eval,
-    phi_eval,
-    riesz_eval,
 )
 
 
 class TestRieszDrift:
     def test_unit_distance(self):
         rz = RieszDrift([(0.0, 1.0)], alpha=0.5)
-        assert riesz_eval(rz, [1.0]) == pytest.approx([1.0])
+        assert rz(np.array([[1.0]]))[0] == pytest.approx([1.0])
 
     def test_symmetry_cancellation(self):
         rz = RieszDrift([(-1.0, 1.0), (1.0, 1.0)], alpha=0.3)
-        assert riesz_eval(rz, [0.0]) == pytest.approx([0.0])
+        assert rz(np.array([[0.0]]))[0] == pytest.approx([0.0])
 
     def test_hand_value_with_quadrature_crosscheck(self):
         # one atom at 0, w = 1, alpha = 0.5, x = 2 -> 2 / 2^1.5 = 2^(-1/2)
         rz = RieszDrift([(0.0, 1.0)], alpha=0.5)
-        val = riesz_eval(rz, [2.0])[0]
+        val = rz(np.array([[2.0]]))[0][0]
         assert val == pytest.approx(2.0 ** -0.5, rel=1e-12)
         # independent check: same atom smeared into a narrow Gaussian
         eps = 1e-3
@@ -57,7 +54,7 @@ class TestRieszDrift:
 
     def test_2d_atoms(self):
         rz = RieszDrift([((1.0, 0.0), 2.0)], alpha=0.5)
-        v = riesz_eval(rz, [0.0, 0.0])
+        v = rz(np.array([[0.0, 0.0]]))[0]
         assert v == pytest.approx([-2.0, 0.0])
 
     def test_total_weight(self):
@@ -91,14 +88,14 @@ class TestRieszDrift:
 class TestLyapunovV:
     def test_origin(self):
         V = LyapunovV(1.0, 1, 1)
-        blk = lyapunov_eval(V, PhaseState([0.0], [0.0]))
+        blk = V.blocks([0.0], [0.0])
         assert blk.value == 1.0
         assert np.allclose(blk.grad_x, 0) and np.allclose(blk.grad_y, 0)
         assert np.allclose(blk.hess_yy, 2.0 * np.eye(1))
 
     def test_lattice_point(self):
         V = LyapunovV(1.0, 1, 1)
-        blk = lyapunov_eval(V, PhaseState([1.0], [0.0]))
+        blk = V.blocks([1.0], [0.0])
         assert blk.value == pytest.approx(2.0)
         assert blk.grad_x == pytest.approx([2.0])
         assert np.allclose(blk.hess_xy, 0.0)
@@ -149,12 +146,12 @@ class TestLyapunovV:
 
 class TestPhiFamily:
     def test_linear(self):
-        assert phi_eval(PhiFamily("linear", 2.0), 3.0) == pytest.approx(6.0)
+        assert PhiFamily("linear", 2.0)(3.0) == pytest.approx(6.0)
 
     def test_superlinear_values(self):
         phi = PhiFamily("superlinear", 1.0, beta=1.0)
-        assert phi_eval(phi, 0.0) == pytest.approx(1.0)
-        assert phi_eval(phi, 2.0) == pytest.approx(5.0)
+        assert phi(0.0) == pytest.approx(1.0)
+        assert phi(2.0) == pytest.approx(5.0)
 
     def test_increasing(self):
         for phi in (PhiFamily("linear", 0.3), PhiFamily("superlinear", 0.5, 0.25)):

@@ -9,26 +9,31 @@ from kinsde.fields import (
     zero_coefficients,
 )
 from kinsde.integrators import (
-    BlowupError,
     DegenerateReweightingError,
     constant_shift_xi,
-    em_step,
     girsanov_weighted_law,
     khasminskii_estimate,
     load_snapshot,
     save_snapshot,
     simulate_ensemble,
+    step_arrays,
     step_normals,
-    tamed_em_step,
 )
 
 ORIGIN = DiracInit(PhaseState([0.0], [0.0]))
 
 
+def one_step(s, t, h, coeffs, dW, tamed=False):
+    """One step of a single particle through the ensemble step function."""
+    x1, y1 = step_arrays(coeffs, t, h, s.x[None, :], s.y[None, :], None,
+                         np.asarray(dW, dtype=float)[None, :], tamed)
+    return PhaseState(x1[0], y1[0])
+
+
 class TestSteps:
     def test_zero_fields_identity(self):
         s = PhaseState([0.5], [-0.25])
-        out = em_step(s, 0.0, 0.1, zero_coefficients(), dW=np.zeros(1))
+        out = one_step(s, 0.0, 0.1, zero_coefficients(), np.zeros(1))
         assert np.array_equal(out.x, s.x) and np.array_equal(out.y, s.y)
 
     def test_one_explicit_step(self):
@@ -36,27 +41,20 @@ class TestSteps:
         co = build_coefficients(z1=lambda t, x, y: y.copy(),
                                 z2=lambda t, x, y, law: np.zeros_like(y),
                                 b=None, sigma=1.0, d1=1, d2=1)
-        out = em_step(PhaseState([0.0], [1.0]), 0.0, 0.1, co, dW=np.zeros(1))
+        out = one_step(PhaseState([0.0], [1.0]), 0.0, 0.1, co, np.zeros(1))
         assert out.x == pytest.approx([0.1]) and out.y == pytest.approx([1.0])
 
     def test_ou_step(self):
         # z2 = -y, sigma = 1, dW = 0, h = 0.01, y = 2 -> 1.98
-        out = em_step(PhaseState([0.0], [2.0]), 0.0, 0.01, scalar_ou_coefficients(1.0),
-                      dW=np.zeros(1))
+        out = one_step(PhaseState([0.0], [2.0]), 0.0, 0.01, scalar_ou_coefficients(1.0),
+                       np.zeros(1))
         assert out.y == pytest.approx([1.98])
-
-    def test_blowup_raises(self):
-        co = build_coefficients(z1=lambda t, x, y: np.zeros_like(x),
-                                z2=lambda t, x, y, law: np.full_like(y, np.inf),
-                                b=None, sigma=1.0, d1=1, d2=1)
-        with pytest.raises(BlowupError, match="blowup at t"):
-            em_step(PhaseState([0.0], [0.0]), 0.0, 0.1, co, dW=np.zeros(1))
 
     def test_taming_identity_at_zero_drift(self):
         s = PhaseState([0.4], [0.8])
         dw = np.array([0.3])
-        a = em_step(s, 0.0, 0.05, zero_coefficients(sigma=1.0), dW=dw)
-        b = tamed_em_step(s, 0.0, 0.05, zero_coefficients(sigma=1.0), dW=dw)
+        a = one_step(s, 0.0, 0.05, zero_coefficients(sigma=1.0), dw)
+        b = one_step(s, 0.0, 0.05, zero_coefficients(sigma=1.0), dw, tamed=True)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_taming_halves_drift_at_reciprocal_step(self):
@@ -65,7 +63,7 @@ class TestSteps:
         co = build_coefficients(z1=lambda t, x, y: np.full_like(x, v),
                                 z2=lambda t, x, y, law: np.zeros_like(y),
                                 b=None, sigma=1.0, d1=1, d2=1)
-        out = tamed_em_step(PhaseState([0.0], [0.0]), 0.0, h, co, dW=np.zeros(1))
+        out = one_step(PhaseState([0.0], [0.0]), 0.0, h, co, np.zeros(1), tamed=True)
         assert out.x == pytest.approx([h * v / 2.0])
 
     def test_taming_second_order_agreement_for_small_drift(self):
@@ -75,8 +73,8 @@ class TestSteps:
                                 z2=lambda t, x, y, law: -y,
                                 b=None, sigma=1.0, d1=1, d2=1)
         s = PhaseState([1.0], [2.0])
-        a = em_step(s, 0.0, h, co, dW=np.zeros(1))
-        b = tamed_em_step(s, 0.0, h, co, dW=np.zeros(1))
+        a = one_step(s, 0.0, h, co, np.zeros(1))
+        b = one_step(s, 0.0, h, co, np.zeros(1), tamed=True)
         # gap is h|v| * h|v|/(1 + h|v|) <= (h |v|)^2 per block
         assert abs(a.x[0] - b.x[0]) <= (h * 5.0) ** 2
         assert abs(a.y[0] - b.y[0]) <= (h * 2.0) ** 2
@@ -160,17 +158,17 @@ class TestEnsemble:
         assert ens.unstable
         assert np.all(np.isfinite(ens.y))
 
-    def test_path_sample_carries_exact_increments(self):
+    def test_stored_paths_carry_exact_increments(self):
         cfg = SimConfig(T=0.2, h=0.05, N=3, seed=5)
         ens = simulate_ensemble(cfg, scalar_ou_coefficients(1.0), ORIGIN,
                                 store_paths=True, store_increments=True)
-        ps = ens.path_sample(1)
-        assert len(ps.states) == cfg.n_steps + 1
+        path, inc = ens.paths_y[:, 1], ens.increments[:, 1]
+        assert len(path) == cfg.n_steps + 1
         # replaying the recorded increments reproduces the path
-        y = ps.states[0].y.copy()
+        y = path[0].copy()
         for k in range(cfg.n_steps):
-            y = y + cfg.h * (-y) + ps.increments[k]
-            assert np.allclose(y, ps.states[k + 1].y)
+            y = y + cfg.h * (-y) + inc[k]
+            assert np.allclose(y, path[k + 1])
 
     def test_records_at_requested_times(self):
         cfg = SimConfig(T=1.0, h=0.1, N=16, seed=6)

@@ -201,6 +201,14 @@ class TestFlowBound:
         late = rep.times >= 0.3
         assert np.allclose(rep.pinsker_bound[late], rep.xi_integral_bound[late], rtol=0.15)
 
+    def test_default_init_needs_matching_cloud_size(self):
+        # without init the runs start from the t = 0 cloud of flow_nu, which
+        # must hold exactly N particles (no silent tiling)
+        cfg = SimConfig(T=0.1, h=0.01, N=50, seed=5, hist=HIST)
+        flow = atom_flow(1.0, 1.0, cfg.times())
+        with pytest.raises(ValueError, match="cloud has 1 particles"):
+            girsanov_flow_bound(cfg, coeffs_with(0.2), flow, flow, record_times=[0.0, 0.1])
+
     def test_bound_scales_linearly_in_kappa(self):
         cfg = SimConfig(T=1.0, h=0.01, N=800, seed=5, hist=HIST)
         flow_mu = atom_flow(1.5, 1.5, cfg.times())

@@ -207,3 +207,7 @@ class TestEquivalence:
         assert rep.verdict == "equivalent"
         assert rep.tv < 3.0 * rep.noise_floor
         assert rep.out_of_domain_fraction <= 1e-3
+        # the report carries the resolvent solution the experiment transformed with
+        sol = lambda_sweep(1.0, 1.0, 0.1, 12.0, 2001)
+        assert rep.solution.lam == sol.lam
+        assert np.array_equal(rep.solution.u, sol.u)
