@@ -113,6 +113,16 @@ def _whole(key: str, val) -> int:
     raise ConfigError(f"{key} must be a whole number, got {val!r}")
 
 
+def _real(key: str, val) -> float:
+    """``val`` as a float; numbers (and inf or nan spelt out) pass, anything else is refused."""
+    if isinstance(val, (int, float, str)) and not isinstance(val, bool):
+        try:
+            return float(val)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key} must be a number, got {val!r}")
+
+
 def _sim_config(kv: dict) -> SimConfig:
     missing = [k for k in ("T", "h", "N") if k not in kv]
     if missing:
@@ -123,7 +133,7 @@ def _sim_config(kv: dict) -> SimConfig:
             else _whole("hist.bins", bins))
     hist = HistogramSpec(kv.get("hist.min", -6.0), kv.get("hist.max", 6.0), bins, dim=d1 + d2)
     return SimConfig(
-        T=float(kv["T"]), h=float(kv["h"]), N=_whole("N", kv["N"]),
+        T=_real("T", kv["T"]), h=_real("h", kv["h"]), N=_whole("N", kv["N"]),
         seed=_whole("seed", kv.get("seed", 0)), d1=d1, d2=d2,
         m=_whole("m", kv.get("m", d2)), scheme=str(kv.get("scheme", "euler")), hist=hist,
     )
@@ -150,8 +160,8 @@ def _build_riesz(kv: dict, d: int) -> RieszDrift | None:
     atoms = kv.get("riesz.atoms")
     if atoms is None:
         return None
-    return RieszDrift(atoms, float(kv.get("riesz.alpha", 0.5)),
-                      float(kv.get("riesz.eta", 1e-6)))
+    return RieszDrift(atoms, _real("riesz.alpha", kv.get("riesz.alpha", 0.5)),
+                      _real("riesz.eta", kv.get("riesz.eta", 1e-6)))
 
 
 def _build_coefficients(kv: dict, cfg: SimConfig, kappa: float | None = None):
@@ -163,18 +173,18 @@ def _build_coefficients(kv: dict, cfg: SimConfig, kappa: float | None = None):
         # canonical benchmark noise is sqrt(2) unless the config overrides it
         return linear_langevin_coefficients(cfg.d1, sigma=kv.get("sigma"))
     if name == "scalar_ou":
-        return scalar_ou_coefficients(float(kv.get("rate", 1.0)), sigma=sigma, d=cfg.d1)
+        return scalar_ou_coefficients(_real("rate", kv.get("rate", 1.0)), sigma=sigma, d=cfg.d1)
     if name == "confining":
         pert = None
         if kv.get("z.scale"):
-            pert = bounded_sine_perturbation(float(kv["z.scale"]))
+            pert = bounded_sine_perturbation(_real("z.scale", kv["z.scale"]))
         drift = ConfiningDrift(
-            c1=float(kv.get("c1", 1.0)), c2=float(kv.get("c2", 0.0)),
-            c3=float(kv.get("c3", 1.0)), delta=float(kv.get("delta", 0.0)),
+            c1=_real("c1", kv.get("c1", 1.0)), c2=_real("c2", kv.get("c2", 0.0)),
+            c3=_real("c3", kv.get("c3", 1.0)), delta=_real("delta", kv.get("delta", 0.0)),
             perturbation=pert,
         )
         kern = _build_kernel(kv)
-        kap = float(kv.get("kappa", 0.0)) if kappa is None else kappa
+        kap = _real("kappa", kv.get("kappa", 0.0)) if kappa is None else kappa
         return confining_coefficients(
             drift, b=_build_riesz(kv, cfg.d1), d=cfg.d1, sigma=sigma,
             kernel=kern, kappa=kap,
@@ -193,9 +203,9 @@ def _build_init(kv: dict, key: str, cfg: SimConfig) -> DiracInit:
 
 
 def _record_times(kv: dict, cfg: SimConfig) -> np.ndarray:
-    start = float(kv.get("record.start", 0.0))
-    stop = float(kv.get("record.stop", cfg.T))
-    step = float(kv.get("record.step", max(cfg.h, (stop - start) / 16 or cfg.h)))
+    start = _real("record.start", kv.get("record.start", 0.0))
+    stop = _real("record.stop", kv.get("record.stop", cfg.T))
+    step = _real("record.step", kv.get("record.step", max(cfg.h, (stop - start) / 16 or cfg.h)))
     return np.round(np.arange(start, stop + step / 2, step), 12)
 
 
@@ -297,7 +307,7 @@ def cmd_ergodicity(kv, cfg, out, man, workers, replay: Path | None = None):
             _record_times(kv, cfg), workers=workers,
         )
         times, tv, floor = series.times, series.tv, series.noise_floor
-    fit_from = float(kv.get("fit.from", 0.0))
+    fit_from = _real("fit.from", kv.get("fit.from", 0.0))
     mask = times >= fit_from
     fit = fit_exponential_decay(times[mask], tv[mask], noise_floor=floor)
     csv = out / "distances.csv"
@@ -325,27 +335,27 @@ def _csv_skip(path: Path) -> int:
 
 def cmd_lyapunov_check(kv, cfg, out, man, workers):
     coeffs = _build_coefficients(kv, cfg)
-    V = LyapunovV(float(kv.get("lyapunov.theta", 1.0)), cfg.d1, cfg.d2)
+    V = LyapunovV(_real("lyapunov.theta", kv.get("lyapunov.theta", 1.0)), cfg.d1, cfg.d2)
     samples = LogRadialSamples(
-        r_min=float(kv.get("lyap.rmin", 0.05)),
-        r_max=float(kv.get("lyap.rmax", 50.0)),
-        n_radii=int(kv.get("lyap.radii", 24)),
-        n_dirs=int(kv.get("lyap.dirs", 16)),
+        r_min=_real("lyap.rmin", kv.get("lyap.rmin", 0.05)),
+        r_max=_real("lyap.rmax", kv.get("lyap.rmax", 50.0)),
+        n_radii=_whole("lyap.radii", kv.get("lyap.radii", 24)),
+        n_dirs=_whole("lyap.dirs", kv.get("lyap.dirs", 16)),
         seed=cfg.seed,
     )
-    eps = float(kv.get("eps.shell", 0.1))
+    eps = _real("eps.shell", kv.get("eps.shell", 0.1))
     kind = kv.get("phi.kind", "linear")
     beta = kv.get("phi.beta")
-    beta = None if beta is None else float(beta)
+    beta = None if beta is None else _real("phi.beta", beta)
+    kcap = _real("lyap.kcap", kv.get("lyap.kcap", 50.0))
     payload: dict = {}
     if "phi.c0" in kv:
-        phi = PhiFamily(kind, float(kv["phi.c0"]), beta)
-        report = check_drift_condition(coeffs, V, phi, float(kv.get("lyap.kcap", 50.0)), eps, samples)
-        payload.update({"mode": "check", "c0": phi.c0, "K": float(kv.get("lyap.kcap", 50.0))})
+        phi = PhiFamily(kind, _real("phi.c0", kv["phi.c0"]), beta)
+        report = check_drift_condition(coeffs, V, phi, kcap, eps, samples)
+        payload.update({"mode": "check", "c0": phi.c0, "K": kcap})
     else:
         try:
-            res = search_constants(coeffs, V, kind, eps, samples, beta=beta,
-                                   k_cap=float(kv.get("lyap.kcap", 50.0)))
+            res = search_constants(coeffs, V, kind, eps, samples, beta=beta, k_cap=kcap)
             report = res.report
             payload.update({"mode": "search", "c0": res.c0, "K": res.K})
         except CertificationError as exc:
@@ -372,9 +382,9 @@ def cmd_lyapunov_check(kv, cfg, out, man, workers):
 
 def cmd_zvonkin(kv, cfg, out, man, workers):
     coeffs = _build_coefficients(kv, cfg)
-    L = float(kv.get("zvonkin.L", 12.0))
-    n = int(kv.get("zvonkin.n", 4001))
-    eps = float(kv.get("zvonkin.eps", 0.1))
+    L = _real("zvonkin.L", kv.get("zvonkin.L", 12.0))
+    n = _whole("zvonkin.n", kv.get("zvonkin.n", 4001))
+    eps = _real("zvonkin.eps", kv.get("zvonkin.eps", 0.1))
     report = equivalence_experiment(coeffs, cfg, _build_init(kv, "init.a", cfg),
                                     eps_target=eps, L=L, n_grid=n, workers=workers)
     sol = report.solution
@@ -396,7 +406,7 @@ def cmd_khasminskii(kv, cfg, out, man, workers):
     coeffs = _build_coefficients(kv, cfg)
     kind = kv.get("khasminskii.f", "const")
     if kind == "const":
-        a = float(kv.get("khasminskii.a", 0.5))
+        a = _real("khasminskii.a", kv.get("khasminskii.a", 0.5))
         f = lambda t, y: np.full(y.shape[0], a)
     elif kind == "riesz":
         rz = _build_riesz(kv, cfg.d2)
@@ -406,9 +416,9 @@ def cmd_khasminskii(kv, cfg, out, man, workers):
     else:
         raise ConfigError(f"unknown khasminskii.f {kind!r}")
     res = khasminskii_estimate(cfg, coeffs, f, _build_init(kv, "init.a", cfg), workers=workers)
-    p = float(kv.get("norm.p", 4.0))
-    q = float(kv.get("norm.q", 4.0))
-    extent = float(kv.get("norm.extent", 3.0))
+    p = _real("norm.p", kv.get("norm.p", 4.0))
+    q = _real("norm.q", kv.get("norm.q", 4.0))
+    extent = _real("norm.extent", kv.get("norm.extent", 3.0))
     centers = np.linspace(-extent, extent, 9)[:, None] if cfg.d2 == 1 else np.zeros((1, cfg.d2))
     norm = localized_lpq_norm(lambda t, pts: f(t, pts), AdmissiblePair(p, q, cfg.d2),
                               cfg.T, centers, n_time=9, n_ball=201)
@@ -421,13 +431,13 @@ def cmd_khasminskii(kv, cfg, out, man, workers):
 
 
 def cmd_mkv_picard(kv, cfg, out, man, workers):
-    kappa = float(kv.get("kappa", 0.0))
+    kappa = _real("kappa", kv.get("kappa", 0.0))
     coeffs = _build_coefficients(kv, cfg)
     lam = kv.get("picard.lam")
     res = picard_fixed_point(
         cfg, coeffs, _build_init(kv, "init.a", cfg), kappa,
-        lam=None if lam is None else float(lam),
-        max_iter=int(kv.get("picard.maxiter", 20)),
+        lam=None if lam is None else _real("picard.lam", lam),
+        max_iter=_whole("picard.maxiter", kv.get("picard.maxiter", 20)),
         common_random_numbers=bool(kv.get("picard.crn", True)),
         workers=workers,
     )
@@ -445,12 +455,12 @@ def cmd_mkv_picard(kv, cfg, out, man, workers):
 
 
 def cmd_mkv_sweep(kv, cfg, out, man, workers):
-    kappas = [float(k) for k in kv.get("sweep.kappas", [0.0, 0.1, 0.2])]
+    kappas = [_real("sweep.kappas", k) for k in kv.get("sweep.kappas", [0.0, 0.1, 0.2])]
     factory = lambda kap: _build_coefficients(kv, cfg, kappa=kap)
     res = uniform_ergodicity_sweep(
         cfg, factory, kappas,
         _build_init(kv, "init.a", cfg), _build_init(kv, "init.b", cfg),
-        _record_times(kv, cfg), fit_from=float(kv.get("fit.from", 1.0)),
+        _record_times(kv, cfg), fit_from=_real("fit.from", kv.get("fit.from", 1.0)),
         workers=workers,
     )
     summary = []
@@ -470,13 +480,13 @@ def cmd_mkv_sweep(kv, cfg, out, man, workers):
 
 def cmd_h_bound(kv, cfg, out, man, workers):
     phi = PhiFamily(kv.get("phi.kind", "superlinear"),
-                    float(kv.get("phi.c0", 1.0)),
-                    float(kv.get("phi.beta", 1.0)))
-    v0 = float(kv.get("hbound.v0", 1.0))
-    k = float(kv.get("hbound.k", 1.0))
-    lam = float(kv.get("hbound.lam", 1.0))
-    tmax = float(kv.get("hbound.tmax", 8.0))
-    dt = float(kv.get("hbound.dt", 0.25))
+                    _real("phi.c0", kv.get("phi.c0", 1.0)),
+                    _real("phi.beta", kv.get("phi.beta", 1.0)))
+    v0 = _real("hbound.v0", kv.get("hbound.v0", 1.0))
+    k = _real("hbound.k", kv.get("hbound.k", 1.0))
+    lam = _real("hbound.lam", kv.get("hbound.lam", 1.0))
+    tmax = _real("hbound.tmax", kv.get("hbound.tmax", 8.0))
+    dt = _real("hbound.dt", kv.get("hbound.dt", 0.25))
     times = np.round(np.arange(0.0, tmax + dt / 2, dt), 12)
     env = h_envelope(phi, v0, k, lam, times)
     csv = out / "envelope.csv"
@@ -572,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _sim_config(kv)
         out_dir = args.out or Path(kv.get("out.dir") or os.environ.get("KINSDE_OUT", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        workers = args.workers if args.workers is not None else int(kv.get("workers", 1))
+        workers = args.workers if args.workers is not None else _whole("workers", kv.get("workers", 1))
         man = Manifest(args.command, text, cfg.seed, cfg.n_steps)
         if args.command == "ergodicity":
             _SUBCOMMANDS[args.command](kv, cfg, out_dir, man, workers,

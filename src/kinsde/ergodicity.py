@@ -8,13 +8,12 @@ the plateau where Monte Carlo noise dominates is never fitted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from kinsde.core import EmpiricalLaw, HistogramSpec, SimConfig
 from kinsde.fields import LyapunovV, PhiFamily
@@ -186,36 +185,108 @@ def tv_decay_experiment(
 
 # --- H-transform envelope (integrated rate function) ------------------------------
 
+# H(r) = I(r) / c0 with I(r) = int_0^r ds / (1 + s^p), p = 1 + beta.  I depends
+# on p alone, so one table per beta serves every c0.  The table holds I at the
+# breakpoints 2^(j/m), 2^-8 <= 2^(j/m) <= 2^49, with m = ceil(p/2) panels per
+# octave; each panel is a fixed-order Gauss-Legendre rule.  Below 2^-8 the
+# power series of I is used (s^p is not smooth at 0), above 2^49 its
+# asymptotic series.  2^49 is also the reach of H^-1.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_SERIES_TOP = -8   # log2 of the first breakpoint
+_REACH = 49        # log2 of the last breakpoint
+
+
+def _gl_integral(a, b, p: float):
+    """int_a^b ds / (1 + s^p) by one 20-node Gauss-Legendre panel, elementwise."""
+    half = 0.5 * (b - a)
+    s = (0.5 * (a + b))[..., None] + half[..., None] * _GL_NODES
+    with np.errstate(over="ignore"):
+        return half * ((1.0 / (1.0 + s**p)) @ _GL_WEIGHTS)
+
+
+def _small_r_series(r, p: float):
+    """I(r) = sum_n (-1)^n r^(np+1) / (np+1); eight terms reach 2^-56 for r <= 2^-8."""
+    e = np.arange(8) * p + 1.0
+    return np.sum((-1.0) ** np.arange(8) * r[..., None] ** e / e, axis=-1)
+
+
+def _large_r_series(top: float, r, p: float):
+    """int_top^r ds / (1 + s^p) from s^-p - s^-2p + ...; three terms suffice for top = 2^49."""
+    n = np.arange(1, 4)
+    e = 1.0 - n * p
+    return np.sum((-1.0) ** (n + 1) * (r[..., None] ** e - top**e) / e, axis=-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _h_table(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints r_j and I(r_j) for the exponent p (read-only: the cache shares them)."""
+    m = math.ceil(p / 2.0)
+    edges = 2.0 ** (np.arange(_SERIES_TOP * m, _REACH * m + 1) / m)
+    panels = _gl_integral(edges[:-1], edges[1:], p)
+    cum = _small_r_series(edges[:1], p)[0] + np.concatenate([[0.0], np.cumsum(panels)])
+    edges.flags.writeable = cum.flags.writeable = False
+    return edges, cum
+
+
+def _h_integral(r: np.ndarray, p: float) -> np.ndarray:
+    """I(r) for a 1-d array of r >= 0: the table entry below r plus one panel."""
+    edges, cum = _h_table(p)
+    j = np.searchsorted(edges, r, side="right") - 1
+    out = np.empty_like(r)
+    low, high = j < 0, j >= edges.size - 1
+    mid = ~(low | high)
+    out[low] = _small_r_series(r[low], p)
+    out[mid] = cum[j[mid]] + _gl_integral(edges[j[mid]], r[mid], p)
+    out[high] = cum[-1] + _large_r_series(edges[-1], r[high], p)
+    return out
+
+
 class HTransform:
-    """H(r) = int_0^r ds / Phi(s) with a bisection inverse.
+    """H(r) = int_0^r ds / Phi(s), vectorized, with a Newton inverse.
 
     Only defined for the superlinear family: a linear Phi makes the
-    integrand 1/(c0 s), which diverges at 0.
+    integrand 1/(c0 s), which diverges at 0.  ``value`` and ``inverse``
+    take a scalar (and return a float) or an array.
     """
 
     def __init__(self, phi: PhiFamily):
         if phi.kind == "linear":
             raise ValueError("H diverges at 0 for linear Phi")
         self.phi = phi
+        self._p = 1.0 + phi.beta
 
-    def value(self, r: float) -> float:
-        if r < 0:
+    def value(self, r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < 0):
             raise ValueError("H is defined for r >= 0")
-        if r == 0.0:
-            return 0.0
-        out, _ = quad(lambda s: 1.0 / self.phi(s), 0.0, r, limit=200)
-        return float(out)
+        out = (_h_integral(r.ravel(), self._p) / self.phi.c0).reshape(r.shape)
+        return float(out) if out.ndim == 0 else out
 
-    def inverse(self, w: float) -> float:
-        """H^-1 with the convention H^-1(w) = 0 for w <= 0."""
-        if w <= 0.0:
-            return 0.0
-        hi = 1.0
-        while self.value(hi) < w:
-            hi *= 2.0
-            if hi > 1e15:
-                raise ValueError(f"H^-1({w}) out of reach: H saturates below it")
-        return float(brentq(lambda r: self.value(r) - w, 0.0, hi, xtol=1e-12, rtol=1e-14))
+    def inverse(self, w):
+        """H^-1 with the convention H^-1(w) = 0 for w <= 0.
+
+        The table brackets each root; Newton steps with H' = 1/Phi start at
+        the bracket's left end and, H being concave, rise monotonically to
+        the root without leaving the bracket.
+        """
+        w = np.asarray(w, dtype=float)
+        edges, cum = _h_table(self._p)
+        if np.any(w > cum[-1] / self.phi.c0):
+            raise ValueError(f"H^-1({w}) out of reach: H saturates below it")
+        target = np.maximum(w.ravel(), 0.0) * self.phi.c0
+        j = np.searchsorted(cum, target, side="right") - 1
+        r = np.where(j < 0, 0.0, edges[np.maximum(j, 0)])
+        right = edges[np.minimum(j + 1, edges.size - 1)]
+        for _ in range(100):
+            resid = target - _h_integral(r, self._p)
+            with np.errstate(over="ignore", invalid="ignore"):
+                step = np.where(resid > 0.0, resid * (1.0 + r**self._p), 0.0)
+            nxt = np.minimum(r + step, right)
+            if np.array_equal(nxt, r):
+                break
+            r = nxt
+        out = r.reshape(w.shape)
+        return float(out) if out.ndim == 0 else out
 
 
 def h_envelope(phi: PhiFamily, v0: float, k: float, lam: float, times) -> np.ndarray:
@@ -229,12 +300,12 @@ def h_envelope(phi: PhiFamily, v0: float, k: float, lam: float, times) -> np.nda
     if k <= 0 or lam <= 0:
         raise ValueError("k and lam must be positive")
     H = HTransform(phi)
-    h_v0 = H.value(v0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty_like(times)
-    for i, t in enumerate(times):
-        out[i] = k * (1.0 + H.inverse(h_v0 - t / k)) * math.exp(-lam * t)
-    return out
+    inv = H.inverse(H.value(v0) - times / k)
+    # H^-1(H(V0) - t/k) <= V0 for t >= 0; where H is flat to double precision
+    # (large V0 and beta) H^-1 cannot resolve V0 itself, so hold it to that bound
+    inv = np.where(times >= 0.0, np.minimum(inv, v0), inv)
+    return k * (1.0 + inv) * np.exp(-lam * times)
 
 
 @dataclass(frozen=True)

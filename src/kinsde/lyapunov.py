@@ -68,6 +68,30 @@ def shell_offsets(d2: int, eps: float, m_shell: int = 32, seed: int = 1) -> np.n
     return np.concatenate([np.zeros((1, d2)), offs], axis=0)
 
 
+def shell_norms(V: LyapunovV, x: np.ndarray, y: np.ndarray, offs: np.ndarray):
+    """||d_x d_y V||, |d_y V| and ||d_y^2 V|| at (x_i, y_i + off_j), each (n, m).
+
+    x is (n, d1), y is (n, d2), offs is (m, d2).  The blocks of
+    V = (1 + |z|^2)^theta are d_y V = g y, d_x d_y V = g2 x y^T and
+    d_y^2 V = g I + g2 y y^T, so the spectral norms are |g2| |x| |y| and,
+    from the eigenvalues g (d2 - 1 times) and g + g2 |y|^2, |g + g2 |y|^2|
+    when d2 = 1 and max(|g|, |g + g2 |y|^2|) when d2 >= 2.
+    """
+    th = V.theta
+    ys = y[:, None, :] + offs[None, :, :]
+    y2 = np.sum(ys * ys, axis=2)
+    x2 = np.sum(x * x, axis=1)[:, None]
+    s = 1.0 + (x2 + y2)
+    g = 2.0 * th * s ** (th - 1.0)
+    g2 = 4.0 * th * (th - 1.0) * s ** (th - 2.0)
+    ny = np.sqrt(y2)
+    hess_xy = np.abs(g2) * np.sqrt(x2) * ny
+    hess_yy = np.abs(g + g2 * y2)
+    if y.shape[1] >= 2:
+        hess_yy = np.maximum(np.abs(g), hess_yy)
+    return hess_xy, np.abs(g) * ny, hess_yy
+
+
 def drift_condition_lhs(
     coeffs: CoefficientSet,
     V: LyapunovV,
@@ -85,6 +109,7 @@ def drift_condition_lhs(
     """
     d1 = coeffs.d1
     offs = shell_offsets(coeffs.d2, eps, m_shell, shell_seed)
+    hess_xy, grad_y, hess_yy = shell_norms(V, points[:, :d1], points[:, d1:], offs)
     out = np.empty(points.shape[0])
     for i, pt in enumerate(points):
         x, y = pt[:d1], pt[d1:]
@@ -92,13 +117,7 @@ def drift_condition_lhs(
         z2 = np.asarray(coeffs.z2(0.0, x[None, :], y[None, :], None))[0]
         n1 = float(np.linalg.norm(z1))
         n2 = float(np.linalg.norm(z2))
-        shell_max = 0.0
-        for off in offs:
-            blk = V.blocks(x, y + off)
-            cand = n1 * float(np.linalg.norm(blk.hess_xy, 2)) + n2 * (
-                float(np.linalg.norm(blk.grad_y)) + float(np.linalg.norm(blk.hess_yy, 2))
-            )
-            shell_max = max(shell_max, cand)
+        shell_max = float(np.max(n1 * hess_xy[i] + n2 * (grad_y[i] + hess_yy[i])))
         here = V.blocks(x, y)
         out[i] = eps * shell_max + float(z1 @ here.grad_x) + float(z2 @ here.grad_y)
     return out
@@ -249,25 +268,13 @@ def check_growth_ratios(
     dirs = rng.standard_normal((n_dirs, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     offs = shell_offsets(V.d2, eps, m_shell, seed + 1)
-    ratio_max = np.zeros(radii.size)
-    v_min = np.empty(radii.size)
-    for j, r in enumerate(radii):
-        vs = []
-        for u in dirs:
-            pt = r * u
-            x, y = pt[:V.d1], pt[V.d1:]
-            v = V.value(x, y)
-            vs.append(v)
-            denom = v if phi is None else min(v, float(phi(v)))
-            num = 0.0
-            for off in offs:
-                blk = V.blocks(x, y + off)
-                num = max(
-                    num,
-                    float(np.linalg.norm(blk.grad_y)) + float(np.linalg.norm(blk.hess_yy, 2)),
-                )
-            ratio_max[j] = max(ratio_max[j], num / denom)
-        v_min[j] = min(vs)
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    _, grad_y, hess_yy = shell_norms(V, pts[:, :V.d1], pts[:, V.d1:], offs)
+    num = np.max(grad_y + hess_yy, axis=1).reshape(radii.size, n_dirs)
+    v = V.value_points(pts).reshape(radii.size, n_dirs)
+    denom = v if phi is None else np.minimum(v, np.asarray(phi(v)))
+    ratio_max = np.max(num / denom, axis=1)
+    v_min = np.min(v, axis=1)
     top = ratio_max[radii.size // 2:]
     vanishing = bool(np.all(np.diff(top) < 0.0))
     return GrowthRatioReport(

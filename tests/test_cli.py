@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,9 @@ import pytest
 from kinsde.cli import _parse_config, _sim_config, main
 from kinsde.integrators import load_snapshot
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 BASE = """
 T = 0.5
@@ -67,6 +72,41 @@ class TestConfigHandling:
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
         law, meta = load_snapshot(tmp_path / "snapshot")
         assert law.n == 200 and meta["seed"] == 9
+
+    @pytest.mark.parametrize(
+        "command, extra, key",
+        [("simulate", "drift = zero\nworkers = 1.5\n", "workers"),
+         ("lyapunov-check", "lyap.radii = 6.9\nlyap.dirs = 4\n", "lyap.radii"),
+         ("lyapunov-check", "lyap.radii = 6\nlyap.dirs = 4.5\n", "lyap.dirs"),
+         ("zvonkin", "zvonkin.n = 400.5\n", "zvonkin.n"),
+         ("mkv-picard", "picard.maxiter = 2.5\n", "picard.maxiter")],
+    )
+    def test_non_integral_module_count_exit_2(self, tmp_path, capsys, command, extra, key):
+        cfg = write_cfg(tmp_path, extra)
+        assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"{key} must be a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("simulate", "T = [1.0]"), ("simulate", "h = 'abc'"), ("simulate", "T = True"),
+         ("lyapunov-check", "eps.shell = {1: 2}"), ("h-bound", "hbound.v0 = [4.0]"),
+         ("mkv-sweep", "sweep.kappas = [0.1, 'x']")],
+    )
+    def test_wrong_typed_value_exit_2_naming_key(self, tmp_path, capsys, command, line):
+        cfg = write_cfg(tmp_path, f"{line}\n")
+        assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+        key = line.split(" =")[0]
+        assert f"{key} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_importing_cli_skips_scipy_integrate_and_optimize(self):
+        code = ("import sys, kinsde.cli; "
+                "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
     def test_shipped_config_parses(self, path):
@@ -183,6 +223,20 @@ class TestOtherSubcommands:
         assert rows[1] == "t,envelope"
         first = float(rows[2].split(",")[1])
         assert first == pytest.approx(2.0 * 5.0)
+
+    def test_h_bound_large_v0_starts_at_k_one_plus_v0(self, tmp_path):
+        # quad over [0, 1e6] once returned H(1e6) ~ 0 here and the envelope started at 4
+        cfg = write_cfg(
+            tmp_path,
+            "phi.kind = superlinear\nphi.c0 = 1.0\nphi.beta = 1.0\n"
+            "hbound.v0 = 1e6\nhbound.k = 4.0\nhbound.lam = 0.8\n"
+            "hbound.tmax = 2.0\nhbound.dt = 0.25\n",
+        )
+        assert main(["h-bound", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "envelope.csv").read_text().splitlines()[2:]
+        env = np.array([float(r.split(",")[1]) for r in rows])
+        assert env[0] == pytest.approx(4.0 * (1.0 + 1e6), rel=1e-9)
+        assert np.all(np.diff(env) <= 0.0)
 
     def test_khasminskii_json(self, tmp_path):
         cfg = write_cfg(

@@ -18,13 +18,16 @@ from kinsde.ergodicity import (
     tv_decay_experiment,
 )
 from kinsde.fields import (
+    ConfiningDrift,
     LyapunovV,
     PhiFamily,
     build_coefficients,
+    confining_coefficients,
     linear_langevin_coefficients,
     scalar_ou_coefficients,
 )
 from kinsde.integrators import simulate_ensemble
+from kinsde.lyapunov import LogRadialSamples, search_constants
 
 SPEC2 = HistogramSpec(-4.0, 4.0, 8, dim=2)
 
@@ -249,6 +252,102 @@ class TestHEnvelope:
         fit = fit_h_envelope(times, curve, phi, v0=10.0)
         assert fit.dominated
         assert np.all(fit.envelope >= curve - 1e-9)
+
+    def test_value_matches_arctan_over_24_decades(self):
+        # quad over [0, r] returned -1e-6 for H(1e6) here; the closed form is arctan(r) / c0
+        c0 = 0.7
+        H = HTransform(PhiFamily("superlinear", c0, beta=1.0))
+        r = np.geomspace(1e-12, 1e12, 481)
+        assert np.max(np.abs(H.value(r) / (np.arctan(r) / c0) - 1.0)) <= 1e-14
+        assert H.value(1e6) == pytest.approx(np.arctan(1e6) / c0, rel=1e-14)
+
+    def test_scalar_and_array_calls_agree(self):
+        H = HTransform(PhiFamily("superlinear", 1.3, beta=0.5))
+        r = np.array([[0.0, 1e-3], [2.5, 1e7]])
+        vals = H.value(r)
+        assert vals.shape == r.shape and isinstance(H.value(2.5), float)
+        assert [H.value(x) for x in r.ravel()] == vals.ravel().tolist()
+        assert [H.inverse(w) for w in vals.ravel()] == H.inverse(vals).ravel().tolist()
+
+    def test_inverse_out_of_reach(self):
+        H = HTransform(PhiFamily("superlinear", 1.0, beta=1.0))
+        assert H.inverse(H.value(2.0**49)) == pytest.approx(2.0**49, rel=1e-3)
+        with pytest.raises(ValueError, match="out of reach"):
+            H.inverse(np.pi / 2.0 + 1e-9)
+
+    def test_envelope_start_where_h_is_flat(self):
+        # at beta = 3, H(1e6) equals H(2^49) in double precision; H^-1 alone returned 2^49
+        phi = PhiFamily("superlinear", 1.0, beta=3.0)
+        env = h_envelope(phi, 1e6, 2.0, 0.5, [0.0, 1e-12, 0.25])
+        assert env[0] == 2.0 * (1.0 + 1e6)
+        assert env[0] >= env[1] >= env[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 1e4))
+    def test_value_matches_closed_form_at_beta_two(self, s):
+        # int_0^s dt / (1 + t^3)
+        exact = (np.log((1.0 + s) ** 2 / (1.0 - s + s * s)) / 6.0
+                 + np.arctan((2.0 * s - 1.0) / np.sqrt(3.0)) / np.sqrt(3.0)
+                 + np.pi / (6.0 * np.sqrt(3.0)))
+        H = HTransform(PhiFamily("superlinear", 1.0, beta=2.0))
+        assert H.value(s) == pytest.approx(exact, rel=1e-13, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-8, 1e3), st.floats(0.05, 3.0), st.floats(0.1, 10.0))
+    def test_inverse_undoes_value(self, r, beta, c0):
+        H = HTransform(PhiFamily("superlinear", c0, beta=beta))
+        h = H.value(r)
+        # H^-1 is ill conditioned where H is flat: dr = dH Phi(r); on this
+        # range H stays far enough below its limit for that to hold
+        tol = 1e-13 * r + 1e-14 * h * c0 * (1.0 + r ** (1.0 + beta))
+        assert abs(H.inverse(h) - r) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 2.0**49), st.floats(0.05, 4.0), st.floats(0.1, 10.0))
+    def test_inverse_solves_h_equation_up_to_reach(self, r, beta, c0):
+        H = HTransform(PhiFamily("superlinear", c0, beta=beta))
+        h = H.value(r)
+        assert abs(H.value(H.inverse(h)) - h) <= 1e-15 * h
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e15), min_size=2, max_size=40), st.floats(0.05, 4.0))
+    def test_value_is_monotone(self, rs, beta):
+        H = HTransform(PhiFamily("superlinear", 1.0, beta=beta))
+        rs = np.sort(rs)
+        assert np.all(np.diff(H.value(rs)) >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1.0, 1e6), st.floats(0.1, 100.0), st.floats(0.01, 5.0),
+           st.floats(0.1, 3.0), st.floats(0.1, 10.0))
+    def test_envelope_nonincreasing_property(self, v0, k, lam, beta, c0):
+        env = h_envelope(PhiFamily("superlinear", c0, beta), v0, k, lam, np.linspace(0.0, 20.0, 81))
+        assert np.all(np.diff(env) <= 1e-12 * env[:-1])
+
+    # c0, K from search_constants and k, lam from fit_h_envelope on the
+    # benchmark's library op (perfbench/child.py), recorded before H was
+    # tabulated and the shell norms were written in closed form
+    GOLDEN = {
+        1: (1.3800722948507065, 50.0, 4.33508552034572, 0.9472208607989222),
+        2: (1.372513856685271, 50.0, 3.9607397269532094, 0.8318848457962611),
+        3: (1.3643603401793876, 50.0, 4.389405362606049, 0.8217938533205119),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_constants_match_golden(self, seed):
+        coeffs = confining_coefficients(ConfiningDrift(c1=1.0, c2=0.5, c3=1.0, delta=1.0), d=1)
+        V = LyapunovV(1.0, 1, 1)
+        samples = LogRadialSamples(r_max=50.0, n_radii=16, n_dirs=10, seed=seed)
+        res = search_constants(coeffs, V, "superlinear", eps=0.1, samples=samples,
+                               beta=0.5, k_cap=50.0)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        times = np.arange(0.25, 5.01, 0.25)
+        amp = rng.uniform(5.0, 7.0)
+        rate = rng.uniform(0.8, 1.0)
+        curve = amp * np.exp(-rate * times) * np.exp(0.15 * rng.standard_normal(times.size))
+        fit = fit_h_envelope(times, curve, PhiFamily("superlinear", res.c0, 0.5),
+                             v0=float(V.value([3.0], [3.0])))
+        got = (res.c0, res.K, fit.k, fit.lam)
+        assert got == pytest.approx(self.GOLDEN[seed], rel=1e-10)
 
 
 class TestMomentBound:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinsde.fields import (
     ConfiningDrift,
@@ -15,6 +17,7 @@ from kinsde.lyapunov import (
     check_growth_ratios,
     drift_condition_lhs,
     search_constants,
+    shell_norms,
     shell_offsets,
 )
 
@@ -167,6 +170,43 @@ class TestDriftLhs:
         assert r.max() == pytest.approx(0.25)
         assert np.all(r <= 0.25 + 1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.floats(0.2, 3.0), st.integers(0, 2**32 - 1))
+    def test_shell_norms_match_svd_of_blocks(self, d1, d2, theta, seed):
+        V = LyapunovV(theta, d1, d2)
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(0.0, 5.0, (2, d1)), rng.normal(0.0, 5.0, (2, d2))
+        offs = shell_offsets(d2, 0.25, m_shell=8)
+        hess_xy, grad_y, hess_yy = shell_norms(V, x, y, offs)
+        for i in range(2):
+            for j, off in enumerate(offs):
+                blk = V.blocks(x[i], y[i] + off)
+                assert hess_xy[i, j] == pytest.approx(np.linalg.norm(blk.hess_xy, 2), rel=1e-12)
+                assert grad_y[i, j] == pytest.approx(np.linalg.norm(blk.grad_y), rel=1e-12)
+                assert hess_yy[i, j] == pytest.approx(np.linalg.norm(blk.hess_yy, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_lhs_matches_per_offset_svd_reference(self, d):
+        co = confining_coefficients(ConfiningDrift(c1=1.0, c2=0.05, c3=1.0, delta=1.0), d=d)
+        V = LyapunovV(0.75, d, d)
+        pts = LogRadialSamples(r_max=50.0, n_radii=6, n_dirs=4, seed=2).points(d, d)
+        offs = shell_offsets(d, 0.1)
+        ref = []
+        for pt in pts:
+            x, y = pt[:d], pt[d:]
+            n1 = np.linalg.norm(co.z1(0.0, x[None, :], y[None, :])[0])
+            n2 = np.linalg.norm(co.z2(0.0, x[None, :], y[None, :], None)[0])
+            shell = max(
+                n1 * np.linalg.norm(b.hess_xy, 2)
+                + n2 * (np.linalg.norm(b.grad_y) + np.linalg.norm(b.hess_yy, 2))
+                for b in (V.blocks(x, y + off) for off in offs)
+            )
+            here = V.blocks(x, y)
+            ref.append(0.1 * shell + co.z1(0.0, x[None, :], y[None, :])[0] @ here.grad_x
+                       + co.z2(0.0, x[None, :], y[None, :], None)[0] @ here.grad_y)
+        scale = np.maximum(1.0, np.abs(ref))
+        assert np.max(np.abs(drift_condition_lhs(co, V, 0.1, pts) - ref) / scale) < 1e-12
+
 
 class TestGrowthRatios:
     def test_theta_one_linear_phi_vanishing(self):
@@ -190,3 +230,23 @@ class TestGrowthRatios:
     def test_radii_must_increase(self):
         with pytest.raises(ValueError):
             check_growth_ratios(V1, None, [1.0, 0.5, 2.0])
+
+    @pytest.mark.parametrize("d2", [1, 2])
+    def test_matches_per_offset_svd_reference(self, d2):
+        V = LyapunovV(0.6, 1, d2)
+        phi = PhiFamily("superlinear", 0.5, 0.5)
+        radii = np.array([0.5, 2.0, 8.0])
+        rep = check_growth_ratios(V, phi, radii, eps=0.25, n_dirs=5, seed=4)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(4)))
+        dirs = rng.standard_normal((5, 1 + d2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        offs = shell_offsets(d2, 0.25, 32, 5)
+        for j, r in enumerate(radii):
+            ratios = []
+            for u in dirs:
+                x, y = r * u[:1], r * u[1:]
+                v = V.value(x, y)
+                num = max(np.linalg.norm(b.grad_y) + np.linalg.norm(b.hess_yy, 2)
+                          for b in (V.blocks(x, y + off) for off in offs))
+                ratios.append(num / min(v, phi(v)))
+            assert rep.ratio_max[j] == pytest.approx(max(ratios), rel=1e-12)
