@@ -123,6 +123,24 @@ def _real(key: str, val) -> float:
     raise ConfigError(f"{key} must be a number, got {val!r}")
 
 
+def _flag(key: str, val) -> bool:
+    """``val`` as a bool; only True and False pass (``no`` or 1 is refused)."""
+    if isinstance(val, bool):
+        return val
+    raise ConfigError(f"{key} must be True or False, got {val!r}")
+
+
+def _atoms(key: str, val) -> list[tuple]:
+    """``val`` as a non-empty list of (location, weight) pairs; a location is
+    a number or a list of numbers."""
+    pair = lambda a: isinstance(a, (list, tuple)) and len(a) == 2
+    if not (isinstance(val, (list, tuple)) and val and all(map(pair, val))):
+        raise ConfigError(f"{key} must be a non-empty list of (location, weight) pairs, "
+                          f"got {val!r}")
+    num = lambda v: [_real(key, c) for c in v] if isinstance(v, (list, tuple)) else _real(key, v)
+    return [(num(loc), _real(key, w)) for loc, w in val]
+
+
 def _sim_config(kv: dict) -> SimConfig:
     missing = [k for k in ("T", "h", "N") if k not in kv]
     if missing:
@@ -160,8 +178,12 @@ def _build_riesz(kv: dict, d: int) -> RieszDrift | None:
     atoms = kv.get("riesz.atoms")
     if atoms is None:
         return None
-    return RieszDrift(atoms, _real("riesz.alpha", kv.get("riesz.alpha", 0.5)),
-                      _real("riesz.eta", kv.get("riesz.eta", 1e-6)))
+    rz = RieszDrift(_atoms("riesz.atoms", atoms),
+                    _real("riesz.alpha", kv.get("riesz.alpha", 0.5)),
+                    _real("riesz.eta", kv.get("riesz.eta", 1e-6)))
+    if rz.d != d:
+        raise ConfigError(f"riesz.atoms must have locations with {d} coordinates, got {rz.d}")
+    return rz
 
 
 def _build_coefficients(kv: dict, cfg: SimConfig, kappa: float | None = None):
@@ -286,12 +308,12 @@ def cmd_simulate(kv, cfg, out, man, workers):
     bad = validate_config(cfg, coeffs)
     if bad:
         raise ConfigError("; ".join(bad))
+    store_inc = _flag("store_increments", kv.get("store_increments", False))
     ens = simulate_ensemble(cfg, coeffs, _build_init(kv, "init.a", cfg), workers=workers,
-                            store_increments=bool(kv.get("store_increments", False)))
+                            store_increments=store_inc)
     if ens.unstable:
         raise NumericFailure(f"run unstable: {ens.n_dead} of {ens.n} particles blew up")
-    b, j = save_snapshot(out / "snapshot", ens, man.chash,
-                         with_increments=bool(kv.get("store_increments", False)))
+    b, j = save_snapshot(out / "snapshot", ens, man.chash, with_increments=store_inc)
     man.add(b); man.add(j)
 
 
@@ -438,7 +460,7 @@ def cmd_mkv_picard(kv, cfg, out, man, workers):
         cfg, coeffs, _build_init(kv, "init.a", cfg), kappa,
         lam=None if lam is None else _real("picard.lam", lam),
         max_iter=_whole("picard.maxiter", kv.get("picard.maxiter", 20)),
-        common_random_numbers=bool(kv.get("picard.crn", True)),
+        common_random_numbers=_flag("picard.crn", kv.get("picard.crn", True)),
         workers=workers,
     )
     csv = out / "rho.csv"
@@ -580,9 +602,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         kv = _parse_config(text)
         cfg = _sim_config(kv)
+        # accepted for compatibility; the step loop is serial and ignores it
+        workers = _whole("workers", kv.get("workers", 1) if args.workers is None else args.workers)
+        if workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {workers}")
         out_dir = args.out or Path(kv.get("out.dir") or os.environ.get("KINSDE_OUT", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        workers = args.workers if args.workers is not None else _whole("workers", kv.get("workers", 1))
         man = Manifest(args.command, text, cfg.seed, cfg.n_steps)
         if args.command == "ergodicity":
             _SUBCOMMANDS[args.command](kv, cfg, out_dir, man, workers,

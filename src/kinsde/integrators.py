@@ -3,15 +3,18 @@
 Randomness is counter-based: the Gaussian block for step k of a run is a
 pure function of (seed, stream, k), so a particle's trajectory is a
 deterministic function of (seed, stream, its index, config).  Reruns are
-bit-exact on one machine regardless of worker-thread count, and two runs
-sharing (seed, stream) consume identical noise (common random numbers).
+bit-exact on one machine, and two runs sharing (seed, stream) consume
+identical noise (common random numbers).  The step loop is serial: the
+``workers`` arguments are validated (>= 1) and otherwise ignored, because
+splitting a step's rows over threads made it slower (the per-step numpy
+calls are too small to outweigh the interpreter lock).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -39,15 +42,35 @@ class DegenerateReweightingError(ArithmeticError):
         super().__init__(f"degenerate reweighting: effective sample size {ess:.1f} < 1% of {n}")
 
 
+def _key(seed: int, purpose: int, stream: int, index: int) -> np.ndarray:
+    hi = (purpose << 60) | ((stream & 0xFFFFF) << 40) | (index & 0xFFFFFFFFFF)
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, hi], dtype=np.uint64)
+
+
 def _philox(seed: int, purpose: int, stream: int, index: int) -> np.random.Generator:
-    lo = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    hi = np.uint64((purpose << 60) | ((stream & 0xFFFFF) << 40) | (index & 0xFFFFFFFFFF))
-    return np.random.Generator(np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)))
+    return np.random.Generator(np.random.Philox(key=_key(seed, purpose, stream, index)))
+
+
+# One step-noise generator per thread.  Every call overwrites its whole state,
+# so no call sees what an earlier one drew.
+_step_rng = threading.local()
 
 
 def step_normals(seed: int, stream: int, step: int, n: int, m: int) -> np.ndarray:
-    """Standard-normal block for one step; row i belongs to particle i."""
-    return _philox(seed, _PURPOSE_STEP, stream, step).standard_normal((n, m))
+    """Standard-normal block for one step; row i belongs to particle i.
+
+    Equal to ``_philox(seed, _PURPOSE_STEP, stream, step).standard_normal((n, m))``,
+    but building a keyed ``Philox`` costs a ``SeedSequence`` (and an
+    ``os.urandom`` read) per call, so the thread's generator is re-keyed
+    instead: its fresh state (counter 0, empty buffer) with the step's key.
+    """
+    rng = _step_rng
+    if not hasattr(rng, "gen"):
+        rng.gen = np.random.Generator(np.random.Philox(key=0))
+        rng.fresh = rng.gen.bit_generator.state
+    rng.fresh["state"]["key"] = _key(seed, _PURPOSE_STEP, stream, step)
+    rng.gen.bit_generator.state = rng.fresh
+    return rng.gen.standard_normal((n, m))
 
 
 def init_normals(seed: int, stream: int, n: int, dim: int) -> np.ndarray:
@@ -61,8 +84,10 @@ def bootstrap_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # --- the step scheme --------------------------------------------------------------
 
 def _tame(v: np.ndarray, h: float) -> np.ndarray:
-    mag = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
-    return v / (1.0 + h * mag)
+    # a one-column row sum is the column itself (same bytes), and the row
+    # reduction costs more than the rest of the taming
+    sq = v * v if v.shape[1] == 1 else np.sum(v * v, axis=1, keepdims=True)
+    return v / (1.0 + h * np.sqrt(sq))
 
 
 def step_arrays(
@@ -154,6 +179,8 @@ def _run_loop(
     step_callback: Callable | None,
     pre_step_callback: Callable | None = None,
 ) -> Ensemble:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     n, h, K = cfg.N, cfg.h, cfg.n_steps
     tamed = cfg.scheme == "tamed"
     x = x0.copy()
@@ -180,58 +207,39 @@ def _run_loop(
     if step_callback is not None:
         step_callback(0, 0.0, x, y)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    blocks: list[slice] = []
-    if pool is not None:
-        size = -(-n // workers)
-        blocks = [slice(i, min(i + size, n)) for i in range(0, n, size)]
+    sqh = math.sqrt(h)
+    n_alive = n
+    for k in range(K):
+        t = k * h
+        law = law_provider(k, t, x, y, alive) if law_provider is not None else None
+        dW = sqh * step_normals(cfg.seed, stream, k, n, cfg.m)
+        if store_increments:
+            increments[k] = dW
+        if pre_step_callback is not None:
+            pre_step_callback(k, t, x, y, dW)
 
-    try:
-        sqh = math.sqrt(h)
-        for k in range(K):
-            t = k * h
-            law = law_provider(k, t, x, y, alive) if law_provider is not None else None
-            dW = sqh * step_normals(cfg.seed, stream, k, n, cfg.m)
-            if store_increments:
-                increments[k] = dW
-            if pre_step_callback is not None:
-                pre_step_callback(k, t, x, y, dW)
+        # Death mask.  NaN fails every comparison, so it marks a row dead as
+        # inf does.  One whole-array test per block is far cheaper than the
+        # per-row reductions, which run only when some value fails it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            nx, ny = step_arrays(coeffs, t, h, x, y, law, dW, tamed)
+            if not (np.abs(nx).max() < BLOWUP_THRESHOLD
+                    and np.abs(ny).max() < BLOWUP_THRESHOLD):
+                alive = (alive & (np.max(np.abs(nx), axis=1) < BLOWUP_THRESHOLD)
+                         & (np.max(np.abs(ny), axis=1) < BLOWUP_THRESHOLD))
+                n_alive = int(np.count_nonzero(alive))
+        if n_alive == n:
+            x, y = nx, ny
+        else:
+            x = np.where(alive[:, None], nx, x)
+            y = np.where(alive[:, None], ny, y)
 
-            # overflow and invalid values are handled by the death mask below
-            with np.errstate(over="ignore", invalid="ignore"):
-                if pool is None:
-                    nx, ny = step_arrays(coeffs, t, h, x, y, law, dW, tamed)
-                else:
-                    nx = np.empty_like(x)
-                    ny = np.empty_like(y)
-
-                    def work(blk: slice):
-                        nx[blk], ny[blk] = step_arrays(
-                            coeffs, t, h, x[blk], y[blk], law, dW[blk], tamed
-                        )
-
-                    list(pool.map(work, blocks))
-
-                bad = ~(
-                    np.all(np.isfinite(nx), axis=1)
-                    & np.all(np.isfinite(ny), axis=1)
-                    & (np.max(np.abs(nx), axis=1) < BLOWUP_THRESHOLD)
-                    & (np.max(np.abs(ny), axis=1) < BLOWUP_THRESHOLD)
-                )
-            step_ok = alive & ~bad
-            x = np.where(step_ok[:, None], nx, x)
-            y = np.where(step_ok[:, None], ny, y)
-            alive = step_ok
-
-            if store_paths:
-                paths_x[k + 1], paths_y[k + 1] = x, y
-            if (k + 1) in rec_set:
-                records.append(EmpiricalLaw(x[alive], y[alive]))
-            if step_callback is not None:
-                step_callback(k + 1, (k + 1) * h, x, y)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if store_paths:
+            paths_x[k + 1], paths_y[k + 1] = x, y
+        if (k + 1) in rec_set:
+            records.append(EmpiricalLaw(x[alive], y[alive]))
+        if step_callback is not None:
+            step_callback(k + 1, (k + 1) * h, x, y)
 
     return Ensemble(
         seed=cfg.seed,
@@ -270,6 +278,7 @@ def simulate_ensemble(
     measure argument fed to z2 at step k is the flow's law at t_k; this is
     the decoupled dynamics that the fixed-point iteration acts on.  Without
     it, measure-dependent coefficients see their reference measure.
+    ``workers`` must be at least 1 and does not change the run.
     """
     bad = validate_config(cfg, coeffs)
     if bad:

@@ -100,6 +100,50 @@ class TestConfigHandling:
         assert f"{key} must be a number" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "extra, argv",
+        [("", ["--workers", "-3"]), ("", ["--workers", "0"]),
+         ("workers = 0\n", []), ("workers = -3\n", []), ("workers = 4\n", ["--workers", "-1"])],
+    )
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, extra, argv):
+        cfg = write_cfg(tmp_path, "drift = zero\n" + extra)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")] + argv) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("simulate", "store_increments = no"), ("simulate", "store_increments = 1"),
+         ("simulate", "store_increments = 'True'"), ("mkv-picard", "picard.crn = yes"),
+         ("mkv-picard", "picard.crn = 0")],
+    )
+    def test_non_boolean_flag_exit_2(self, tmp_path, capsys, command, line):
+        cfg = write_cfg(tmp_path, f"drift = scalar_ou\n{line}\n")
+        assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+        key = line.split(" =")[0]
+        assert f"{key} must be True or False" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_store_increments_false_writes_none(self, tmp_path):
+        cfg = write_cfg(tmp_path, "drift = scalar_ou\nstore_increments = False\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        assert not load_snapshot(tmp_path / "snapshot")[1]["has_increments"]
+
+    @pytest.mark.parametrize(
+        "command, atoms",
+        [("simulate", "5"), ("simulate", "[]"), ("simulate", "[5]"),
+         ("simulate", "[(0.0, 1.0, 2.0)]"), ("simulate", "[(0.0, 'w')]"),
+         ("simulate", "[('a', 1.0)]"), ("simulate", "[([0.0, None], 1.0)]"),
+         ("khasminskii", "0.5"), ("khasminskii", "[((0.0, 5.0), 0.5)]"),
+         ("simulate", "[((0.0, 5.0), 0.5)]")],
+    )
+    def test_malformed_riesz_atoms_exit_2(self, tmp_path, capsys, command, atoms):
+        extra = "drift = confining\n" if command == "simulate" else "drift = scalar_ou\n"
+        cfg = write_cfg(tmp_path, f"{extra}khasminskii.f = riesz\nriesz.atoms = {atoms}\n")
+        assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+        assert "riesz.atoms must" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_importing_cli_skips_scipy_integrate_and_optimize(self):
         code = ("import sys, kinsde.cli; "
                 "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
