@@ -219,7 +219,7 @@ def _run_loop(
             pre_step_callback(k, t, x, y, dW)
 
         # Death mask.  NaN fails every comparison, so it marks a row dead as
-        # inf does.  One whole-array test per block is far cheaper than the
+        # inf does.  One whole-array test per step is far cheaper than the
         # per-row reductions, which run only when some value fails it.
         with np.errstate(over="ignore", invalid="ignore"):
             nx, ny = step_arrays(coeffs, t, h, x, y, law, dW, tamed)
