@@ -174,16 +174,13 @@ def _build_kernel(kv: dict) -> MeanFieldKernel | None:
     raise ConfigError(f"unknown kernel {name!r}")
 
 
-def _build_riesz(kv: dict, d: int) -> RieszDrift | None:
+def _build_riesz(kv: dict) -> RieszDrift | None:
     atoms = kv.get("riesz.atoms")
     if atoms is None:
         return None
-    rz = RieszDrift(_atoms("riesz.atoms", atoms),
-                    _real("riesz.alpha", kv.get("riesz.alpha", 0.5)),
-                    _real("riesz.eta", kv.get("riesz.eta", 1e-6)))
-    if rz.d != d:
-        raise ConfigError(f"riesz.atoms must have locations with {d} coordinates, got {rz.d}")
-    return rz
+    return RieszDrift(_atoms("riesz.atoms", atoms),
+                      _real("riesz.alpha", kv.get("riesz.alpha", 0.5)),
+                      _real("riesz.eta", kv.get("riesz.eta", 1e-6)))
 
 
 def _build_coefficients(kv: dict, cfg: SimConfig, kappa: float | None = None):
@@ -208,7 +205,7 @@ def _build_coefficients(kv: dict, cfg: SimConfig, kappa: float | None = None):
         kern = _build_kernel(kv)
         kap = _real("kappa", kv.get("kappa", 0.0)) if kappa is None else kappa
         return confining_coefficients(
-            drift, b=_build_riesz(kv, cfg.d1), d=cfg.d1, sigma=sigma,
+            drift, b=_build_riesz(kv), d=cfg.d1, sigma=sigma,
             kernel=kern, kappa=kap,
         )
     raise ConfigError(f"unknown drift {name!r}")
@@ -431,7 +428,7 @@ def cmd_khasminskii(kv, cfg, out, man, workers):
         a = _real("khasminskii.a", kv.get("khasminskii.a", 0.5))
         f = lambda t, y: np.full(y.shape[0], a)
     elif kind == "riesz":
-        rz = _build_riesz(kv, cfg.d2)
+        rz = _build_riesz(kv)
         if rz is None:
             raise ConfigError("khasminskii.f = riesz needs riesz.atoms")
         f = lambda t, y: np.sqrt(np.sum(rz(y) ** 2, axis=1))

@@ -57,6 +57,9 @@ class RieszDrift:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at points x of shape (n, d); always finite."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self.d:
+            raise ValueError(f"Riesz drift atoms have {self.d} coordinates, "
+                             f"the points have {x.shape[1]}")
         diff = x[:, None, :] - self.locations[None, :, :]          # (n, k, d)
         dist = np.sqrt(np.sum(diff * diff, axis=2))                # (n, k)
         floored = np.maximum(dist, self.eta_sing)
@@ -349,9 +352,6 @@ def confining_coefficients(
     ``kernel``/``kappa`` add a mean-field term to z2; ``b`` attaches the
     singular (floored) drift to the noisy block.
     """
-    if b is not None and b.d != d:
-        raise ValueError("singular drift dimension does not match d")
-
     def z1(t, x, y):
         return drift.z1(x, y)
 

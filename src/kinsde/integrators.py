@@ -5,9 +5,9 @@ pure function of (seed, stream, k), so a particle's trajectory is a
 deterministic function of (seed, stream, its index, config).  Reruns are
 bit-exact on one machine, and two runs sharing (seed, stream) consume
 identical noise (common random numbers).  The step loop is serial: the
-``workers`` arguments are validated (>= 1) and otherwise ignored, because
-splitting a step's rows over threads made it slower (the per-step numpy
-calls are too small to outweigh the interpreter lock).
+``workers`` arguments are accepted and ignored, because splitting a step's
+rows over threads made it slower (the per-step numpy calls are too small
+to outweigh the interpreter lock).
 """
 
 from __future__ import annotations
@@ -84,10 +84,8 @@ def bootstrap_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # --- the step scheme --------------------------------------------------------------
 
 def _tame(v: np.ndarray, h: float) -> np.ndarray:
-    # a one-column row sum is the column itself (same bytes), and the row
-    # reduction costs more than the rest of the taming
-    sq = v * v if v.shape[1] == 1 else np.sum(v * v, axis=1, keepdims=True)
-    return v / (1.0 + h * np.sqrt(sq))
+    mag = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
+    return v / (1.0 + h * mag)
 
 
 def step_arrays(
@@ -179,8 +177,6 @@ def _run_loop(
     step_callback: Callable | None,
     pre_step_callback: Callable | None = None,
 ) -> Ensemble:
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     n, h, K = cfg.N, cfg.h, cfg.n_steps
     tamed = cfg.scheme == "tamed"
     x = x0.copy()
@@ -278,7 +274,7 @@ def simulate_ensemble(
     measure argument fed to z2 at step k is the flow's law at t_k; this is
     the decoupled dynamics that the fixed-point iteration acts on.  Without
     it, measure-dependent coefficients see their reference measure.
-    ``workers`` must be at least 1 and does not change the run.
+    ``workers`` is accepted for existing callers and does not change the run.
     """
     bad = validate_config(cfg, coeffs)
     if bad:

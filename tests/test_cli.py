@@ -134,14 +134,22 @@ class TestConfigHandling:
         [("simulate", "5"), ("simulate", "[]"), ("simulate", "[5]"),
          ("simulate", "[(0.0, 1.0, 2.0)]"), ("simulate", "[(0.0, 'w')]"),
          ("simulate", "[('a', 1.0)]"), ("simulate", "[([0.0, None], 1.0)]"),
-         ("khasminskii", "0.5"), ("khasminskii", "[((0.0, 5.0), 0.5)]"),
-         ("simulate", "[((0.0, 5.0), 0.5)]")],
+         ("khasminskii", "0.5")],
     )
     def test_malformed_riesz_atoms_exit_2(self, tmp_path, capsys, command, atoms):
         extra = "drift = confining\n" if command == "simulate" else "drift = scalar_ou\n"
         cfg = write_cfg(tmp_path, f"{extra}khasminskii.f = riesz\nriesz.atoms = {atoms}\n")
         assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
         assert "riesz.atoms must" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "khasminskii"])
+    def test_riesz_atoms_of_wrong_dimension_exit_2(self, tmp_path, capsys, command):
+        extra = "drift = confining\n" if command == "simulate" else "drift = scalar_ou\n"
+        cfg = write_cfg(tmp_path, f"{extra}khasminskii.f = riesz\n"
+                                  "riesz.atoms = [((0.0, 5.0), 0.5)]\n")
+        assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+        assert "atoms have 2 coordinates, the points have 1" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     def test_importing_cli_skips_scipy_integrate_and_optimize(self):

@@ -42,6 +42,11 @@ class TestRieszDrift:
         xs = rng.uniform(-4, 4, size=(50, 1))
         assert np.allclose(rz(xs), -rz(-xs))
 
+    def test_points_of_wrong_dimension_rejected(self):
+        rz = RieszDrift([((1.0, 0.0), 2.0)], alpha=0.5)
+        with pytest.raises(ValueError, match="atoms have 2 coordinates, the points have 1"):
+            rz(np.zeros((3, 1)))
+
     def test_floor_independence_away_from_atoms(self):
         a = RieszDrift([(0.0, 1.0)], alpha=0.5, eta_sing=1e-6)
         b = RieszDrift([(0.0, 1.0)], alpha=0.5, eta_sing=1e-2)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from kinsde.cli import main
 from kinsde.core import CloudInit, EmpiricalLaw, SimConfig
 from kinsde.fields import build_coefficients
-from kinsde.integrators import _tame, save_snapshot, simulate_ensemble, step_normals
+from kinsde.integrators import save_snapshot, simulate_ensemble, step_normals
 
 BASE = """
 T = {T}
@@ -203,14 +203,3 @@ class TestApplySigma:
         got = co.apply_sigma(0.0, np.zeros((n, d2)), dw)
         assert got.tobytes() == (dw @ sigma.T).tobytes()
 
-
-class TestTaming:
-    def test_one_column_shortcut_matches_row_sum_bytes(self):
-        h = 1e-3
-        v = np.array([[np.inf], [-np.inf], [np.nan], [1e200], [-1e-200], [-0.0], [0.0],
-                      [3.5], [-7.25e11]])
-        v = np.vstack([v, np.random.default_rng(3).standard_normal((1000, 1)) * 1e4])
-        with np.errstate(over="ignore", invalid="ignore"):
-            ref = v / (1.0 + h * np.sqrt(np.sum(v * v, axis=1, keepdims=True)))
-            got = _tame(v, h)
-        assert got.tobytes() == ref.tobytes()
