@@ -30,7 +30,6 @@ from kinsde.core import (
     SimConfig,
     localized_lpq_norm,
     AdmissiblePair,
-    validate_config,
 )
 from kinsde.ergodicity import fit_exponential_decay, h_envelope, tv_decay_experiment
 from kinsde.fields import (
@@ -121,6 +120,21 @@ def _real(key: str, val) -> float:
         except ValueError:
             pass
     raise ConfigError(f"{key} must be a number, got {val!r}")
+
+
+def _positive(key: str, val) -> float:
+    """``val`` as a float greater than 0."""
+    x = _real(key, val)
+    if not x > 0.0:
+        raise ConfigError(f"{key} must be greater than 0, got {val!r}")
+    return x
+
+
+def _text(key: str, val) -> str:
+    """``val`` as a string; a number or a list is refused."""
+    if isinstance(val, str):
+        return val
+    raise ConfigError(f"{key} must be a string, got {val!r}")
 
 
 def _flag(key: str, val) -> bool:
@@ -224,8 +238,12 @@ def _build_init(kv: dict, key: str, cfg: SimConfig) -> DiracInit:
 def _record_times(kv: dict, cfg: SimConfig) -> np.ndarray:
     start = _real("record.start", kv.get("record.start", 0.0))
     stop = _real("record.stop", kv.get("record.stop", cfg.T))
-    step = _real("record.step", kv.get("record.step", max(cfg.h, (stop - start) / 16 or cfg.h)))
-    return np.round(np.arange(start, stop + step / 2, step), 12)
+    step = _positive("record.step", kv.get("record.step", max(cfg.h, (stop - start) / 16 or cfg.h)))
+    times = np.round(np.arange(start, stop + step / 2, step), 12)
+    if not np.any((times >= 0.0) & (times <= cfg.T)):
+        raise ConfigError(f"record.start = {start:g} and record.stop = {stop:g} "
+                          f"give no record time in [0, T = {cfg.T:g}]")
+    return times
 
 
 # --- artifact writers -------------------------------------------------------------
@@ -300,13 +318,10 @@ class Manifest:
 
 # --- subcommands ------------------------------------------------------------------
 
-def cmd_simulate(kv, cfg, out, man, workers):
+def cmd_simulate(kv, cfg, out, man):
     coeffs = _build_coefficients(kv, cfg)
-    bad = validate_config(cfg, coeffs)
-    if bad:
-        raise ConfigError("; ".join(bad))
     store_inc = _flag("store_increments", kv.get("store_increments", False))
-    ens = simulate_ensemble(cfg, coeffs, _build_init(kv, "init.a", cfg), workers=workers,
+    ens = simulate_ensemble(cfg, coeffs, _build_init(kv, "init.a", cfg),
                             store_increments=store_inc)
     if ens.unstable:
         raise NumericFailure(f"run unstable: {ens.n_dead} of {ens.n} particles blew up")
@@ -314,7 +329,7 @@ def cmd_simulate(kv, cfg, out, man, workers):
     man.add(b); man.add(j)
 
 
-def cmd_ergodicity(kv, cfg, out, man, workers, replay: Path | None = None):
+def cmd_ergodicity(kv, cfg, out, man, replay: Path | None = None):
     if replay is not None:
         rows = np.loadtxt(replay, delimiter=",", comments="#", skiprows=_csv_skip(replay))
         times, tv = rows[:, 0], rows[:, 1]
@@ -323,7 +338,7 @@ def cmd_ergodicity(kv, cfg, out, man, workers, replay: Path | None = None):
         coeffs = _build_coefficients(kv, cfg)
         series = tv_decay_experiment(
             cfg, coeffs, _build_init(kv, "init.a", cfg), _build_init(kv, "init.b", cfg),
-            _record_times(kv, cfg), workers=workers,
+            _record_times(kv, cfg),
         )
         times, tv, floor = series.times, series.tv, series.noise_floor
     fit_from = _real("fit.from", kv.get("fit.from", 0.0))
@@ -352,7 +367,7 @@ def _csv_skip(path: Path) -> int:
     return n
 
 
-def cmd_lyapunov_check(kv, cfg, out, man, workers):
+def cmd_lyapunov_check(kv, cfg, out, man):
     coeffs = _build_coefficients(kv, cfg)
     V = LyapunovV(_real("lyapunov.theta", kv.get("lyapunov.theta", 1.0)), cfg.d1, cfg.d2)
     samples = LogRadialSamples(
@@ -399,13 +414,13 @@ def cmd_lyapunov_check(kv, cfg, out, man, workers):
     man.add(csv)
 
 
-def cmd_zvonkin(kv, cfg, out, man, workers):
+def cmd_zvonkin(kv, cfg, out, man):
     coeffs = _build_coefficients(kv, cfg)
     L = _real("zvonkin.L", kv.get("zvonkin.L", 12.0))
     n = _whole("zvonkin.n", kv.get("zvonkin.n", 4001))
     eps = _real("zvonkin.eps", kv.get("zvonkin.eps", 0.1))
     report = equivalence_experiment(coeffs, cfg, _build_init(kv, "init.a", cfg),
-                                    eps_target=eps, L=L, n_grid=n, workers=workers)
+                                    eps_target=eps, L=L, n_grid=n)
     sol = report.solution
     csv = out / "solution.csv"
     write_csv(csv, ["y", "u", "du", "d2u", "theta"],
@@ -421,7 +436,7 @@ def cmd_zvonkin(kv, cfg, out, man, workers):
     man.add(js)
 
 
-def cmd_khasminskii(kv, cfg, out, man, workers):
+def cmd_khasminskii(kv, cfg, out, man):
     coeffs = _build_coefficients(kv, cfg)
     kind = kv.get("khasminskii.f", "const")
     if kind == "const":
@@ -434,7 +449,7 @@ def cmd_khasminskii(kv, cfg, out, man, workers):
         f = lambda t, y: np.sqrt(np.sum(rz(y) ** 2, axis=1))
     else:
         raise ConfigError(f"unknown khasminskii.f {kind!r}")
-    res = khasminskii_estimate(cfg, coeffs, f, _build_init(kv, "init.a", cfg), workers=workers)
+    res = khasminskii_estimate(cfg, coeffs, f, _build_init(kv, "init.a", cfg))
     p = _real("norm.p", kv.get("norm.p", 4.0))
     q = _real("norm.q", kv.get("norm.q", 4.0))
     extent = _real("norm.extent", kv.get("norm.extent", 3.0))
@@ -449,7 +464,7 @@ def cmd_khasminskii(kv, cfg, out, man, workers):
     man.add(js)
 
 
-def cmd_mkv_picard(kv, cfg, out, man, workers):
+def cmd_mkv_picard(kv, cfg, out, man):
     kappa = _real("kappa", kv.get("kappa", 0.0))
     coeffs = _build_coefficients(kv, cfg)
     lam = kv.get("picard.lam")
@@ -458,7 +473,6 @@ def cmd_mkv_picard(kv, cfg, out, man, workers):
         lam=None if lam is None else _real("picard.lam", lam),
         max_iter=_whole("picard.maxiter", kv.get("picard.maxiter", 20)),
         common_random_numbers=_flag("picard.crn", kv.get("picard.crn", True)),
-        workers=workers,
     )
     csv = out / "rho.csv"
     write_csv(csv, ["iteration", "rho"],
@@ -473,14 +487,16 @@ def cmd_mkv_picard(kv, cfg, out, man, workers):
     man.add(js)
 
 
-def cmd_mkv_sweep(kv, cfg, out, man, workers):
-    kappas = [_real("sweep.kappas", k) for k in kv.get("sweep.kappas", [0.0, 0.1, 0.2])]
+def cmd_mkv_sweep(kv, cfg, out, man):
+    kappas = kv.get("sweep.kappas", [0.0, 0.1, 0.2])
+    if not (isinstance(kappas, (list, tuple)) and kappas):
+        raise ConfigError(f"sweep.kappas must be a non-empty list of numbers, got {kappas!r}")
+    kappas = [_real("sweep.kappas", k) for k in kappas]
     factory = lambda kap: _build_coefficients(kv, cfg, kappa=kap)
     res = uniform_ergodicity_sweep(
         cfg, factory, kappas,
         _build_init(kv, "init.a", cfg), _build_init(kv, "init.b", cfg),
         _record_times(kv, cfg), fit_from=_real("fit.from", kv.get("fit.from", 1.0)),
-        workers=workers,
     )
     summary = []
     for e in res.entries:
@@ -497,7 +513,7 @@ def cmd_mkv_sweep(kv, cfg, out, man, workers):
     man.add(js)
 
 
-def cmd_h_bound(kv, cfg, out, man, workers):
+def cmd_h_bound(kv, cfg, out, man):
     phi = PhiFamily(kv.get("phi.kind", "superlinear"),
                     _real("phi.c0", kv.get("phi.c0", 1.0)),
                     _real("phi.beta", kv.get("phi.beta", 1.0)))
@@ -505,7 +521,7 @@ def cmd_h_bound(kv, cfg, out, man, workers):
     k = _real("hbound.k", kv.get("hbound.k", 1.0))
     lam = _real("hbound.lam", kv.get("hbound.lam", 1.0))
     tmax = _real("hbound.tmax", kv.get("hbound.tmax", 8.0))
-    dt = _real("hbound.dt", kv.get("hbound.dt", 0.25))
+    dt = _positive("hbound.dt", kv.get("hbound.dt", 0.25))
     times = np.round(np.arange(0.0, tmax + dt / 2, dt), 12)
     env = h_envelope(phi, v0, k, lam, times)
     csv = out / "envelope.csv"
@@ -599,18 +615,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         kv = _parse_config(text)
         cfg = _sim_config(kv)
-        # accepted for compatibility; the step loop is serial and ignores it
+        # checked and then ignored: the step loop is serial
         workers = _whole("workers", kv.get("workers", 1) if args.workers is None else args.workers)
         if workers < 1:
             raise ConfigError(f"workers must be at least 1, got {workers}")
-        out_dir = args.out or Path(kv.get("out.dir") or os.environ.get("KINSDE_OUT", "."))
+        out_dir = args.out or Path(_text("out.dir", kv.get("out.dir", ""))
+                                   or os.environ.get("KINSDE_OUT", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         man = Manifest(args.command, text, cfg.seed, cfg.n_steps)
         if args.command == "ergodicity":
-            _SUBCOMMANDS[args.command](kv, cfg, out_dir, man, workers,
-                                       replay=getattr(args, "replay", None))
+            _SUBCOMMANDS[args.command](kv, cfg, out_dir, man, replay=getattr(args, "replay", None))
         else:
-            _SUBCOMMANDS[args.command](kv, cfg, out_dir, man, workers)
+            _SUBCOMMANDS[args.command](kv, cfg, out_dir, man)
         man.write(out_dir)
     except (NumericFailure, ArithmeticError, SmallnessNotAchievedError,
             OutOfTransformDomainError) as exc:

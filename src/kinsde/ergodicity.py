@@ -91,7 +91,6 @@ def bootstrap_noise_floor(
     spec: HistogramSpec,
     n_boot: int = 100,
     seed: int = 0,
-    quantile: float = 95.0,
 ) -> float:
     """95th percentile of TV between two same-law resamples of the cloud."""
     rng = bootstrap_rng(seed, stream=1)
@@ -108,7 +107,7 @@ def bootstrap_noise_floor(
         ha = histogram_law(EmpiricalLaw(law.x[ia], law.y[ia]), spec)
         hb = histogram_law(EmpiricalLaw(law.x[ib], law.y[ib]), spec)
         tvs[i] = empirical_var_distance(ha, hb)
-    return float(np.percentile(tvs, quantile))
+    return float(np.percentile(tvs, 95.0))
 
 
 # --- exponential decay fits -------------------------------------------------------
@@ -129,7 +128,6 @@ def fit_exponential_decay(
     times,
     distances,
     noise_floor: float = 0.0,
-    r2_threshold: float = 0.9,
 ) -> DecayFit:
     """Least squares on (t, log distance) restricted to points above the floor."""
     times = np.asarray(times, dtype=float)
@@ -146,7 +144,7 @@ def fit_exponential_decay(
     ss_tot = float(np.sum((logd - logd.mean()) ** 2))
     r2 = 1.0 if ss_tot < 1e-30 and ss_res < 1e-30 else (1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
     lam = -float(slope)
-    verdict = "decay confirmed" if (lam > 0.0 and r2 > r2_threshold) else "no decay"
+    verdict = "decay confirmed" if (lam > 0.0 and r2 > 0.9) else "no decay"
     return DecayFit(times, distances, noise_floor, used, lam, float(np.exp(intercept)), r2, verdict)
 
 
@@ -165,21 +163,16 @@ def tv_decay_experiment(
     init_a,
     init_b,
     record_times: Sequence[float],
-    streams: tuple[int, int] = (1, 2),
-    workers: int = 1,
-    n_boot: int = 100,
 ) -> TVDecaySeries:
     """TV(t) between the laws of two flows started from different initial laws.
 
-    The two runs use independent noise streams; the noise floor is the
-    bootstrap TV between same-law resamples of the terminal cloud.
+    The two runs use independent noise streams (1 and 2); the noise floor is
+    the bootstrap TV between same-law resamples of the terminal cloud.
     """
-    ens_a = simulate_ensemble(cfg, coeffs, init_a, stream=streams[0],
-                              record_times=record_times, workers=workers)
-    ens_b = simulate_ensemble(cfg, coeffs, init_b, stream=streams[1],
-                              record_times=record_times, workers=workers)
+    ens_a = simulate_ensemble(cfg, coeffs, init_a, stream=1, record_times=record_times)
+    ens_b = simulate_ensemble(cfg, coeffs, init_b, stream=2, record_times=record_times)
     tv = law_distances(ens_a.records, ens_b.records, cfg.hist)
-    floor = bootstrap_noise_floor(ens_a.records[-1], cfg.hist, n_boot=n_boot, seed=cfg.seed)
+    floor = bootstrap_noise_floor(ens_a.records[-1], cfg.hist, seed=cfg.seed)
     return TVDecaySeries(ens_a.record_times, tv, floor)
 
 

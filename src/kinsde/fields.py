@@ -87,7 +87,6 @@ class ConfiningDrift:
     c3: float
     delta: float = 0.0
     perturbation: Callable | None = None
-    perturbation_sublinear: bool = True
 
     def __post_init__(self):
         if self.c1 <= 0 or self.c3 <= 0:
@@ -195,9 +194,6 @@ class PhiFamily:
             out = self.c0 * (1.0 + r ** (1.0 + self.beta))
         return float(out) if out.ndim == 0 else out
 
-    def with_c0(self, c0: float) -> "PhiFamily":
-        return PhiFamily(self.kind, c0, self.beta)
-
 
 # --- mean-field interaction ------------------------------------------------------
 
@@ -267,11 +263,10 @@ def interaction_z2(
     kappa: float,
     d1: int = 1,
     d2: int = 1,
-    n_check: int = 256,
 ) -> Callable:
     """Build Z2(x, y, mu) = base(x, y) + kappa * integral of W d mu.
 
-    The declared kernel bound must be <= 1 and is spot-checked by sampling;
+    The declared kernel bound must be <= 1 and is spot-checked at 256 samples;
     a violated bound rejects the construction.  With ``mu = None`` the
     reference measure is the Dirac mass at the origin, matching how the
     measure-free reading of the field is defined elsewhere.
@@ -282,7 +277,7 @@ def interaction_z2(
         raise ValueError("kappa must be nonnegative")
     if kernel.bound > 1.0 + 1e-12:
         raise ValueError(f"kernel bound {kernel.bound} exceeds 1; construction rejected")
-    mags = kernel.sample_magnitudes(n_check, d1, d2)
+    mags = kernel.sample_magnitudes(256, d1, d2)
     if np.any(mags > kernel.bound * (1.0 + 1e-9) + 1e-12):
         raise ValueError(
             f"kernel exceeds its declared bound at a sampled point "

@@ -4,10 +4,7 @@ Randomness is counter-based: the Gaussian block for step k of a run is a
 pure function of (seed, stream, k), so a particle's trajectory is a
 deterministic function of (seed, stream, its index, config).  Reruns are
 bit-exact on one machine, and two runs sharing (seed, stream) consume
-identical noise (common random numbers).  The step loop is serial: the
-``workers`` arguments are accepted and ignored, because splitting a step's
-rows over threads made it slower (the per-step numpy calls are too small
-to outweigh the interpreter lock).
+identical noise (common random numbers).
 """
 
 from __future__ import annotations
@@ -173,7 +170,6 @@ def _run_loop(
     store_paths: bool,
     store_increments: bool,
     record_idx: np.ndarray | None,
-    workers: int,
     step_callback: Callable | None,
     pre_step_callback: Callable | None = None,
 ) -> Ensemble:
@@ -264,7 +260,6 @@ def simulate_ensemble(
     store_paths: bool = False,
     store_increments: bool = False,
     record_times: Sequence[float] | None = None,
-    workers: int = 1,
     step_callback: Callable | None = None,
     pre_step_callback: Callable | None = None,
 ) -> Ensemble:
@@ -274,7 +269,6 @@ def simulate_ensemble(
     measure argument fed to z2 at step k is the flow's law at t_k; this is
     the decoupled dynamics that the fixed-point iteration acts on.  Without
     it, measure-dependent coefficients see their reference measure.
-    ``workers`` is accepted for existing callers and does not change the run.
     """
     bad = validate_config(cfg, coeffs)
     if bad:
@@ -287,7 +281,7 @@ def simulate_ensemble(
         cfg, coeffs, x0, y0, law_provider, stream,
         store_paths, store_increments,
         _resolve_record_indices(cfg, record_times),
-        workers, step_callback, pre_step_callback,
+        step_callback, pre_step_callback,
     )
 
 
@@ -401,8 +395,6 @@ def khasminskii_estimate(
     f: Callable,
     init,
     stream: int = 0,
-    n_boot: int = 400,
-    workers: int = 1,
 ) -> KhasminskiiResult:
     """Monte Carlo estimate of E[exp(int_0^T |f_t(Y_t)|^2 dt)] with bootstrap CI.
 
@@ -420,8 +412,7 @@ def khasminskii_estimate(
             np.add(acc, 0.5 * cfg.h * (prev["g"] + g), out=acc)
         prev["g"] = g
 
-    ens = simulate_ensemble(cfg, coeffs, init, stream=stream, workers=workers,
-                            step_callback=on_state)
+    ens = simulate_ensemble(cfg, coeffs, init, stream=stream, step_callback=on_state)
     integrals = acc[ens.alive]
     with np.errstate(over="ignore"):
         vals = np.exp(integrals)
@@ -430,6 +421,7 @@ def khasminskii_estimate(
     if diverged:
         return KhasminskiiResult(math.inf, math.nan, math.inf, True, integrals)
     rng = bootstrap_rng(cfg.seed, stream)
+    n_boot = 400
     boots = np.empty(n_boot)
     for i in range(n_boot):
         idx = rng.integers(0, vals.size, vals.size)
@@ -444,7 +436,6 @@ def save_snapshot(
     base: str | Path,
     ens: Ensemble,
     config_hash: str = "",
-    time: float | None = None,
     with_increments: bool = False,
 ) -> tuple[Path, Path]:
     """Write a binary columnar snapshot plus a JSON sidecar.
@@ -467,7 +458,7 @@ def save_snapshot(
         "config_hash": config_hash,
         "seed": ens.seed,
         "stream": ens.stream,
-        "time": ens.times[-1] if time is None else time,
+        "time": ens.times[-1],
         "n": law.n,
         "d1": law.x.shape[1],
         "d2": law.y.shape[1],

@@ -46,9 +46,10 @@ class LogRadialSamples:
             f"({self.n_radii} shells x {self.n_dirs} directions)"
         )
 
-    def refined(self, factor: int = 2) -> "LogRadialSamples":
+    def refined(self) -> "LogRadialSamples":
+        """Twice the shells and twice the directions on the same radii range."""
         return LogRadialSamples(self.r_min, self.r_max,
-                                self.n_radii * factor, self.n_dirs * factor, self.seed)
+                                self.n_radii * 2, self.n_dirs * 2, self.seed)
 
 
 def shell_offsets(d2: int, eps: float, m_shell: int = 32, seed: int = 1) -> np.ndarray:
@@ -98,7 +99,6 @@ def drift_condition_lhs(
     eps: float,
     points: np.ndarray,
     m_shell: int = 32,
-    shell_seed: int = 1,
 ) -> np.ndarray:
     """Left side of the drift condition at each sampled phase point.
 
@@ -108,7 +108,7 @@ def drift_condition_lhs(
     shell applies to the derivative factors only.
     """
     d1 = coeffs.d1
-    offs = shell_offsets(coeffs.d2, eps, m_shell, shell_seed)
+    offs = shell_offsets(coeffs.d2, eps, m_shell)
     hess_xy, grad_y, hess_yy = shell_norms(V, points[:, :d1], points[:, d1:], offs)
     out = np.empty(points.shape[0])
     for i, pt in enumerate(points):
@@ -154,7 +154,6 @@ def check_drift_condition(
     K: float,
     eps: float,
     samples: LogRadialSamples,
-    m_shell: int = 32,
 ) -> DriftConditionReport:
     """Pointwise margins of LHS <= K - Phi(V) on the sampled domain.
 
@@ -168,13 +167,18 @@ def check_drift_condition(
     flagged: list[int] = []
     for i, pt in enumerate(pts):
         try:
-            lhs[i] = drift_condition_lhs(coeffs, V, eps, pt[None, :], m_shell)[0]
+            lhs[i] = drift_condition_lhs(coeffs, V, eps, pt[None, :])[0]
             if not np.isfinite(lhs[i]):
                 raise ArithmeticError("non-finite left side")
         except Exception:
             flagged.append(i)
-    vvals = V.value_points(pts)
-    rhs = K - np.asarray(phi(vvals))
+    return _drift_report(V, phi, K, samples, pts, lhs, flagged)
+
+
+def _drift_report(V: LyapunovV, phi: PhiFamily, K: float, samples: LogRadialSamples,
+                  pts: np.ndarray, lhs: np.ndarray, flagged: list) -> DriftConditionReport:
+    """Margins K - Phi(V) - LHS and the verdict; any flagged point fails it."""
+    rhs = K - np.asarray(phi(V.value_points(pts)))
     margins = rhs - lhs
     ok = np.all(margins[np.isfinite(margins)] >= 0.0) and not flagged
     return DriftConditionReport(
@@ -201,17 +205,20 @@ def search_constants(
     beta: float | None = None,
     c0_bracket: tuple[float, float] = (1e-6, 1e3),
     k_cap: float = math.inf,
-    m_shell: int = 32,
 ) -> ConstantSearchResult:
     """Largest c0 whose drift condition is certifiable with K <= k_cap.
 
     For fixed c0 the smallest workable constant is K_min(c0) = max over the
     sample of LHS + Phi_c0(V); it grows with c0, so feasibility is monotone
     and bisection applies.  Without a K cap every c0 is feasible and the
-    bracket top is returned with its boundary K.
+    bracket top is returned with its boundary K.  The report reuses the
+    left side computed for the search; points where it is not finite are
+    flagged.
     """
+    if not (0.0 < eps < 1.0):
+        raise ValueError("eps must lie in (0, 1)")
     pts = samples.points(coeffs.d1, coeffs.d2)
-    lhs = drift_condition_lhs(coeffs, V, eps, pts, m_shell)
+    lhs = drift_condition_lhs(coeffs, V, eps, pts)
     vvals = V.value_points(pts)
 
     def k_min(c0: float) -> float:
@@ -233,7 +240,8 @@ def search_constants(
                 fhi = mid
         best = flo
     K = k_min(best)
-    report = check_drift_condition(coeffs, V, PhiFamily(phi_kind, best, beta), K, eps, samples, m_shell)
+    flagged = np.flatnonzero(~np.isfinite(lhs)).tolist()
+    report = _drift_report(V, PhiFamily(phi_kind, best, beta), K, samples, pts, lhs, flagged)
     return ConstantSearchResult(c0=best, K=K, k_cap=k_cap, report=report)
 
 
@@ -251,7 +259,6 @@ def check_growth_ratios(
     radii,
     eps: float = 0.25,
     n_dirs: int = 16,
-    m_shell: int = 32,
     seed: int = 0,
 ) -> GrowthRatioReport:
     """Shell maxima of (|d_y V| + ||d_y^2 V||) / (V and Phi(V) minimum).
@@ -267,7 +274,7 @@ def check_growth_ratios(
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     dirs = rng.standard_normal((n_dirs, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    offs = shell_offsets(V.d2, eps, m_shell, seed + 1)
+    offs = shell_offsets(V.d2, eps, seed=seed + 1)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
     _, grad_y, hess_yy = shell_norms(V, pts[:, :V.d1], pts[:, V.d1:], offs)
     num = np.max(grad_y + hess_yy, axis=1).reshape(radii.size, n_dirs)

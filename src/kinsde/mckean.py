@@ -69,7 +69,6 @@ def particle_system_run(
     init,
     record_times: Sequence[float] | None = None,
     stream: int = 0,
-    workers: int = 1,
 ) -> tuple[MeasureFlow, Ensemble]:
     """N coupled particles; the measure argument is the ensemble's own law.
 
@@ -93,7 +92,7 @@ def particle_system_run(
         cfg, coeffs, x0, y0, own_law, stream,
         store_paths=False, store_increments=False,
         record_idx=_resolve_record_indices(cfg, record_times),
-        workers=workers, step_callback=None,
+        step_callback=None,
     )
     return MeasureFlow.from_ensemble(ens), ens
 
@@ -123,14 +122,14 @@ def picard_start(
     return PicardState(0, flow, [], lam, common_random_numbers, stream)
 
 
-def picard_iterate(state: PicardState, cfg: SimConfig, coeffs: CoefficientSet, init,
-                   workers: int = 1) -> PicardState:
+def picard_iterate(state: PicardState, cfg: SimConfig, coeffs: CoefficientSet,
+                   init) -> PicardState:
     """One application of the law-flow map with the current flow frozen in."""
     stream = state.base_stream if state.common_random_numbers \
         else state.base_stream + state.iteration + 1
     ens = simulate_ensemble(
         cfg, coeffs, init, frozen_flow=state.flow, stream=stream,
-        record_times=cfg.times(), workers=workers,
+        record_times=cfg.times(),
     )
     new_flow = MeasureFlow.from_ensemble(ens)
     rho = rho_lambda(new_flow, state.flow, state.lam, cfg.hist)
@@ -157,8 +156,6 @@ def picard_fixed_point(
     max_iter: int = 20,
     common_random_numbers: bool = True,
     stream: int = 0,
-    n_boot: int = 100,
-    workers: int = 1,
 ) -> PicardResult:
     """Iterate the law-flow map until successive flows agree at noise level.
 
@@ -169,11 +166,11 @@ def picard_fixed_point(
     if lam is None:
         lam = 4.0 * max(kappa, 0.25) * max(1.0, cfg.T)
     state = picard_start(cfg, init, lam, common_random_numbers, stream)
-    state = picard_iterate(state, cfg, coeffs, init, workers=workers)
-    floor = bootstrap_noise_floor(state.flow.clouds[-1], cfg.hist, n_boot=n_boot, seed=cfg.seed)
+    state = picard_iterate(state, cfg, coeffs, init)
+    floor = bootstrap_noise_floor(state.flow.clouds[-1], cfg.hist, seed=cfg.seed)
     converged = False
     while state.iteration < max_iter:
-        state = picard_iterate(state, cfg, coeffs, init, workers=workers)
+        state = picard_iterate(state, cfg, coeffs, init)
         if state.rho_history[-1] < 2.0 * floor:
             converged = True
             break
@@ -200,8 +197,6 @@ def girsanov_flow_bound(
     record_times: Sequence[float],
     init=None,
     streams: tuple[int, int] = (21, 22),
-    n_boot: int = 100,
-    workers: int = 1,
     V=None,
 ) -> FlowBoundReport:
     """Empirical TV between the two decoupled laws against its Girsanov bound.
@@ -247,7 +242,7 @@ def girsanov_flow_bound(
 
     ens_ref = simulate_ensemble(
         cfg, coeffs, init, frozen_flow=flow_nu, stream=streams[0],
-        record_times=record_times, workers=workers, pre_step_callback=pre_step,
+        record_times=record_times, pre_step_callback=pre_step,
     )
     # close the compensator at the final state and snapshot the horizon
     xi_last = np.asarray(xi(cfg.T, ens_ref.x, ens_ref.y), dtype=float)
@@ -257,8 +252,7 @@ def girsanov_flow_bound(
         snapshots[cfg.n_steps] = (ito - 0.5 * comp, a_int.copy())
 
     ens_tgt = simulate_ensemble(
-        cfg, coeffs, init, frozen_flow=flow_mu, stream=streams[1],
-        record_times=record_times, workers=workers,
+        cfg, coeffs, init, frozen_flow=flow_mu, stream=streams[1], record_times=record_times,
     )
 
     times = rec_idx * h
@@ -270,7 +264,7 @@ def girsanov_flow_bound(
         w = np.exp(logw)
         pinsker[j] = math.sqrt(max(0.0, 2.0 * float(np.mean(w * logw))))
         xi_bound[j] = math.sqrt(max(0.0, float(np.mean(a_t))))
-    floor = bootstrap_noise_floor(ens_ref.records[-1], cfg.hist, n_boot=n_boot, seed=cfg.seed)
+    floor = bootstrap_noise_floor(ens_ref.records[-1], cfg.hist, seed=cfg.seed)
     ok = bool(np.all(tv <= pinsker + floor))
     return FlowBoundReport(times, tv, pinsker, xi_bound, floor,
                            "bound respected" if ok else "bound violated")
@@ -307,27 +301,21 @@ def uniform_ergodicity_sweep(
     init_b,
     record_times: Sequence[float],
     fit_from: float = 1.0,
-    base_stream: int = 40,
-    n_boot: int = 100,
-    workers: int = 1,
 ) -> SweepResult:
     """Two-initial-law TV decay of the interacting system across couplings.
 
     Each coupling strength runs the particle system from both initial laws
-    with independent seeds and fits the log-linear decay of TV(t) above the
-    bootstrap floor.  Returns the largest coupling whose decay is confirmed.
+    with independent noise streams (40 + 2i and 41 + 2i for the i-th coupling)
+    and fits the log-linear decay of TV(t) above the bootstrap floor.  Returns
+    the largest coupling whose decay is confirmed.
     """
     entries: list[SweepEntry] = []
     for i, kappa in enumerate(kappas):
         coeffs = coeffs_factory(kappa)
-        flow_a, ens_a = particle_system_run(
-            cfg, coeffs, init_a, record_times, stream=base_stream + 2 * i, workers=workers
-        )
-        flow_b, _ = particle_system_run(
-            cfg, coeffs, init_b, record_times, stream=base_stream + 2 * i + 1, workers=workers
-        )
+        flow_a, _ = particle_system_run(cfg, coeffs, init_a, record_times, stream=40 + 2 * i)
+        flow_b, _ = particle_system_run(cfg, coeffs, init_b, record_times, stream=41 + 2 * i)
         tv = law_distances(flow_a.clouds, flow_b.clouds, cfg.hist)
-        floor = bootstrap_noise_floor(flow_a.clouds[-1], cfg.hist, n_boot=n_boot, seed=cfg.seed + i)
+        floor = bootstrap_noise_floor(flow_a.clouds[-1], cfg.hist, seed=cfg.seed + i)
         window = flow_a.times >= fit_from
         fit = fit_exponential_decay(flow_a.times[window], tv[window], noise_floor=floor)
         entries.append(SweepEntry(kappa, fit, floor, flow_a.times, tv))

@@ -280,8 +280,6 @@ def equivalence_experiment(
     L: float = 12.0,
     n_grid: int = 4001,
     stream: int = 0,
-    n_boot: int = 100,
-    workers: int = 1,
 ) -> EquivalenceReport:
     """Simulate the original and the transformed systems and compare laws.
 
@@ -305,9 +303,8 @@ def equivalence_experiment(
     hits: list = []
     transformed = transform_coefficients(sol, coeffs, clamp=True, out_hits=hits)
 
-    ens_a = simulate_ensemble(cfg, coeffs, init, stream=stream, workers=workers)
-    ens_b = simulate_ensemble(cfg, transformed, _TransformedInit(init, sol),
-                              stream=stream, workers=workers)
+    ens_a = simulate_ensemble(cfg, coeffs, init, stream=stream)
+    ens_b = simulate_ensemble(cfg, transformed, _TransformedInit(init, sol), stream=stream)
 
     y_back = sol.theta_inv(ens_b.y[:, 0], clamp=True, hits=hits)[:, None]
     out_frac = float(sum(hits)) / max(1, cfg.N * cfg.n_steps)
@@ -319,7 +316,7 @@ def equivalence_experiment(
     law_a = ens_a.law()
     law_b_back = EmpiricalLaw(ens_b.x[ens_b.alive], y_back[ens_b.alive])
     tv = float(law_distances([law_a], [law_b_back], cfg.hist)[0])
-    floor = bootstrap_noise_floor(law_a, cfg.hist, n_boot=n_boot, seed=cfg.seed)
+    floor = bootstrap_noise_floor(law_a, cfg.hist, seed=cfg.seed)
     verdict = "equivalent" if tv < 3.0 * floor or tv == 0.0 else "inconclusive"
     return EquivalenceReport(
         tv=tv, noise_floor=floor, out_of_domain_fraction=out_frac, verdict=verdict,

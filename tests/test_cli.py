@@ -112,6 +112,27 @@ class TestConfigHandling:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "command, extra, message",
+        [("simulate", "drift = zero\nout.dir = 5\n", "out.dir must be a string"),
+         ("mkv-sweep", "sweep.kappas = 5\n", "sweep.kappas must be a non-empty list"),
+         ("mkv-sweep", "sweep.kappas = []\n", "sweep.kappas must be a non-empty list"),
+         ("mkv-sweep", "sweep.kappas = [0.0]\nrecord.start = 5.0\n", "record.start = 5"),
+         ("ergodicity", "record.start = 5.0\n", "record.start = 5"),
+         ("ergodicity", "record.stop = -1.0\n", "no record time in [0, T = 0.5]"),
+         ("ergodicity", "record.step = 0\n", "record.step must be greater than 0"),
+         ("mkv-sweep", "record.step = -0.5\n", "record.step must be greater than 0"),
+         ("h-bound", "hbound.dt = 0\n", "hbound.dt must be greater than 0")],
+    )
+    def test_bad_run_value_exit_2_naming_key(self, tmp_path, monkeypatch, capsys,
+                                             command, extra, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, extra)
+        argv = [command, str(cfg)] + ([] if "out.dir" in extra else ["--out", str(tmp_path)])
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
         "command, line",
         [("simulate", "store_increments = no"), ("simulate", "store_increments = 1"),
          ("simulate", "store_increments = 'True'"), ("mkv-picard", "picard.crn = yes"),

@@ -121,14 +121,6 @@ class TestEnsemble:
         b = simulate_ensemble(cfg, co, ORIGIN)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = SimConfig(T=0.5, h=0.01, N=513, seed=33)
-        co = linear_langevin_coefficients()
-        ref = simulate_ensemble(cfg, co, ORIGIN)
-        for workers in (2, 4, 7):
-            run = simulate_ensemble(cfg, co, ORIGIN, workers=workers)
-            assert np.array_equal(ref.x, run.x) and np.array_equal(ref.y, run.y)
-
     def test_weak_convergence_under_step_halving(self):
         # halving h moves first/second moments by less than the MC interval
         co = linear_langevin_coefficients()

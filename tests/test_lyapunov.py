@@ -114,7 +114,7 @@ class TestSearchConstants:
         res = search_constants(confining_good(), V1, "linear", eps=0.1,
                                samples=SAMPLES, k_cap=50.0)
         res2 = search_constants(confining_good(), V1, "linear", eps=0.1,
-                                samples=SAMPLES.refined(2), k_cap=50.0)
+                                samples=SAMPLES.refined(), k_cap=50.0)
         assert abs(res2.c0 - res.c0) / res.c0 < 0.05
 
     def test_not_certifiable_reports(self):
@@ -136,6 +136,59 @@ class TestSearchConstants:
             except CertificationError:
                 pass
         assert 0.05 in feasible and 2.5 not in feasible
+
+
+class TestSearchReport:
+    """The search builds its report from the left side it already computed."""
+
+    def test_left_side_evaluated_once(self, monkeypatch):
+        import kinsde.lyapunov as lyap
+
+        calls = []
+        orig = lyap.drift_condition_lhs
+
+        def counted(coeffs, V, eps, points, *args, **kw):
+            calls.append(points.shape[0])
+            return orig(coeffs, V, eps, points, *args, **kw)
+
+        monkeypatch.setattr(lyap, "drift_condition_lhs", counted)
+        samples = LogRadialSamples(r_max=50.0, n_radii=20, n_dirs=12, seed=7)
+        res = search_constants(confining_good(), V1, "linear", eps=0.1,
+                               samples=samples, k_cap=50.0)
+        assert calls == [241]
+        assert res.report.points.shape[0] == 241
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_report_equals_pointwise_check(self, d):
+        drift = ConfiningDrift(c1=1.0, c2=0.05, c3=1.0, delta=0.0)
+        co = confining_coefficients(drift, d=d)
+        V = LyapunovV(1.0, d, d)
+        res = search_constants(co, V, "linear", eps=0.1, samples=SAMPLES, k_cap=50.0)
+        rep = check_drift_condition(co, V, PhiFamily("linear", res.c0), res.K,
+                                    eps=0.1, samples=SAMPLES)
+        for field in ("points", "lhs", "rhs", "margins"):
+            assert np.array_equal(getattr(res.report, field), getattr(rep, field))
+        assert res.report.flagged == rep.flagged == []
+        assert (res.report.verdict, res.report.domain) == (rep.verdict, rep.domain)
+
+    def test_non_finite_points_flagged(self):
+        from kinsde.fields import build_coefficients
+
+        z1 = lambda t, x, y: np.where(np.abs(x) > 10.0, np.nan, -x)
+        co = build_coefficients(z1, lambda t, x, y, law: -y, None, 1.0, 1, 1)
+        res = search_constants(co, V1, "linear", eps=0.1, samples=SAMPLES, k_cap=50.0)
+        rep = check_drift_condition(co, V1, PhiFamily("linear", res.c0), res.K,
+                                    eps=0.1, samples=SAMPLES)
+        assert res.report.flagged and res.report.flagged == rep.flagged
+        assert res.report.verdict == "fails"
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
+    def test_eps_outside_unit_interval_raises(self, eps):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            search_constants(confining_good(), V1, "linear", eps=eps, samples=SAMPLES, k_cap=50.0)
+        with pytest.raises(ValueError, match="eps must lie in"):
+            check_drift_condition(confining_good(), V1, PhiFamily("linear", 1.0), 1.0,
+                                  eps=eps, samples=SAMPLES)
 
 
 class TestDriftLhs:

@@ -96,9 +96,8 @@ class TestGoldenBytes:
         assert main(["simulate", str(cfg), "--out", str(tmp_path), "--workers", str(workers)]) == 0
         assert sha256(tmp_path / "snapshot.bin") == GOLDEN[name]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_deaths_snapshot(self, tmp_path, workers):
-        ens = death_run(workers=workers)
+    def test_deaths_snapshot(self, tmp_path):
+        ens = death_run()
         bin_path, _ = save_snapshot(tmp_path / "snapshot", ens)
         assert ens.n_dead == 7
         assert sha256(bin_path) == GOLDEN["deaths"]
