@@ -171,20 +171,22 @@ def _sim_config(kv: dict) -> SimConfig:
     )
 
 
-def _build_kernel(kv: dict) -> MeanFieldKernel | None:
+def _build_kernel(kv: dict, d1: int) -> MeanFieldKernel | None:
     name = kv.get("kernel", "none")
     if name in ("none", None):
         return None
     if name == "constant":
         return MeanFieldKernel.constant(kv.get("kernel.w", 1.0))
+    if name in ("tanh_y", "tanh_x", "mean_attraction") and d1 != 1:
+        raise ConfigError(
+            f"kernel = {name} bounds each coordinate by 1, so with d1 = {d1} "
+            f"its magnitude reaches sqrt({d1}) > 1; it needs d1 = 1")
     if name == "tanh_y":
         return MeanFieldKernel.target(lambda xp, yp: np.tanh(yp), 1.0)
     if name == "tanh_x":
         return MeanFieldKernel.target(lambda xp, yp: np.tanh(xp), 1.0)
     if name == "mean_attraction":
-        return MeanFieldKernel.pairwise(
-            lambda x, y, xp, yp: np.clip(xp - x, -1.0, 1.0), 1.0
-        )
+        return MeanFieldKernel.clipped_difference()
     raise ConfigError(f"unknown kernel {name!r}")
 
 
@@ -216,7 +218,7 @@ def _build_coefficients(kv: dict, cfg: SimConfig, kappa: float | None = None):
             c3=_real("c3", kv.get("c3", 1.0)), delta=_real("delta", kv.get("delta", 0.0)),
             perturbation=pert,
         )
-        kern = _build_kernel(kv)
+        kern = _build_kernel(kv, cfg.d1)
         kap = _real("kappa", kv.get("kappa", 0.0)) if kappa is None else kappa
         return confining_coefficients(
             drift, b=_build_riesz(kv), d=cfg.d1, sigma=sigma,

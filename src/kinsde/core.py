@@ -279,23 +279,6 @@ class DiracInit:
 
 
 @dataclass(frozen=True)
-class GaussianInit:
-    """Isotropic Gaussian cloud around a phase point."""
-
-    state: PhaseState
-    std: float = 1.0
-
-    def sample(self, n: int, seed: int, stream: int) -> tuple[np.ndarray, np.ndarray]:
-        from kinsde.integrators import init_normals
-
-        d1, d2 = self.state.d1, self.state.d2
-        z = init_normals(seed, stream, n, d1 + d2)
-        x = self.state.x + self.std * z[:, :d1]
-        y = self.state.y + self.std * z[:, d1:]
-        return x, y
-
-
-@dataclass(frozen=True)
 class CloudInit:
     """Start from an existing particle cloud (size must match N)."""
 
@@ -383,15 +366,6 @@ def ball_lp_seminorm(
     pts = center[None, :] + offs[inside]
     mags = _field_magnitude(f, t, pts)
     return float(np.sum(mags**p) * cell) ** (1.0 / p)
-
-
-def center_lattice(lo, hi, per_axis: int) -> np.ndarray:
-    """Regular lattice of candidate centers over a box, shape (C, d)."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(lo.size)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def localized_lpq_norm(

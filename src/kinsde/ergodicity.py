@@ -190,11 +190,15 @@ _REACH = 49        # log2 of the last breakpoint
 
 
 def _gl_integral(a, b, p: float):
-    """int_a^b ds / (1 + s^p) by one 20-node Gauss-Legendre panel, elementwise."""
+    """int_a^b ds / (1 + s^p) by one 20-node Gauss-Legendre panel, elementwise.
+
+    Each panel is summed row by row in a fixed order (not by a matrix-vector
+    product, whose rounding depends on the row's place in the batch), so a
+    value does not depend on what else is in the batch."""
     half = 0.5 * (b - a)
     s = (0.5 * (a + b))[..., None] + half[..., None] * _GL_NODES
     with np.errstate(over="ignore"):
-        return half * ((1.0 / (1.0 + s**p)) @ _GL_WEIGHTS)
+        return half * np.sum((1.0 / (1.0 + s**p)) * _GL_WEIGHTS, axis=-1)
 
 
 def _small_r_series(r, p: float):

@@ -47,10 +47,6 @@ class RieszDrift:
         object.__setattr__(self, "eta_sing", float(eta_sing))
 
     @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
-    @property
     def d(self) -> int:
         return self.locations.shape[1]
 
@@ -65,10 +61,6 @@ class RieszDrift:
         floored = np.maximum(dist, self.eta_sing)
         contrib = diff / floored[..., None] ** (self.alpha + 1.0)
         return np.einsum("nkd,k->nd", contrib, self.weights)
-
-    def magnitude_field(self) -> Callable:
-        """|b| as a scalar field (t, pts) -> (n,), for norm estimation."""
-        return lambda t, pts: np.sqrt(np.sum(self(pts) ** 2, axis=1))
 
 
 @dataclass(frozen=True)
@@ -202,9 +194,11 @@ class MeanFieldKernel:
     """Bounded interaction kernel W(x, y, x', y') -> R^d2.
 
     ``structure`` picks the evaluation path:
-      constant  -- W is a fixed vector (integral against any probability is W)
-      target    -- W depends only on the primed arguments, one cloud pass
-      pairwise  -- full broadcast over (particles x cloud), O(n*M) per step
+      constant            -- W is a fixed vector (integral against any probability is W)
+      target              -- W depends only on the primed arguments, one cloud pass
+      clipped_difference  -- W = clip(x' - x, -1, 1) coordinate by coordinate; one sort
+                             of the cloud, prefix sums and three binary searches per
+                             coordinate, O((n + M) log M) per step (``_clipped_mean``)
     """
 
     structure: str
@@ -223,9 +217,11 @@ class MeanFieldKernel:
         return MeanFieldKernel("target", float(bound), g, None)
 
     @staticmethod
-    def pairwise(func: Callable, bound: float) -> "MeanFieldKernel":
-        """func(x, y, xp, yp) with broadcastable (n,1,*) / (1,M,*) blocks."""
-        return MeanFieldKernel("pairwise", float(bound), func, None)
+    def clipped_difference() -> "MeanFieldKernel":
+        """W = clip(x' - x, -1, 1): attraction toward the cloud, capped at 1 per
+        coordinate.  |W| <= 1 holds for one position coordinate only; with d1
+        coordinates it reaches sqrt(d1), which ``interaction_z2`` rejects."""
+        return MeanFieldKernel("clipped_difference", 1.0, None, None)
 
     def mean_against(self, x: np.ndarray, y: np.ndarray, law: EmpiricalLaw) -> np.ndarray:
         """integral of W(x, y, ., .) d law, as a weighted particle average."""
@@ -235,8 +231,8 @@ class MeanFieldKernel:
             vals = np.atleast_2d(np.asarray(self.func(law.x, law.y), dtype=float))
             avg = law.weights @ vals
             return np.broadcast_to(avg, (x.shape[0], avg.size))
-        vals = self.func(x[:, None, :], y[:, None, :], law.x[None, :, :], law.y[None, :, :])
-        return np.einsum("nmd,m->nd", np.asarray(vals, dtype=float), law.weights)
+        return np.stack([_clipped_mean(x[:, j], law.x[:, j], law.weights)
+                         for j in range(x.shape[1])], axis=1)
 
     def sample_magnitudes(self, n: int, d1: int, d2: int, seed: int = 7) -> np.ndarray:
         """|W| at seeded sample arguments, for the construction spot check."""
@@ -250,11 +246,33 @@ class MeanFieldKernel:
         elif self.structure == "target":
             vals = np.atleast_2d(np.asarray(self.func(xp, yp), dtype=float))
         else:
-            vals = np.asarray(
-                self.func(x[:, None, :], y[:, None, :], xp[:, None, :], yp[:, None, :]),
-                dtype=float,
-            ).reshape(n, -1)
+            vals = np.clip(xp - x, -1.0, 1.0)
         return np.sqrt(np.sum(np.atleast_2d(vals) ** 2, axis=-1)).ravel()
+
+
+def _clipped_mean(q: np.ndarray, xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_m w_m clip(xp_m - q_n, -1, 1) for every query q_n, in one coordinate.
+
+    Inside the window |xp - q| <= 1 the clip is the identity and outside it is
+    -1 or +1, so each query needs the weight below, inside and above its window
+    and the weighted first moment inside it: prefix sums over the sorted cloud
+    and binary searches.  The moment of a point is taken about the left edge of
+    its cell [4j, 4j + 4), so the prefix sums stay below 4 however far the cloud
+    sits from the origin (a moment about 0 would cancel to ~1e-5 at |x| = 1e11);
+    a window, 2 wide, meets at most two cells, split at the third search.
+    """
+    order = np.argsort(xp, kind="stable")
+    s, ws = xp[order], w[order]
+    cw = np.concatenate(([0.0], np.cumsum(ws)))
+    cm = np.concatenate(([0.0], np.cumsum(ws * (s - 4.0 * np.floor(0.25 * s)))))
+    left = q - 1.0
+    edge = 4.0 * np.floor(0.25 * left) + 4.0      # the cell boundary inside the window
+    lo = np.searchsorted(s, left, side="left")
+    hi = np.searchsorted(s, q + 1.0, side="right")
+    mid = np.minimum(np.searchsorted(s, edge, side="left"), hi)
+    moment = (cm[hi] - cm[lo] + (edge - 4.0 - q) * (cw[mid] - cw[lo])
+              + (edge - q) * (cw[hi] - cw[mid]))
+    return moment + (cw[-1] - cw[hi]) - cw[lo]
 
 
 def interaction_z2(

@@ -24,7 +24,6 @@ BLOWUP_THRESHOLD = 1e12
 UNSTABLE_DEAD_FRACTION = 1e-3
 
 _PURPOSE_STEP = 0
-_PURPOSE_INIT = 1
 _PURPOSE_BOOT = 2
 
 SNAPSHOT_FORMAT = 1
@@ -68,10 +67,6 @@ def step_normals(seed: int, stream: int, step: int, n: int, m: int) -> np.ndarra
     rng.fresh["state"]["key"] = _key(seed, _PURPOSE_STEP, stream, step)
     rng.gen.bit_generator.state = rng.fresh
     return rng.gen.standard_normal((n, m))
-
-
-def init_normals(seed: int, stream: int, n: int, dim: int) -> np.ndarray:
-    return _philox(seed, _PURPOSE_INIT, stream, 0).standard_normal((n, dim))
 
 
 def bootstrap_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -333,6 +334,36 @@ class TestOtherSubcommands:
         rep = json.loads((tmp_path / "picard.json").read_text())
         assert rep["converged"] is True
         assert (tmp_path / "rho.csv").exists()
+
+    @pytest.mark.parametrize("kernel", ["mean_attraction", "tanh_y", "tanh_x"])
+    def test_coordinatewise_kernel_needs_one_coordinate(self, tmp_path, capsys, kernel):
+        cfg = write_cfg(tmp_path, "d1 = 2\nd2 = 2\nm = 2\nhist.bins = 4\ndrift = confining\n"
+                                  f"kernel = {kernel}\nkappa = 0.5\n")
+        assert main(["mkv-picard", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"kernel = {kernel}" in err and "sqrt(2) > 1" in err and "needs d1 = 1" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    # configs/mkv_picard.cfg with the clipped-difference kernel at N = 300, and
+    # the sha256 of its outputs, captured when the kernel was still evaluated
+    # by broadcasting over every (particle, cloud point) pair
+    MEAN_ATTRACTION = (
+        "# Fixed-point iteration of the law-flow map with a bounded tanh coupling.\n"
+        "T = 1.0\nh = 0.01\nN = 300\nseed = 5\nhist.min = -6.0\nhist.max = 6.0\n"
+        "hist.bins = 10\ndrift = confining\nc1 = 1.0\nc2 = 1.0\nc3 = 1.0\n"
+        "kernel = mean_attraction\nkappa = 0.5\ninit.a = (1.0, 1.0)\n"
+    )
+    MEAN_ATTRACTION_SHA256 = {
+        "picard.json": "ffeb6889acf8aa387d1305e68ecfb54ee3afbf6c855a922935ae2d3a781b8ecc",
+        "rho.csv": "6502b1c12898a827a37d62479a2614ef20bfc1a819c5c82aecc8e8241887a6e0",
+    }
+
+    def test_mean_attraction_picard_bytes(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.MEAN_ATTRACTION)
+        assert main(["mkv-picard", str(cfg), "--out", str(tmp_path)]) == 0
+        for name, digest in self.MEAN_ATTRACTION_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_mkv_sweep_outputs(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -9,7 +9,6 @@ from kinsde.core import (
     PhaseState,
     SimConfig,
     ball_lp_seminorm,
-    center_lattice,
     localized_lpq_norm,
     validate_config,
 )
@@ -152,7 +151,7 @@ class TestLocalizedNorm:
         pair = AdmissiblePair(4.0, 4.0, 1)
         f = lambda t, pts: np.exp(-pts[:, 0] ** 2) * (1.0 + t)
         cf = lambda t, pts: 3.5 * f(t, pts)
-        centers = center_lattice([-2.0], [2.0], 5)
+        centers = np.linspace(-2.0, 2.0, 5)[:, None]
         a = localized_lpq_norm(f, pair, T=1.0, centers=centers, n_time=9, n_ball=60)
         b = localized_lpq_norm(cf, pair, T=1.0, centers=centers, n_time=9, n_ball=60)
         assert b == pytest.approx(3.5 * a, abs=1e-10)
@@ -162,7 +161,7 @@ class TestLocalizedNorm:
         f = lambda t, pts: np.exp(-pts[:, 0] ** 2)
         g = lambda t, pts: np.abs(np.sin(pts[:, 0]))
         fg = lambda t, pts: f(t, pts) + g(t, pts)
-        centers = center_lattice([-2.0], [2.0], 5)
+        centers = np.linspace(-2.0, 2.0, 5)[:, None]
         kw = dict(T=1.0, centers=centers, n_time=9, n_ball=60)
         nf = localized_lpq_norm(f, pair, **kw)
         ng = localized_lpq_norm(g, pair, **kw)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, PhaseState, SimConfig
@@ -311,10 +311,19 @@ class TestHEnvelope:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0.0, 1e15), min_size=2, max_size=40), st.floats(0.05, 4.0))
+    @example([1.0, 50.0, 50.0], 0.05)   # equal r in one batch must get equal H(r)
     def test_value_is_monotone(self, rs, beta):
         H = HTransform(PhiFamily("superlinear", 1.0, beta=beta))
         rs = np.sort(rs)
         assert np.all(np.diff(H.value(rs)) >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e15), min_size=1, max_size=40), st.floats(0.05, 4.0))
+    @example([1.0, 50.0, 50.0], 0.05)
+    def test_batch_value_equals_scalar_calls(self, rs, beta):
+        H = HTransform(PhiFamily("superlinear", 1.0, beta=beta))
+        batch = np.asarray(H.value(np.array(rs)))
+        assert batch.tolist() == [float(H.value(r)) for r in rs]
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1.0, 1e6), st.floats(0.1, 100.0), st.floats(0.01, 5.0),

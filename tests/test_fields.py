@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kinsde.core import EmpiricalLaw
@@ -62,10 +64,6 @@ class TestRieszDrift:
         v = rz(np.array([[0.0, 0.0]]))[0]
         assert v == pytest.approx([-2.0, 0.0])
 
-    def test_total_weight(self):
-        rz = RieszDrift([(0.0, 1.0), (1.0, 2.5)], alpha=0.5)
-        assert rz.total_weight == pytest.approx(3.5)
-
     def test_localized_norm_grows_as_floor_shrinks(self):
         # the unfloored field is outside the integrability class here, so
         # the norm estimate must keep growing through a floor sweep
@@ -76,7 +74,7 @@ class TestRieszDrift:
         for eta in (1e-1, 1e-2, 1e-3, 1e-4):
             rz = RieszDrift([(0.0, 1.0)], alpha=0.5, eta_sing=eta)
             norms.append(localized_lpq_norm(
-                rz.magnitude_field(), pair, T=1.0,
+                lambda t, pts: rz(pts), pair, T=1.0,
                 centers=np.array([[0.0]]), n_time=5, n_ball=4000,
             ))
         assert np.all(np.diff(norms) > 0)
@@ -262,9 +260,55 @@ class TestInteractionZ2:
             assert gap <= kappa * tv + 1e-12
 
     def test_pairwise_kernel_average(self):
-        kern = MeanFieldKernel.pairwise(lambda x, y, xp, yp: np.clip(xp - x, -1, 1), 1.0)
+        kern = MeanFieldKernel.clipped_difference()
         z2 = interaction_z2(self._base(), kern, kappa=1.0)
         law = self._law([0.2, 0.4], [0.0, 0.0])
         x = np.array([[0.1]])
         y = np.array([[0.0]])
         assert z2(0.0, x, y, law)[0, 0] == pytest.approx(0.2)
+
+
+def clipped_reference(x, law):
+    """The kernel by brute force: every (particle, cloud point) pair, clipped."""
+    pairs = np.clip(law.x[None, :, :] - x[:, None, :], -1.0, 1.0)
+    return np.einsum("nmd,m->nd", pairs, law.weights)
+
+
+@st.composite
+def clouds_and_queries(draw):
+    """A weighted cloud and query points: ties, pairs exactly 1 apart, zero
+    weights, and clouds anywhere up to |x| = 1e11 (below the blow-up level)."""
+    d = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(1, 4000))
+    n = draw(st.integers(1, 200))
+    center = draw(st.floats(-1e11, 1e11))
+    spread = draw(st.sampled_from([0.25, 1.0, 3.0, 50.0, 1e3]))
+    grid = draw(st.sampled_from([None, 0.25, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xp = center + spread * rng.standard_normal((m, d))
+    if grid is not None:   # on a dyadic grid: many ties, and x' - x = +-1 exactly
+        xp = center + grid * np.round((xp - center) / grid)
+    w = rng.random(m) * (rng.random(m) < 0.9)
+    w[rng.integers(m)] = 1.0
+    picks = xp[rng.integers(m, size=n)]
+    x = picks + rng.choice([-1.0, 0.0, 1.0, 0.5], size=(n, d))
+    x[: n // 4] = center + spread * rng.standard_normal((n // 4, d))
+    return x, EmpiricalLaw(xp, np.zeros((m, d)), w)
+
+
+class TestClippedDifference:
+    @settings(max_examples=40, deadline=None)
+    @given(clouds_and_queries())
+    @example((np.array([[0.0], [1e11 - 0.5], [1e11 + 1.0], [-1e11]]),
+              EmpiricalLaw([[-1e11], [5.0], [1e11]], np.zeros((3, 1)), [0.2, 0.3, 0.5])))
+    def test_matches_brute_force(self, case):
+        x, law = case
+        got = MeanFieldKernel.clipped_difference().mean_against(x, x, law)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - clipped_reference(x, law))) <= 1e-12
+
+    def test_two_position_coordinates_rejected(self):
+        # per-coordinate clipping reaches sqrt(2) > 1 at d1 = 2
+        with pytest.raises(ValueError, match="exceeds its declared bound"):
+            interaction_z2(lambda t, x, y: -y, MeanFieldKernel.clipped_difference(),
+                           kappa=0.1, d1=2, d2=2)

@@ -171,15 +171,6 @@ class TestEnsemble:
 
 
 class TestInitialLaws:
-    def test_gaussian_init_deterministic(self):
-        from kinsde.core import GaussianInit
-
-        init = GaussianInit(PhaseState([1.0], [2.0]), std=0.5)
-        xa, ya = init.sample(100, seed=4, stream=0)
-        xb, yb = init.sample(100, seed=4, stream=0)
-        assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
-        assert abs(xa.mean() - 1.0) < 0.2 and abs(ya.mean() - 2.0) < 0.2
-
     def test_cloud_init_size_must_match(self):
         from kinsde.core import CloudInit, EmpiricalLaw
 
