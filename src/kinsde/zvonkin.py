@@ -6,11 +6,17 @@ increasing map Theta(y) = y + u(y), and rewrites the system so that the
 (possibly singular) drift b disappears from the transformed coefficients.
 The solve is restricted to d2 = 1; that is enough to exercise the whole
 transform pipeline end to end.
+
+Every table lookup goes through ``_KnotTables``, a bucketed knot index
+that reproduces ``np.interp`` bit for bit without its binary search.  A
+transformed step pulls the particles back once: one lookup in the Theta
+table for Theta^{-1}, then one shared grid index for Theta' and u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -40,7 +46,78 @@ class SmallnessNotAchievedError(ArithmeticError):
 
 
 class OutOfTransformDomainError(ValueError):
-    """Extrapolation beyond the solved interval was refused."""
+    """The transform cannot be applied: extrapolation beyond the solved
+    interval was refused, or Theta is not a diffeomorphism on the grid."""
+
+
+class _KnotTables:
+    """``np.interp(y, x, f)`` for fixed, strictly increasing knots ``x`` and
+    one or more value tables ``f``, equal to it bit for bit.
+
+    The knot index ``j = searchsorted(x, y, 'right') - 1`` comes from
+    buckets instead of a binary search.  The bucket of y,
+    ``c(y) = floor((y - x[0]) * nb / span)`` clipped to [0, nb), is a
+    monotone function of y in floating point, so a knot in a lower bucket
+    lies below y and a knot in a higher bucket lies above it.  ``start[c]``
+    is the last knot in a bucket below c, and at most ``steps`` knots share
+    a bucket, so ``steps`` comparisons finish the index.  The bucket width
+    is at most the smallest knot spacing, which keeps ``steps`` at 1 or 2
+    unless the bucket count is capped.  The values use ``np.interp``'s own
+    formula: ``f[j]`` at a knot, the end values at or beyond the ends, NaN
+    for NaN.
+    """
+
+    def __init__(self, x: np.ndarray, *fs: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        gaps = np.diff(x)
+        if not (x.ndim == 1 and x.size >= 2 and np.all(gaps > 0.0)
+                and np.isfinite(x[-1] - x[0])):
+            raise ValueError("knots must be finite and strictly increasing")
+        span = x[-1] - x[0]
+        # the cap only bounds memory for tables with a tiny smallest gap
+        nb = min(int(np.ceil(span / gaps.min())), 16 * x.size)
+        self.x = x
+        self.x0 = x[0]
+        self.scale = nb / span
+        self.top = float(nb - 1)
+        # x with NaN past the last knot: x_next[j + 1] exists for j = n - 1,
+        # and "NaN <= y" is false even for y = +inf
+        self.x_next = np.append(x, np.nan)
+        knot_bucket = self._bucket(x)
+        self.start = np.searchsorted(knot_bucket, np.arange(nb)) - 1
+        self.steps = int(np.bincount(knot_bucket).max())
+        # the slopes np.interp computes, (f[j+1] - f[j]) / (x[j+1] - x[j])
+        self.tables = [(f, np.diff(f) / gaps) for f in map(np.asarray, fs)]
+
+    def _bucket(self, y: np.ndarray) -> np.ndarray:
+        # fmax sends NaN to bucket 0; its value comes out NaN below anyway
+        return np.fmin(np.fmax((y - self.x0) * self.scale, 0.0), self.top).astype(np.intp)
+
+    def index(self, y: np.ndarray) -> np.ndarray:
+        """``searchsorted(x, y, 'right') - 1`` (-1 below x[0] and for NaN)."""
+        j = self.start[self._bucket(y)]
+        for _ in range(self.steps):
+            j += self.x_next[j + 1] <= y
+        return j
+
+    def __call__(self, y) -> list[np.ndarray]:
+        """Each table interpolated at y, all from one knot index."""
+        y = np.asarray(y, dtype=float)
+        x = self.x
+        j = np.clip(self.index(y), 0, x.size - 2)
+        xj = x[j]
+        dx = y - xj
+        on_knot = y == xj
+        below = y < x[0]
+        above = y >= x[-1]
+        out = []
+        for f, slope in self.tables:
+            fj = f[j]
+            v = np.where(on_knot, fj, slope[j] * dx + fj)
+            v[below] = f[0]
+            v[above] = f[-1]
+            out.append(v)
+        return out
 
 
 @dataclass(frozen=True)
@@ -63,25 +140,35 @@ class ZvonkinSolution:
         """||u||_inf + ||u'||_inf on the grid."""
         return float(np.max(np.abs(self.u)) + np.max(np.abs(self.du)))
 
-    @property
+    @cached_property
     def invertible(self) -> bool:
-        return float(np.max(np.abs(self.du))) < 1.0
+        """||u'|| < 1 on the grid and a strictly increasing Theta table."""
+        return bool(float(np.max(np.abs(self.du))) < 1.0
+                    and np.all(np.diff(self.theta_values) > 0.0))
 
-    @property
+    @cached_property
     def theta_values(self) -> np.ndarray:
         return self.grid + self.u
 
+    @cached_property
+    def _on_grid(self) -> _KnotTables:
+        """u and u' against the grid."""
+        return _KnotTables(self.grid, self.u, self.du)
+
+    @cached_property
+    def _on_theta(self) -> _KnotTables:
+        """-u against the Theta table (the offset of Theta^{-1})."""
+        return _KnotTables(self.theta_values, -self.u)
+
     def theta(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        return y + np.interp(y, self.grid, self.u)
+        return y + self._on_grid(y)[0]
 
     def theta_prime(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return 1.0 + np.interp(y, self.grid, self.du)
+        return 1.0 + self._on_grid(y)[1]
 
     def u_at(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return np.interp(y, self.grid, self.u)
+        return self._on_grid(y)[0]
 
     def theta_inv(self, ty, clamp: bool = False, hits: list | None = None) -> np.ndarray:
         """Monotone piecewise-linear inverse; refuses extrapolation.
@@ -90,7 +177,9 @@ class ZvonkinSolution:
         counted through ``hits`` instead of raising.
         """
         if not self.invertible:
-            raise OutOfTransformDomainError("transform is not invertible (||u'|| >= 1)")
+            raise OutOfTransformDomainError(
+                "transform is not invertible (||u'|| >= 1 or Theta table not increasing)"
+            )
         ty = np.asarray(ty, dtype=float)
         tv = self.theta_values
         out = (ty < tv[0]) | (ty > tv[-1])
@@ -102,7 +191,7 @@ class ZvonkinSolution:
             if hits is not None:
                 hits.append(np.count_nonzero(out))
             ty = np.clip(ty, tv[0], tv[-1])
-        return ty + np.interp(ty, tv, -self.u)
+        return ty + self._on_theta(ty)[0]
 
 
 def solve_resolvent_1d(
@@ -210,36 +299,47 @@ def transform_coefficients(
     if coeffs.d2 != 1:
         raise ValueError("transform requires d2 = 1")
     if not sol.invertible:
-        raise ValueError("solution does not satisfy ||u'|| < 1; not a diffeomorphism")
+        raise OutOfTransformDomainError(
+            "solution does not satisfy ||u'|| < 1 with a strictly increasing Theta table;"
+            " not a diffeomorphism"
+        )
     rt = np.max(np.abs(sol.theta_inv(sol.theta(sol.grid)) - sol.grid))
     if rt > 1e-8:
-        raise ValueError(f"inverse roundtrip error {rt:.3e} above 1e-8")
+        raise OutOfTransformDomainError(f"inverse roundtrip error {rt:.3e} above 1e-8")
 
     lam = sol.lam
     bdu = float(np.max(np.abs(sol.du)))
 
+    # step_arrays hands the same y object to z1, drift_y and apply_sigma,
+    # and _run_loop never writes into y, so one pull-back per step serves
+    # all three fields: it is kept for the ty object it was made from (the
+    # reference held here keeps that object alive, so its id is not reused).
+    last: list = [None, None]
+
     def back(ty):
-        return sol.theta_inv(ty[:, 0], clamp=clamp, hits=out_hits)[:, None]
+        """(yb, Theta'(yb), u(yb)) for yb = Theta^{-1}(ty), as columns."""
+        if last[0] is not ty:
+            yb = sol.theta_inv(ty[:, 0], clamp=clamp, hits=out_hits)
+            u, du = sol._on_grid(yb)
+            last[:] = ty, (yb[:, None], 1.0 + du, u[:, None])
+        return last[1]
 
     def z1t(t, x, ty):
-        return coeffs.z1(t, x, back(ty))
+        return coeffs.z1(t, x, back(ty)[0])
 
     def z2t(t, x, ty, law):
-        yb = back(ty)
-        grad = sol.theta_prime(yb[:, 0])[:, None]
-        return grad * coeffs.z2(t, x, yb, law) + lam * sol.u_at(yb[:, 0])[:, None]
+        yb, grad, u = back(ty)
+        return grad[:, None] * coeffs.z2(t, x, yb, law) + lam * u
 
     if isinstance(coeffs.sigma, np.ndarray):
         base_sigma = coeffs.sigma
 
         def sigt(t, ty):
-            yb = back(ty)
-            grad = sol.theta_prime(yb[:, 0])
+            grad = back(ty)[1]
             return grad[:, None, None] * base_sigma[None, :, :]
     else:
         def sigt(t, ty):
-            yb = back(ty)
-            grad = sol.theta_prime(yb[:, 0])
+            yb, grad, _ = back(ty)
             return grad[:, None, None] * coeffs.sigma(t, yb)
 
     s_lo, s_hi = coeffs.sigma_bounds

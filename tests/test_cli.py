@@ -365,6 +365,37 @@ class TestOtherSubcommands:
         for name, digest in self.MEAN_ATTRACTION_SHA256.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
+    # configs/zvonkin_riesz.cfg at N = 2000 and T = 0.2, and the sha256 of its
+    # outputs and of the transformed ensemble's x, y and alive bytes,
+    # captured when every table lookup was an np.interp call
+    ZVONKIN_SHA256 = {
+        "zvonkin.json": "0a03eb20597ae095411e7b55acd024d26fd84e75de79b9c69ee8d6cecf788e19",
+        "solution.csv": "3f284e837663119586da62630dcd57f81ad72a68460f737fdb658efd73725c9e",
+        "transformed": "5e109b0c75ba80bb8ee0a824f006835bfd8372800e7472d45ee1738dcf639e86",
+    }
+
+    def test_zvonkin_bytes(self, tmp_path, monkeypatch):
+        import kinsde.zvonkin as zvonkin
+
+        ensembles = []
+
+        def recording(*args, **kwargs):
+            ensembles.append(simulate(*args, **kwargs))
+            return ensembles[-1]
+
+        simulate = zvonkin.simulate_ensemble
+        monkeypatch.setattr(zvonkin, "simulate_ensemble", recording)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((ROOT / "configs" / "zvonkin_riesz.cfg").read_text()
+                       .replace("N = 10000", "N = 2000").replace("T = 1.0", "T = 0.2"))
+        assert main(["zvonkin", str(cfg), "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("zvonkin.json", "solution.csv")}
+        transformed = ensembles[1]
+        digests["transformed"] = hashlib.sha256(b"".join(
+            a.tobytes() for a in (transformed.x, transformed.y, transformed.alive))).hexdigest()
+        assert digests == self.ZVONKIN_SHA256
+
     def test_mkv_sweep_outputs(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(

@@ -1,21 +1,102 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kinsde.zvonkin as zvonkin
+from kinsde.cli import main
 from kinsde.core import DiracInit, HistogramSpec, PhaseState, SimConfig
 from kinsde.fields import ConfiningDrift, RieszDrift, build_coefficients
+from kinsde.integrators import step_arrays
 from kinsde.zvonkin import (
     OutOfTransformDomainError,
     SmallnessNotAchievedError,
+    ZvonkinSolution,
+    _KnotTables,
     equivalence_experiment,
     lambda_sweep,
     solve_resolvent_1d,
     transform_coefficients,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def riesz_scalar(eta=1e-4, alpha=0.5, w=1.0):
     rz = RieszDrift([(0.0, w)], alpha=alpha, eta_sing=eta)
     return lambda yy: rz(yy[:, None])[:, 0]
+
+
+def zigzag_solution(n=41, L=2.0):
+    """u alternates +-0.6 dy in the interior: max |u'| is only 0.3 by central
+    differences, yet each other step of Theta = y + u goes down by 0.2 dy."""
+    y = np.linspace(-L, L, n)
+    dy = y[1] - y[0]
+    u = np.zeros(n)
+    u[2:-2] = 0.6 * dy * (-1.0) ** np.arange(2, n - 2)
+    du = np.gradient(u, dy, edge_order=2)
+    return ZvonkinSolution(grid=y, u=u, du=du, d2u=np.zeros(n), lam=1.0, residual=0.0)
+
+
+@st.composite
+def solutions_and_queries(draw):
+    """A hand-built solution on strictly increasing knots (uniform, or with
+    gaps up to 1e4 times apart) whose Theta table is increasing, and queries
+    at both tables' knots, their nextafter neighbours, beyond both ends and
+    at NaN, plus uniform draws."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = draw(st.floats(-100.0, 100.0))
+    scale = draw(st.sampled_from([1e-3, 0.05, 1.0]))
+    ratio = draw(st.sampled_from([0.0, 1.0, 1e2, 1e4]))
+    if ratio == 0.0:
+        grid = np.linspace(x0, x0 + scale * (n - 1), n)
+    else:
+        gaps = scale * (1.0 + ratio * rng.random(n - 1) ** 4)
+        grid = x0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    gap = np.diff(grid).min()
+    u = 0.3 * gap * rng.uniform(-1.0, 1.0, n)
+    u[rng.random(n) < 0.2] = 0.0    # exact zeros put -0.0 into the -u table
+    u[[0, -1]] = 0.0
+    du = rng.uniform(-0.99, 0.99, n)
+    sol = ZvonkinSolution(grid=grid, u=u, du=du, d2u=np.zeros(n), lam=1.0, residual=0.0)
+    knots = np.concatenate([grid, sol.theta_values])
+    q = np.concatenate([
+        knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+        [grid[0] - 1.0, grid[-1] + 1.0, -np.inf, np.inf, np.nan],
+        rng.uniform(grid[0] - scale, grid[-1] + scale, 50),
+    ])
+    return sol, q
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestKnotTables:
+    @settings(max_examples=300, deadline=None)
+    @given(solutions_and_queries())
+    def test_lookups_equal_np_interp(self, case):
+        sol, q = case
+        tv = sol.theta_values
+        finite = q[~np.isnan(q)]
+        for x in (sol.grid, tv):
+            assert np.array_equal(_KnotTables(x).index(finite),
+                                  np.searchsorted(x, finite, "right") - 1)
+        assert same_bits(sol.theta(q), q + np.interp(q, sol.grid, sol.u))
+        assert same_bits(sol.theta_prime(q), 1.0 + np.interp(q, sol.grid, sol.du))
+        assert same_bits(sol.u_at(q), np.interp(q, sol.grid, sol.u))
+        tq = np.clip(q, tv[0], tv[-1])
+        assert same_bits(sol.theta_inv(q, clamp=True), tq + np.interp(tq, tv, -sol.u))
+        rt = np.max(np.abs(sol.theta_inv(sol.theta(sol.grid)) - sol.grid))
+        assert rt <= 1e-12 * max(1.0, np.max(np.abs(sol.grid)))
+
+    def test_non_increasing_knots_rejected(self):
+        for x in ([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0], [1.0], [0.0, np.inf]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                _KnotTables(np.array(x))
 
 
 class TestResolventSolve:
@@ -136,10 +217,12 @@ class TestTransform:
         assert tc.b is None
 
     def test_inverse_roundtrip_on_grid(self):
-        sol = solve_resolvent_1d(riesz_scalar(), 1.0, lam=200.0, L=8.0, n=2001)
-        assert sol.invertible
-        rt = sol.theta_inv(sol.theta(sol.grid))
-        assert np.max(np.abs(rt - sol.grid)) < 1e-8
+        # the second solution is the one configs/zvonkin_riesz.cfg transforms with
+        for sol in (solve_resolvent_1d(riesz_scalar(), 1.0, lam=200.0, L=8.0, n=2001),
+                    lambda_sweep(riesz_scalar(), 1.0, eps_target=0.1, L=12.0, n=4001)):
+            assert sol.invertible
+            rt = sol.theta_inv(sol.theta(sol.grid))
+            assert np.max(np.abs(rt - sol.grid)) <= 1e-12
 
     def test_theta_strictly_increasing(self):
         sol = solve_resolvent_1d(riesz_scalar(), 1.0, lam=100.0, L=8.0, n=2001)
@@ -154,8 +237,35 @@ class TestTransform:
     def test_non_invertible_solution_refused(self):
         sol = solve_resolvent_1d(8.0, 1.0, lam=1.0, L=12.0, n=2001)
         assert not sol.invertible
-        with pytest.raises(ValueError, match="diffeomorphism"):
+        with pytest.raises(OutOfTransformDomainError, match="diffeomorphism"):
             transform_coefficients(sol, self._coeffs())
+
+    def test_decreasing_theta_table_is_not_invertible(self):
+        sol = zigzag_solution()
+        assert np.max(np.abs(sol.du)) == pytest.approx(0.3)
+        assert np.min(np.diff(sol.theta_values)) < 0.0
+        assert not sol.invertible
+        with pytest.raises(OutOfTransformDomainError, match="not invertible"):
+            sol.theta_inv(sol.theta(sol.grid))
+        with pytest.raises(OutOfTransformDomainError, match="diffeomorphism"):
+            transform_coefficients(sol, self._coeffs())
+
+    def test_non_invertible_solution_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(zvonkin, "lambda_sweep", lambda *args: zigzag_solution())
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text((ROOT / "configs" / "zvonkin_riesz.cfg").read_text()
+                       .replace("N = 10000", "N = 100").replace("T = 1.0", "T = 0.01"))
+        assert main(["zvonkin", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "not a diffeomorphism" in capsys.readouterr().err
+
+    def test_clamp_hits_counted_once_per_particle_step(self):
+        sol = solve_resolvent_1d(1.0, 1.0, lam=20.0, L=4.0, n=401)
+        hits: list = []
+        tc = transform_coefficients(sol, self._coeffs(), clamp=True, out_hits=hits)
+        y = np.zeros((8, 1))
+        y[:5] = 100.0
+        step_arrays(tc, 0.0, 0.01, np.zeros((8, 1)), y, None, np.full((8, 1), 0.1), False)
+        assert hits == [5]
 
 
 class TestEquivalence:
