@@ -31,7 +31,7 @@ from kinsde.core import (
     localized_lpq_norm,
     AdmissiblePair,
 )
-from kinsde.ergodicity import fit_exponential_decay, h_envelope, tv_decay_experiment
+from kinsde.ergodicity import NumericCheckError, fit_exponential_decay, h_envelope, tv_decay_experiment
 from kinsde.fields import (
     ConfiningDrift,
     LyapunovV,
@@ -631,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
             _SUBCOMMANDS[args.command](kv, cfg, out_dir, man)
         man.write(out_dir)
     except (NumericFailure, ArithmeticError, SmallnessNotAchievedError,
-            OutOfTransformDomainError) as exc:
+            OutOfTransformDomainError, NumericCheckError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, ValueError, KeyError) as exc:

@@ -196,6 +196,8 @@ class EmpiricalLaw:
             w = np.asarray(weights, dtype=float)
             if w.shape != (n,):
                 raise ValueError("weights must be one per particle")
+            if not np.all(np.isfinite(w)):
+                raise ValueError("weights must be finite")
             if np.any(w < 0):
                 raise ValueError("weights must be nonnegative")
             s = math.fsum(w.tolist())
@@ -274,7 +276,7 @@ class DiracInit:
 
     state: PhaseState
 
-    def sample(self, n: int, seed: int, stream: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         return (np.tile(self.state.x, (n, 1)), np.tile(self.state.y, (n, 1)))
 
 
@@ -284,7 +286,7 @@ class CloudInit:
 
     law: EmpiricalLaw
 
-    def sample(self, n: int, seed: int, stream: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self.law.n != n:
             raise ValueError(f"cloud has {self.law.n} particles, config wants {n}")
         return self.law.x.copy(), self.law.y.copy()

@@ -20,6 +20,11 @@ from kinsde.fields import LyapunovV, PhiFamily
 from kinsde.integrators import Ensemble, bootstrap_rng, simulate_ensemble
 
 
+class NumericCheckError(ValueError):
+    """A computed quantity left the range its method relies on: a histogram
+    mass other than 1, or an H^-1 target above where H saturates."""
+
+
 @dataclass(frozen=True)
 class HistogramLaw:
     """Binned proxy for a probability law on the configured box."""
@@ -30,8 +35,8 @@ class HistogramLaw:
 
     def __post_init__(self):
         total = math.fsum(self.masses.tolist()) + self.out_mass
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"histogram mass {total!r} is not 1 within 1e-12")
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails this test too
+            raise NumericCheckError(f"histogram mass {total!r} is not 1 within 1e-12")
 
 
 def histogram_law(law: EmpiricalLaw, spec: HistogramSpec) -> HistogramLaw:
@@ -268,8 +273,10 @@ class HTransform:
         """
         w = np.asarray(w, dtype=float)
         edges, cum = _h_table(self._p)
-        if np.any(w > cum[-1] / self.phi.c0):
-            raise ValueError(f"H^-1({w}) out of reach: H saturates below it")
+        cap = float(cum[-1]) / self.phi.c0
+        if np.any(w > cap):
+            raise NumericCheckError(
+                f"H^-1({float(np.max(w))!r}) out of reach: H saturates at {cap!r} below it")
         target = np.maximum(w.ravel(), 0.0) * self.phi.c0
         j = np.searchsorted(cum, target, side="right") - 1
         r = np.where(j < 0, 0.0, edges[np.maximum(j, 0)])

@@ -155,23 +155,37 @@ def _resolve_record_indices(cfg: SimConfig, record_times) -> np.ndarray | None:
     return idx
 
 
-def _run_loop(
+def simulate_ensemble(
     cfg: SimConfig,
     coeffs: CoefficientSet,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    law_provider: Callable | None,
-    stream: int,
-    store_paths: bool,
-    store_increments: bool,
-    record_idx: np.ndarray | None,
-    step_callback: Callable | None,
-    pre_step_callback: Callable | None = None,
+    init,
+    law: Callable | None = None,
+    stream: int = 0,
+    store_paths: bool = False,
+    store_increments: bool = False,
+    record_times: Sequence[float] | None = None,
+    observe: Callable | None = None,
 ) -> Ensemble:
+    """Advance N paths of the system from ``init.sample(N)`` to the horizon.
+
+    ``law(k, t, x, y, alive)`` returns the measure fed to z2 at step k,
+    from the states at t_k: a frozen flow's law at t_k gives the decoupled
+    dynamics the fixed-point iteration acts on, the ensemble's own law
+    gives the interacting particle system.  Without it, measure-dependent
+    coefficients see their reference measure.
+
+    ``observe(k, t, x, y, dW)`` sees the state at t_k before step k, with
+    that step's increments, for k = 0 .. K - 1, and once more at k = K
+    with ``dW = None``.  Neither callable may write into its arrays.
+    """
+    bad = validate_config(cfg, coeffs)
+    if bad:
+        raise ValueError("invalid configuration: " + "; ".join(bad))
+    x0, y0 = init.sample(cfg.N)
+    record_idx = _resolve_record_indices(cfg, record_times)
     n, h, K = cfg.N, cfg.h, cfg.n_steps
     tamed = cfg.scheme == "tamed"
-    x = x0.copy()
-    y = y0.copy()
+    x, y = x0, y0  # never written into: each step makes new arrays
     alive = np.ones(n, dtype=bool)
 
     paths_x = paths_y = increments = None
@@ -191,25 +205,22 @@ def _run_loop(
             records.append(EmpiricalLaw(x[alive], y[alive]))
     rec_set = set(record_idx.tolist()) if record_idx is not None else set()
 
-    if step_callback is not None:
-        step_callback(0, 0.0, x, y)
-
     sqh = math.sqrt(h)
     n_alive = n
     for k in range(K):
         t = k * h
-        law = law_provider(k, t, x, y, alive) if law_provider is not None else None
+        law_k = law(k, t, x, y, alive) if law is not None else None
         dW = sqh * step_normals(cfg.seed, stream, k, n, cfg.m)
         if store_increments:
             increments[k] = dW
-        if pre_step_callback is not None:
-            pre_step_callback(k, t, x, y, dW)
+        if observe is not None:
+            observe(k, t, x, y, dW)
 
         # Death mask.  NaN fails every comparison, so it marks a row dead as
         # inf does.  One whole-array test per step is far cheaper than the
         # per-row reductions, which run only when some value fails it.
         with np.errstate(over="ignore", invalid="ignore"):
-            nx, ny = step_arrays(coeffs, t, h, x, y, law, dW, tamed)
+            nx, ny = step_arrays(coeffs, t, h, x, y, law_k, dW, tamed)
             if not (np.abs(nx).max() < BLOWUP_THRESHOLD
                     and np.abs(ny).max() < BLOWUP_THRESHOLD):
                 alive = (alive & (np.max(np.abs(nx), axis=1) < BLOWUP_THRESHOLD)
@@ -225,8 +236,8 @@ def _run_loop(
             paths_x[k + 1], paths_y[k + 1] = x, y
         if (k + 1) in rec_set:
             records.append(EmpiricalLaw(x[alive], y[alive]))
-        if step_callback is not None:
-            step_callback(k + 1, (k + 1) * h, x, y)
+    if observe is not None:
+        observe(K, K * h, x, y, None)
 
     return Ensemble(
         seed=cfg.seed,
@@ -243,40 +254,6 @@ def _run_loop(
         paths_x=paths_x,
         paths_y=paths_y,
         increments=increments,
-    )
-
-
-def simulate_ensemble(
-    cfg: SimConfig,
-    coeffs: CoefficientSet,
-    init,
-    frozen_flow=None,
-    stream: int = 0,
-    store_paths: bool = False,
-    store_increments: bool = False,
-    record_times: Sequence[float] | None = None,
-    step_callback: Callable | None = None,
-    pre_step_callback: Callable | None = None,
-) -> Ensemble:
-    """Advance N independent paths of the system to the horizon.
-
-    With ``frozen_flow`` present (anything exposing ``law_at(t)``), the
-    measure argument fed to z2 at step k is the flow's law at t_k; this is
-    the decoupled dynamics that the fixed-point iteration acts on.  Without
-    it, measure-dependent coefficients see their reference measure.
-    """
-    bad = validate_config(cfg, coeffs)
-    if bad:
-        raise ValueError("invalid configuration: " + "; ".join(bad))
-    x0, y0 = init.sample(cfg.N, cfg.seed, stream)
-    law_provider = None
-    if frozen_flow is not None:
-        law_provider = lambda k, t, x, y, alive: frozen_flow.law_at(t)
-    return _run_loop(
-        cfg, coeffs, x0, y0, law_provider, stream,
-        store_paths, store_increments,
-        _resolve_record_indices(cfg, record_times),
-        step_callback, pre_step_callback,
     )
 
 
@@ -397,17 +374,16 @@ def khasminskii_estimate(
     overflow is reported as a +inf estimate (finite-sample divergence
     evidence), not an exception.
     """
-    n = cfg.N
-    acc = np.zeros(n)
+    acc = np.zeros(cfg.N)
     prev = {"g": None}
 
-    def on_state(k, t, x, y):
+    def on_state(k, t, x, y, dW):
         g = np.asarray(f(t, y), dtype=float) ** 2
         if prev["g"] is not None:
             np.add(acc, 0.5 * cfg.h * (prev["g"] + g), out=acc)
         prev["g"] = g
 
-    ens = simulate_ensemble(cfg, coeffs, init, stream=stream, step_callback=on_state)
+    ens = simulate_ensemble(cfg, coeffs, init, stream=stream, observe=on_state)
     integrals = acc[ens.alive]
     with np.errstate(over="ignore"):
         vals = np.exp(integrals)

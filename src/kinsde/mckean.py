@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from kinsde.core import CloudInit, CoefficientSet, EmpiricalLaw, SimConfig, validate_config
+from kinsde.core import CloudInit, CoefficientSet, EmpiricalLaw, SimConfig
 from kinsde.ergodicity import DecayFit, bootstrap_noise_floor, fit_exponential_decay, law_distances
-from kinsde.integrators import Ensemble, _resolve_record_indices, _run_loop, simulate_ensemble
+from kinsde.integrators import Ensemble, _resolve_record_indices, simulate_ensemble
 
 
 @dataclass
@@ -45,6 +45,11 @@ class MeasureFlow:
 def constant_flow(law: EmpiricalLaw, times) -> MeasureFlow:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     return MeasureFlow(times, [law] * times.size)
+
+
+def frozen(flow: MeasureFlow) -> Callable:
+    """The ``law`` argument of :func:`simulate_ensemble` that freezes ``flow``."""
+    return lambda k, t, *_: flow.law_at(t)
 
 
 def rho_lambda(a: MeasureFlow, b: MeasureFlow, lam: float, spec, V=None) -> float:
@@ -76,9 +81,6 @@ def particle_system_run(
     mean-field average never reads in-progress updates.  Dead particles are
     excluded from the law and reported.
     """
-    bad = validate_config(cfg, coeffs)
-    if bad:
-        raise ValueError("invalid configuration: " + "; ".join(bad))
     if record_times is None:
         record_times = cfg.times()
 
@@ -87,13 +89,8 @@ def particle_system_run(
             return EmpiricalLaw(x.copy(), y.copy())
         return EmpiricalLaw(x[alive].copy(), y[alive].copy())
 
-    x0, y0 = init.sample(cfg.N, cfg.seed, stream)
-    ens = _run_loop(
-        cfg, coeffs, x0, y0, own_law, stream,
-        store_paths=False, store_increments=False,
-        record_idx=_resolve_record_indices(cfg, record_times),
-        step_callback=None,
-    )
+    ens = simulate_ensemble(cfg, coeffs, init, law=own_law, stream=stream,
+                            record_times=record_times)
     return MeasureFlow.from_ensemble(ens), ens
 
 
@@ -117,7 +114,7 @@ def picard_start(
     stream: int = 0,
 ) -> PicardState:
     """Iteration zero: the flow frozen at the initial law for all times."""
-    x0, y0 = init.sample(cfg.N, cfg.seed, stream)
+    x0, y0 = init.sample(cfg.N)
     flow = constant_flow(EmpiricalLaw(x0, y0), cfg.times())
     return PicardState(0, flow, [], lam, common_random_numbers, stream)
 
@@ -128,7 +125,7 @@ def picard_iterate(state: PicardState, cfg: SimConfig, coeffs: CoefficientSet,
     stream = state.base_stream if state.common_random_numbers \
         else state.base_stream + state.iteration + 1
     ens = simulate_ensemble(
-        cfg, coeffs, init, frozen_flow=state.flow, stream=stream,
+        cfg, coeffs, init, law=frozen(state.flow), stream=stream,
         record_times=cfg.times(),
     )
     new_flow = MeasureFlow.from_ensemble(ens)
@@ -228,31 +225,24 @@ def girsanov_flow_bound(
     prev_sq = {"v": None}
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def pre_step(k, t, x, y, dW):
+    def observe(k, t, x, y, dW):
         xi_k = np.asarray(xi(t, x, y), dtype=float)
         sq = np.sum(xi_k * xi_k, axis=1)
         if prev_sq["v"] is not None:
             np.add(comp, 0.5 * h * (prev_sq["v"] + sq), out=comp)
         if k in rec_set:
-            logw = ito - 0.5 * comp
-            snapshots[k] = (logw.copy(), a_int.copy())
-        np.add(a_int, np.exp(ito - 0.5 * comp) * sq * h, out=a_int)
-        np.add(ito, np.sum(xi_k * dW, axis=1), out=ito)
+            snapshots[k] = (ito - 0.5 * comp, a_int.copy())
+        if dW is not None:
+            np.add(a_int, np.exp(ito - 0.5 * comp) * sq * h, out=a_int)
+            np.add(ito, np.sum(xi_k * dW, axis=1), out=ito)
         prev_sq["v"] = sq
 
     ens_ref = simulate_ensemble(
-        cfg, coeffs, init, frozen_flow=flow_nu, stream=streams[0],
-        record_times=record_times, pre_step_callback=pre_step,
+        cfg, coeffs, init, law=frozen(flow_nu), stream=streams[0],
+        record_times=record_times, observe=observe,
     )
-    # close the compensator at the final state and snapshot the horizon
-    xi_last = np.asarray(xi(cfg.T, ens_ref.x, ens_ref.y), dtype=float)
-    sq_last = np.sum(xi_last * xi_last, axis=1)
-    np.add(comp, 0.5 * h * (prev_sq["v"] + sq_last), out=comp)
-    if cfg.n_steps in rec_set:
-        snapshots[cfg.n_steps] = (ito - 0.5 * comp, a_int.copy())
-
     ens_tgt = simulate_ensemble(
-        cfg, coeffs, init, frozen_flow=flow_mu, stream=streams[1], record_times=record_times,
+        cfg, coeffs, init, law=frozen(flow_mu), stream=streams[1], record_times=record_times,
     )
 
     times = rec_idx * h

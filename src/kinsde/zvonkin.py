@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from kinsde.core import CoefficientSet, EmpiricalLaw, SimConfig
 from kinsde.ergodicity import bootstrap_noise_floor, law_distances
@@ -111,12 +110,13 @@ class _KnotTables:
         below = y < x[0]
         above = y >= x[-1]
         out = []
-        for f, slope in self.tables:
-            fj = f[j]
-            v = np.where(on_knot, fj, slope[j] * dx + fj)
-            v[below] = f[0]
-            v[above] = f[-1]
-            out.append(v)
+        with np.errstate(invalid="ignore"):  # 0 * inf at y = +-inf, overwritten below
+            for f, slope in self.tables:
+                fj = f[j]
+                v = np.where(on_knot, fj, slope[j] * dx + fj)
+                v[below] = f[0]
+                v[above] = f[-1]
+                out.append(v)
         return out
 
 
@@ -231,6 +231,7 @@ def solve_resolvent_1d(
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
+    from scipy.linalg import solve_banded  # here, so that importing the CLI skips scipy
     try:
         interior = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely here
@@ -310,8 +311,8 @@ def transform_coefficients(
     lam = sol.lam
     bdu = float(np.max(np.abs(sol.du)))
 
-    # step_arrays hands the same y object to z1, drift_y and apply_sigma,
-    # and _run_loop never writes into y, so one pull-back per step serves
+    # step_arrays hands one y object to z1, drift_y and apply_sigma, and
+    # simulate_ensemble never writes into y, so one pull-back per step serves
     # all three fields: it is kept for the ty object it was made from (the
     # reference held here keeps that object alive, so its id is not reused).
     last: list = [None, None]
@@ -358,8 +359,8 @@ class _TransformedInit:
         self.init = init
         self.sol = sol
 
-    def sample(self, n, seed, stream):
-        x0, y0 = self.init.sample(n, seed, stream)
+    def sample(self, n):
+        x0, y0 = self.init.sample(n)
         return x0, self.sol.theta(y0[:, 0])[:, None]
 
 

@@ -126,6 +126,11 @@ class TestEmpiricalLaw:
         with pytest.raises(ValueError):
             EmpiricalLaw(np.zeros((2, 1)), np.ones((2, 1)), weights=[1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            EmpiricalLaw(np.zeros((2, 1)), np.ones((2, 1)), weights=[bad, 1.0])
+
 
 class TestLocalizedNorm:
     def test_constant_function_closed_form(self):

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, PhaseState, SimConfig
 from kinsde.ergodicity import (
+    HistogramLaw,
     HTransform,
+    NumericCheckError,
     bootstrap_noise_floor,
     empirical_v_distance,
     empirical_var_distance,
@@ -47,6 +49,13 @@ class TestHistogramLaw:
         law = EmpiricalLaw(np.zeros((2, 1)), np.zeros((2, 1)), weights=[3.0, 1.0])
         h = histogram_law(law, SPEC2)
         assert h.masses.max() == pytest.approx(1.0)
+
+    def test_nan_mass_is_a_numeric_failure(self):
+        masses = np.full(64, 1.0 / 64)
+        HistogramLaw(SPEC2, masses, 0.0)
+        masses[5] = np.nan
+        with pytest.raises(NumericCheckError, match="histogram mass nan"):
+            HistogramLaw(SPEC2, masses, 0.0)
 
 
 class TestVarDistance:

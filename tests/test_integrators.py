@@ -176,8 +176,8 @@ class TestInitialLaws:
 
         init = CloudInit(EmpiricalLaw(np.zeros((3, 1)), np.zeros((3, 1))))
         with pytest.raises(ValueError, match="particles"):
-            init.sample(5, seed=0, stream=0)
-        x, y = init.sample(3, seed=0, stream=0)
+            init.sample(5)
+        x, y = init.sample(3)
         assert x.shape == (3, 1)
 
 

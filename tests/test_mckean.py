@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,23 @@ class TestFlowBound:
         # the weighted-entropy estimate agrees with the shift integral
         late = rep.times >= 0.3
         assert np.allclose(rep.pinsker_bound[late], rep.xi_integral_bound[late], rtol=0.15)
+
+    # sha256 of each array of the criterion-5 flow comparison, captured while
+    # the run closed its compensator after the step loop returned
+    FLOW_SHA256 = {
+        "tv": "725f881e53a8746de00fcae4bc2decef95fe44ed3b45f846c07aa86a0247c451",
+        "pinsker_bound": "8f0d001dcb9f52cdcdea0ae030e7c7f0c618f4e62cbef2ab3c9901d08461879e",
+        "xi_integral_bound": "22b6f8538df0e5e963bb6139aabc5cf20b2144dcb0aee630ac66b5eb0f727fc3",
+    }
+
+    def test_criterion_5_bytes(self):
+        cfg = SimConfig(T=1.0, h=0.01, N=4000, seed=5, hist=HIST)
+        rep = girsanov_flow_bound(cfg, coeffs_with(0.2), atom_flow(1.5, 1.5, cfg.times()),
+                                  atom_flow(-1.5, -1.5, cfg.times()),
+                                  record_times=np.arange(0.0, 1.01, 0.1), init=INIT)
+        digests = {name: hashlib.sha256(getattr(rep, name).tobytes()).hexdigest()
+                   for name in self.FLOW_SHA256}
+        assert digests == self.FLOW_SHA256
 
     def test_default_init_needs_matching_cloud_size(self):
         # without init the runs start from the t = 0 cloud of flow_nu, which

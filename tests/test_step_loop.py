@@ -1,8 +1,10 @@
-"""The ensemble step loop: pinned output bytes, the death mask and the step noise."""
+"""The ensemble step loop: pinned output bytes, the death mask, the step noise and
+the per-step callables."""
 
 import hashlib
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +81,8 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # sha256 of snapshot.bin, captured before the step loop lost its thread pool
 GOLDEN = {
     "langevin": "4c90f8ad3372cd9be565d87626ace6483618a69e5dd83a55cc003cebc91ddead",
@@ -95,6 +99,14 @@ class TestGoldenBytes:
         cfg.write_text(text)
         assert main(["simulate", str(cfg), "--out", str(tmp_path), "--workers", str(workers)]) == 0
         assert sha256(tmp_path / "snapshot.bin") == GOLDEN[name]
+
+    # sha256 of configs/khasminskii.cfg's khasminskii.json, captured while the
+    # estimator still read the states through a post-step callback
+    def test_khasminskii_json(self, tmp_path):
+        assert main(["khasminskii", str(ROOT / "configs" / "khasminskii.cfg"),
+                     "--out", str(tmp_path)]) == 0
+        assert sha256(tmp_path / "khasminskii.json") == (
+            "f4c1b35c33907cd543ab6120b967ce860d396f57ff8e7d6f4b9cdef8abdc7031")
 
     def test_deaths_snapshot(self, tmp_path):
         ens = death_run()
@@ -202,3 +214,31 @@ class TestApplySigma:
         got = co.apply_sigma(0.0, np.zeros((n, d2)), dw)
         assert got.tobytes() == (dw @ sigma.T).tobytes()
 
+
+class TestPerStepCallables:
+    def test_law_and_observe_see_each_grid_state_in_order(self):
+        seen_law, seen = [], []
+
+        def law(k, t, x, y, alive):
+            seen_law.append((k, t, x.copy(), alive.copy()))
+            return None
+
+        def observe(k, t, x, y, dW):
+            seen.append((k, t, x.copy(), y.copy(), None if dW is None else dW.copy()))
+
+        kw = dict(store_paths=True, store_increments=True)
+        ens = death_run(law=law, observe=observe, **kw)
+        K = DEATHS.n_steps
+        assert [s[0] for s in seen] == list(range(K + 1))
+        assert [s[0] for s in seen_law] == list(range(K))
+        for k, t, x, y, dW in seen:
+            assert t == ens.times[k]
+            assert np.array_equal(x, ens.paths_x[k]) and np.array_equal(y, ens.paths_y[k])
+            assert dW is None if k == K else np.array_equal(dW, ens.increments[k])
+        for k, t, x, alive in seen_law:
+            assert t == ens.times[k] and np.array_equal(x, ens.paths_x[k])
+        assert np.array_equal(seen_law[-1][3], ens.alive) and ens.n_dead == 7
+        # looking on changes nothing
+        plain = death_run(**kw)
+        for name in ("x", "y", "alive", "paths_x", "paths_y", "increments"):
+            assert np.array_equal(getattr(ens, name), getattr(plain, name))

@@ -78,6 +78,7 @@ def same_bits(a, b) -> bool:
 class TestKnotTables:
     @settings(max_examples=300, deadline=None)
     @given(solutions_and_queries())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_lookups_equal_np_interp(self, case):
         sol, q = case
         tv = sol.theta_values
