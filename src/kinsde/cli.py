@@ -1,7 +1,8 @@
 """Command-line front end: config files in, CSV/JSON/snapshot artifacts out.
 
 Every run writes a manifest carrying the config snapshot, its hash, and the
-produced file list; rerunning from the same config reproduces all numeric
+produced file list with each file's sha256, which ``kinsde verify`` rechecks;
+rerunning from the same config reproduces all numeric
 outputs bit-exactly on one machine.  All randomness flows from the single
 seed in the config; there are no hidden entropy sources.
 
@@ -254,6 +255,10 @@ def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def file_hash(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def write_csv(path: Path, header: list[str], rows, chash: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash = {chash}\n")
@@ -301,6 +306,7 @@ class Manifest:
             "seed": seed,
             "step_count": n_steps,
             "outputs": [],
+            "sha256": {},
         }
         self._t0 = time.time()
 
@@ -309,7 +315,9 @@ class Manifest:
         return self.data["config_hash"]
 
     def add(self, path: Path):
+        """List a written output and record its sha256."""
         self.data["outputs"].append(path.name)
+        self.data["sha256"][path.name] = file_hash(path)
 
     def write(self, out_dir: Path):
         self.data["wall_clock_s"] = round(time.time() - self._t0, 3)
@@ -322,12 +330,18 @@ class Manifest:
 
 def cmd_simulate(kv, cfg, out, man):
     coeffs = _build_coefficients(kv, cfg)
-    store_inc = _flag("store_increments", kv.get("store_increments", False))
-    ens = simulate_ensemble(cfg, coeffs, _build_init(kv, "init.a", cfg),
-                            store_increments=store_inc)
+    inc = observe = None
+    if _flag("store_increments", kv.get("store_increments", False)):
+        inc = np.empty((cfg.n_steps, cfg.N, cfg.m))
+
+        def observe(k, t, x, y, dW):
+            if dW is not None:
+                inc[k] = dW
+
+    ens = simulate_ensemble(cfg, coeffs, _build_init(kv, "init.a", cfg), observe=observe)
     if ens.unstable:
         raise NumericFailure(f"run unstable: {ens.n_dead} of {ens.n} particles blew up")
-    b, j = save_snapshot(out / "snapshot", ens, man.chash, with_increments=store_inc)
+    b, j = save_snapshot(out / "snapshot", ens, man.chash, increments=inc)
     man.add(b); man.add(j)
 
 
@@ -537,6 +551,10 @@ def cmd_verify(manifest_path: Path) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"verify: cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    hashes = man.get("sha256")
+    if not isinstance(hashes, dict):
+        print("verify: manifest records no sha256 per output", file=sys.stderr)
+        return EXIT_VALIDATION
     expect = man.get("config_hash", "")
     recomputed = config_hash(man.get("config_text", ""))
     ok = True
@@ -550,29 +568,15 @@ def cmd_verify(manifest_path: Path) -> int:
             print(f"verify: missing output {name}", file=sys.stderr)
             ok = False
             continue
-        embedded = _embedded_hash(p)
-        if embedded is not None and embedded != expect:
-            print(f"verify: {name} embeds hash {embedded} != manifest {expect}",
+        got = file_hash(p)
+        if got != hashes.get(name):
+            print(f"verify: {name} sha256 mismatch: {got} != manifest {hashes.get(name)}",
                   file=sys.stderr)
             ok = False
     if ok:
         print(f"verify: ok ({len(man.get('outputs', []))} outputs, hash {expect[:12]}...)")
         return EXIT_OK
     return EXIT_VALIDATION
-
-
-def _embedded_hash(path: Path) -> str | None:
-    if path.suffix == ".json":
-        try:
-            return json.loads(path.read_text()).get("config_hash")
-        except json.JSONDecodeError:
-            return None
-    if path.suffix == ".csv":
-        first = path.read_text().splitlines()[0]
-        if first.startswith("# config_hash = "):
-            return first.split("=", 1)[1].strip()
-        return None
-    return None  # binary blocks are covered by their sidecar
 
 
 _SUBCOMMANDS = {

@@ -116,18 +116,12 @@ class Ensemble:
 
     seed: int
     stream: int
-    scheme: str
     times: np.ndarray
     x: np.ndarray
     y: np.ndarray
     alive: np.ndarray
-    initial_x: np.ndarray
-    initial_y: np.ndarray
     record_times: np.ndarray | None = None
     records: list[EmpiricalLaw] | None = None
-    paths_x: np.ndarray | None = None
-    paths_y: np.ndarray | None = None
-    increments: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -161,8 +155,6 @@ def simulate_ensemble(
     init,
     law: Callable | None = None,
     stream: int = 0,
-    store_paths: bool = False,
-    store_increments: bool = False,
     record_times: Sequence[float] | None = None,
     observe: Callable | None = None,
 ) -> Ensemble:
@@ -176,25 +168,17 @@ def simulate_ensemble(
 
     ``observe(k, t, x, y, dW)`` sees the state at t_k before step k, with
     that step's increments, for k = 0 .. K - 1, and once more at k = K
-    with ``dW = None``.  Neither callable may write into its arrays.
+    with ``dW = None``; it is the only view of a path while it runs, since
+    the loop keeps no history.  Neither callable may write into its arrays.
     """
     bad = validate_config(cfg, coeffs)
     if bad:
         raise ValueError("invalid configuration: " + "; ".join(bad))
-    x0, y0 = init.sample(cfg.N)
+    x, y = init.sample(cfg.N)  # never written into: each step makes new arrays
     record_idx = _resolve_record_indices(cfg, record_times)
     n, h, K = cfg.N, cfg.h, cfg.n_steps
     tamed = cfg.scheme == "tamed"
-    x, y = x0, y0  # never written into: each step makes new arrays
     alive = np.ones(n, dtype=bool)
-
-    paths_x = paths_y = increments = None
-    if store_paths:
-        paths_x = np.empty((K + 1, n, cfg.d1))
-        paths_y = np.empty((K + 1, n, cfg.d2))
-        paths_x[0], paths_y[0] = x, y
-    if store_increments:
-        increments = np.empty((K, n, cfg.m))
 
     records: list[EmpiricalLaw] | None = None
     rec_times = None
@@ -211,8 +195,6 @@ def simulate_ensemble(
         t = k * h
         law_k = law(k, t, x, y, alive) if law is not None else None
         dW = sqh * step_normals(cfg.seed, stream, k, n, cfg.m)
-        if store_increments:
-            increments[k] = dW
         if observe is not None:
             observe(k, t, x, y, dW)
 
@@ -232,8 +214,6 @@ def simulate_ensemble(
             x = np.where(alive[:, None], nx, x)
             y = np.where(alive[:, None], ny, y)
 
-        if store_paths:
-            paths_x[k + 1], paths_y[k + 1] = x, y
         if (k + 1) in rec_set:
             records.append(EmpiricalLaw(x[alive], y[alive]))
     if observe is not None:
@@ -242,18 +222,12 @@ def simulate_ensemble(
     return Ensemble(
         seed=cfg.seed,
         stream=stream,
-        scheme=cfg.scheme,
         times=cfg.times(),
         x=x,
         y=y,
         alive=alive,
-        initial_x=x0,
-        initial_y=y0,
         record_times=rec_times,
         records=records,
-        paths_x=paths_x,
-        paths_y=paths_y,
-        increments=increments,
     )
 
 
@@ -270,47 +244,62 @@ class GirsanovResult:
     pinsker_tv_bound: float
 
 
-def girsanov_log_weights(ens: Ensemble, xi: Callable) -> np.ndarray:
-    """log R_T per particle along stored paths.
+class GirsanovAccumulator:
+    """log R_t = int <xi, dW> - 1/2 int |xi|^2 dt along a run, as its ``observe`` hook.
 
-    The stochastic integral <xi, dW> uses the left endpoint (Ito); the
-    compensator integral of |xi|^2 uses the trapezoid rule.
+    The stochastic integral uses the left endpoint (Ito); the compensator
+    integral of |xi|^2 uses the trapezoid rule.  Call k returns log R at t_k
+    and |xi(t_k)|^2, both taken before step k's increment is added; after
+    the run ``log_r`` holds log R at the horizon.
     """
-    if ens.paths_x is None or ens.increments is None:
-        raise ValueError("girsanov reweighting needs store_paths and store_increments")
-    K = ens.times.size - 1
-    h = float(ens.times[1] - ens.times[0])
-    n = ens.x.shape[0]
-    ito = np.zeros(n)
-    sq_prev = None
-    comp = np.zeros(n)
-    for k in range(K + 1):
-        t = ens.times[k]
-        xi_k = np.asarray(xi(t, ens.paths_x[k], ens.paths_y[k]), dtype=float)
+
+    def __init__(self, xi: Callable, n: int, h: float):
+        self.xi, self.h = xi, h
+        self.ito = np.zeros(n)
+        self.comp = np.zeros(n)
+        self.sq = None
+        self.log_r = None
+
+    def __call__(self, k, t, x, y, dW) -> tuple[np.ndarray, np.ndarray]:
+        xi_k = np.asarray(self.xi(t, x, y), dtype=float)
         sq = np.sum(xi_k * xi_k, axis=1)
-        if k < K:
-            ito += np.sum(xi_k * ens.increments[k], axis=1)
-        if sq_prev is not None:
-            comp += 0.5 * h * (sq_prev + sq)
-        sq_prev = sq
-    return ito - 0.5 * comp
+        if self.sq is not None:
+            np.add(self.comp, 0.5 * self.h * (self.sq + sq), out=self.comp)
+        self.sq = sq
+        self.log_r = self.ito - 0.5 * self.comp
+        if dW is not None:
+            np.add(self.ito, np.sum(xi_k * dW, axis=1), out=self.ito)
+        return self.log_r, sq
 
 
-def girsanov_weighted_law(ens: Ensemble, xi: Callable) -> GirsanovResult:
+def girsanov_weighted_law(
+    cfg: SimConfig,
+    coeffs: CoefficientSet,
+    xi: Callable,
+    init,
+    stream: int = 0,
+) -> GirsanovResult:
     """Importance-sampling estimate of the drift-shifted law.
 
-    Weighting the reference ensemble by R_T = exp(int <xi, dW> - 1/2 int |xi|^2)
-    reproduces the law of the dynamics with drift shifted by sigma * xi.
-    Reports the mean weight (1 in expectation), the effective sample size,
-    and the total-variation bound sqrt(2 E[R log R]) between the weighted
-    and unweighted laws.
+    Runs the reference ensemble and weights it by
+    R_T = exp(int <xi, dW> - 1/2 int |xi|^2), which reproduces the law of
+    the dynamics with drift shifted by sigma * xi.  Reports the mean weight
+    (1 in expectation), the effective sample size, and the total-variation
+    bound sqrt(2 E[R log R]) between the weighted and unweighted laws.
     """
-    logw = girsanov_log_weights(ens, xi)
+    acc = GirsanovAccumulator(xi, cfg.N, cfg.h)
+    ens = simulate_ensemble(cfg, coeffs, init, stream=stream, observe=acc)
+    logw = acc.log_r
     ok = ens.alive
     w = np.exp(logw[ok])
     n = int(np.count_nonzero(ok))
     total = math.fsum(w.tolist())
-    ess = total**2 / math.fsum((w * w).tolist())
+    sq_total = math.fsum((w * w).tolist())
+    if sq_total == 0.0:
+        # every weight is below 1e-154 (or no particle is alive): the mean
+        # weight, 1 in expectation, is lost and the ESS counts as 0
+        raise DegenerateReweightingError(0.0, n)
+    ess = total**2 / sq_total
     if ess < 0.01 * n:
         raise DegenerateReweightingError(ess, n)
     mean_w = total / n
@@ -407,19 +396,19 @@ def save_snapshot(
     base: str | Path,
     ens: Ensemble,
     config_hash: str = "",
-    with_increments: bool = False,
+    increments: np.ndarray | None = None,
 ) -> tuple[Path, Path]:
     """Write a binary columnar snapshot plus a JSON sidecar.
 
     Layout: little-endian float64 x block (n*d1), y block (n*d2), weights (n),
-    then optionally the increments block (K*n*m).
+    then, when given, the run's (K, n, m) increments block.
     """
     base = Path(base)
     law = ens.law()
     blocks = [law.x, law.y, law.weights]
-    has_inc = with_increments and ens.increments is not None
+    has_inc = increments is not None
     if has_inc:
-        blocks.append(ens.increments)
+        blocks.append(increments)
     bin_path = base.with_suffix(".bin")
     with open(bin_path, "wb") as fh:
         for blk in blocks:
@@ -435,8 +424,8 @@ def save_snapshot(
         "d2": law.y.shape[1],
         "n_dead": ens.n_dead,
         "unstable": ens.unstable,
-        "has_increments": bool(has_inc),
-        "increments_shape": list(ens.increments.shape) if has_inc else None,
+        "has_increments": has_inc,
+        "increments_shape": list(increments.shape) if has_inc else None,
     }
     json_path = base.with_suffix(".json")
     json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

@@ -17,7 +17,13 @@ import numpy as np
 
 from kinsde.core import CloudInit, CoefficientSet, EmpiricalLaw, SimConfig
 from kinsde.ergodicity import DecayFit, bootstrap_noise_floor, fit_exponential_decay, law_distances
-from kinsde.integrators import Ensemble, _resolve_record_indices, simulate_ensemble
+from kinsde.integrators import (
+    Ensemble,
+    GirsanovAccumulator,
+    _resolve_record_indices,
+    drift_difference_xi,
+    simulate_ensemble,
+)
 
 
 @dataclass
@@ -205,7 +211,6 @@ def girsanov_flow_bound(
     Passing a Lyapunov weight V swaps in the weighted variation distance on
     the empirical side of the comparison.
     """
-    from kinsde.integrators import drift_difference_xi
 
     def delta_z2(t, x, y):
         return np.asarray(coeffs.z2(t, x, y, flow_mu.law_at(t))) - np.asarray(
@@ -217,25 +222,18 @@ def girsanov_flow_bound(
         init = CloudInit(flow_nu.clouds[0])  # the two decoupled runs share one initial law
     rec_idx = _resolve_record_indices(cfg, record_times)
     rec_set = set(rec_idx.tolist())
-    h, n = cfg.h, cfg.N
+    h = cfg.h
 
-    ito = np.zeros(n)
-    comp = np.zeros(n)
-    a_int = np.zeros(n)
-    prev_sq = {"v": None}
+    acc = GirsanovAccumulator(xi, cfg.N, h)
+    a_int = np.zeros(cfg.N)  # int_0^t R_s |xi_s|^2 ds, left point
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def observe(k, t, x, y, dW):
-        xi_k = np.asarray(xi(t, x, y), dtype=float)
-        sq = np.sum(xi_k * xi_k, axis=1)
-        if prev_sq["v"] is not None:
-            np.add(comp, 0.5 * h * (prev_sq["v"] + sq), out=comp)
+        logw, sq = acc(k, t, x, y, dW)
         if k in rec_set:
-            snapshots[k] = (ito - 0.5 * comp, a_int.copy())
+            snapshots[k] = (logw, a_int.copy())
         if dW is not None:
-            np.add(a_int, np.exp(ito - 0.5 * comp) * sq * h, out=a_int)
-            np.add(ito, np.sum(xi_k * dW, axis=1), out=ito)
-        prev_sq["v"] = sq
+            np.add(a_int, np.exp(logw) * sq * h, out=a_int)
 
     ens_ref = simulate_ensemble(
         cfg, coeffs, init, law=frozen(flow_nu), stream=streams[0],

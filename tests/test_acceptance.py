@@ -182,9 +182,8 @@ class TestCriterion5:
         cfg = SimConfig(T=1.0, h=1e-3, N=20_000, seed=8,
                         hist=HistogramSpec([-1.0, -4.0], [1.0, 4.0], [2, 20], dim=2))
         co = scalar_ou_coefficients(1.0)
-        ens = simulate_ensemble(cfg, co, ORIGIN, store_paths=True, store_increments=True)
         c = 0.5
-        res = girsanov_weighted_law(ens, constant_shift_xi([c]))
+        res = girsanov_weighted_law(cfg, co, constant_shift_xi([c]), ORIGIN)
         w = np.exp(res.log_weights)
         se1 = w.std(ddof=1) / np.sqrt(w.size)
         martingale = abs(w.mean() - 1.0) <= 3.0 * se1
@@ -378,10 +377,8 @@ class TestCriterion10:
         mkv_ok = np.array_equal(e1.x, e2.x) and np.array_equal(e1.y, e2.y)
 
         ou = scalar_ou_coefficients(1.0)
-        ens1 = simulate_ensemble(cfg, ou, ORIGIN, store_paths=True, store_increments=True)
-        ens2 = simulate_ensemble(cfg, ou, ORIGIN, store_paths=True, store_increments=True)
-        g1 = girsanov_weighted_law(ens1, constant_shift_xi([0.3]))
-        g2 = girsanov_weighted_law(ens2, constant_shift_xi([0.3]))
+        g1 = girsanov_weighted_law(cfg, ou, constant_shift_xi([0.3]), ORIGIN)
+        g2 = girsanov_weighted_law(cfg, ou, constant_shift_xi([0.3]), ORIGIN)
         weights_ok = np.array_equal(g1.log_weights, g2.log_weights)
 
         ok = cli_ok and series_ok and mkv_ok and weights_ok

@@ -473,9 +473,32 @@ class TestVerify:
         data["config_hash"] = "deadbeef"
         side.write_text(json.dumps(data))
         assert main(["verify", str(man)]) == 2
-        assert "embeds hash" in capsys.readouterr().err
+        assert "snapshot.json sha256 mismatch" in capsys.readouterr().err
 
     def test_verify_detects_missing_output(self, tmp_path):
         man = self._run_simulate(tmp_path)
         (tmp_path / "snapshot.bin").unlink()
         assert main(["verify", str(man)]) == 2
+
+    def test_verify_detects_flipped_byte(self, tmp_path, capsys):
+        man = self._run_simulate(tmp_path)
+        blob = bytearray((tmp_path / "snapshot.bin").read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        (tmp_path / "snapshot.bin").write_bytes(bytes(blob))
+        assert main(["verify", str(man)]) == 2
+        assert "snapshot.bin sha256 mismatch" in capsys.readouterr().err
+
+    def test_verify_detects_truncated_output(self, tmp_path, capsys):
+        man = self._run_simulate(tmp_path)
+        blob = (tmp_path / "snapshot.bin").read_bytes()
+        (tmp_path / "snapshot.bin").write_bytes(blob[:-8])
+        assert main(["verify", str(man)]) == 2
+        assert "snapshot.bin sha256 mismatch" in capsys.readouterr().err
+
+    def test_verify_refuses_manifest_without_hashes(self, tmp_path, capsys):
+        man = self._run_simulate(tmp_path)
+        data = json.loads(man.read_text())
+        del data["sha256"]
+        man.write_text(json.dumps(data))
+        assert main(["verify", str(man)]) == 2
+        assert "records no sha256" in capsys.readouterr().err

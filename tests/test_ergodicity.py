@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +31,6 @@ from kinsde.fields import (
     linear_langevin_coefficients,
     scalar_ou_coefficients,
 )
-from kinsde.integrators import simulate_ensemble
 from kinsde.lyapunov import LogRadialSamples, search_constants
 
 SPEC2 = HistogramSpec(-4.0, 4.0, 8, dim=2)
@@ -38,12 +40,43 @@ def _law(rng, n):
     return EmpiricalLaw(rng.normal(size=(n, 1)), rng.normal(size=(n, 1)))
 
 
+@st.composite
+def _boxed_cloud(draw):
+    """A histogram box in 2 or 3 dimensions and a weighted cloud whose
+    coordinates lie inside it, on its faces, or outside it."""
+    dim = draw(st.integers(2, 3))
+    lo = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)))
+    hi = lo + np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim)))
+    bins = draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim))
+    n = draw(st.integers(1, 40))
+    pts = np.empty((n, dim))
+    for i in range(n):
+        for j in range(dim):
+            where = draw(st.sampled_from(["in", "lo", "hi", "below", "above"]))
+            gap = draw(st.floats(1e-6, 10.0))
+            pts[i, j] = {"in": lo[j] + draw(st.floats(0.0, 1.0)) * (hi[j] - lo[j]),
+                         "lo": lo[j], "hi": hi[j],
+                         "below": lo[j] - gap, "above": hi[j] + gap}[where]
+    w = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return HistogramSpec(lo, hi, bins), EmpiricalLaw(pts[:, :1], pts[:, 1:], weights=w)
+
+
 class TestHistogramLaw:
     def test_mass_accounting(self):
         law = EmpiricalLaw(np.array([[0.0], [10.0]]), np.array([[0.0], [0.0]]))
         h = histogram_law(law, SPEC2)
         assert h.masses.sum() == pytest.approx(0.5)
         assert h.out_mass == pytest.approx(0.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_boxed_cloud())
+    def test_mass_is_conserved(self, spec_law):
+        spec, law = spec_law
+        h = histogram_law(law, spec)
+        assert abs(h.masses.sum() + h.out_mass - 1.0) <= 1e-12
+        pts = law.points()
+        outside = np.any((pts < spec.lo) | (pts > spec.hi), axis=1)
+        assert abs(h.out_mass - math.fsum(law.weights[outside].tolist())) <= 1e-12
 
     def test_weighted_cloud(self):
         law = EmpiricalLaw(np.zeros((2, 1)), np.zeros((2, 1)), weights=[3.0, 1.0])
@@ -373,23 +406,22 @@ class TestMomentBound:
         from kinsde.fields import zero_coefficients
 
         cfg = SimConfig(T=0.5, h=0.1, N=8, seed=0)
-        ens = simulate_ensemble(cfg, zero_coefficients(),
-                                DiracInit(PhaseState([1.0], [2.0])), store_paths=True)
-        rep = moment_bound_check([ens], LyapunovV(1.0, 1, 1))
+        rep = moment_bound_check(cfg, zero_coefficients(), LyapunovV(1.0, 1, 1),
+                                 [DiracInit(PhaseState([1.0], [2.0]))])
         assert rep.ratios[0] == 1.0
         assert rep.verdict == "bounded"
 
     def test_stable_langevin_band(self):
         co = linear_langevin_coefficients()
         V = LyapunovV(1.0, 1, 1)
-        runs = []
-        for x0 in (1.0, 3.0, 10.0):
-            cfg = SimConfig(T=0.5, h=5e-3, N=2000, seed=3)
-            runs.append(simulate_ensemble(cfg, co, DiracInit(PhaseState([x0], [0.0])),
-                                          store_paths=True))
-        rep = moment_bound_check(runs, V)
+        cfg = SimConfig(T=0.5, h=5e-3, N=2000, seed=3)
+        inits = [DiracInit(PhaseState([x0], [0.0])) for x0 in (1.0, 3.0, 10.0)]
+        rep = moment_bound_check(cfg, co, V, inits)
         assert rep.verdict == "bounded"
         assert rep.ratios.max() <= 2.0 * rep.ratios.min()
+        # sha256 of the ratios' bytes, captured while the sup was taken over stored paths
+        assert hashlib.sha256(rep.ratios.tobytes()).hexdigest() == (
+            "50b1e8d121965f3b38b96c135a713f678fbda8acb53e3614dbbdcd4b2cc4efe1")
 
     def test_unstable_drift_negative_control(self):
         # confining drift sign flipped, superlinear: no common constant exists
@@ -399,12 +431,9 @@ class TestMomentBound:
             b=None, sigma=np.sqrt(2.0), d1=1, d2=1, growth="superlinear",
         )
         V = LyapunovV(1.0, 1, 1)
-        runs = []
-        for x0 in (1.0, 3.0, 10.0):
-            cfg = SimConfig(T=0.5, h=5e-3, N=2000, seed=3, scheme="tamed")
-            runs.append(simulate_ensemble(cfg, bad, DiracInit(PhaseState([x0], [0.0])),
-                                          store_paths=True))
-        rep = moment_bound_check(runs, V)
+        cfg = SimConfig(T=0.5, h=5e-3, N=2000, seed=3, scheme="tamed")
+        inits = [DiracInit(PhaseState([x0], [0.0])) for x0 in (1.0, 3.0, 10.0)]
+        rep = moment_bound_check(cfg, bad, V, inits)
         assert rep.verdict == "unbounded"
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,19 @@ from kinsde.integrators import (
 )
 
 ORIGIN = DiracInit(PhaseState([0.0], [0.0]))
+
+
+def sha256_of(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+def observed_run(cfg, coeffs):
+    """The ensemble from the origin and, per grid time k, the state (x_k, y_k)
+    and step k's dW (None at the horizon) as the ``observe`` hook saw them."""
+    seen = []
+    ens = simulate_ensemble(cfg, coeffs, ORIGIN, observe=lambda k, t, x, y, dW: seen.append(
+        (x.copy(), y.copy(), None if dW is None else dW.copy())))
+    return ens, seen
 
 
 def one_step(s, t, h, coeffs, dW, tamed=False):
@@ -97,8 +112,9 @@ class TestSteps:
 class TestEnsemble:
     def test_constant_path_zero_coefficients(self):
         cfg = SimConfig(T=1.0, h=0.1, N=1, seed=0)
-        ens = simulate_ensemble(cfg, zero_coefficients(), ORIGIN, store_paths=True)
-        assert np.all(ens.paths_x == 0.0) and np.all(ens.paths_y == 0.0)
+        ens, seen = observed_run(cfg, zero_coefficients())
+        assert len(seen) == cfg.n_steps + 1
+        assert all(np.all(x == 0.0) and np.all(y == 0.0) for x, y, _ in seen)
         assert ens.n_dead == 0 and not ens.unstable
 
     def test_langevin_stationary_covariance_small(self):
@@ -152,11 +168,11 @@ class TestEnsemble:
 
     def test_stored_paths_carry_exact_increments(self):
         cfg = SimConfig(T=0.2, h=0.05, N=3, seed=5)
-        ens = simulate_ensemble(cfg, scalar_ou_coefficients(1.0), ORIGIN,
-                                store_paths=True, store_increments=True)
-        path, inc = ens.paths_y[:, 1], ens.increments[:, 1]
-        assert len(path) == cfg.n_steps + 1
-        # replaying the recorded increments reproduces the path
+        _, seen = observed_run(cfg, scalar_ou_coefficients(1.0))
+        path = [y[1] for _, y, _ in seen]
+        inc = [dW[1] for _, _, dW in seen[:-1]]
+        assert len(path) == cfg.n_steps + 1 and seen[-1][2] is None
+        # replaying the observed increments reproduces the observed path
         y = path[0].copy()
         for k in range(cfg.n_steps):
             y = y + cfg.h * (-y) + inc[k]
@@ -182,22 +198,20 @@ class TestInitialLaws:
 
 
 class TestGirsanov:
-    def _reference(self, n=20000, seed=8):
-        cfg = SimConfig(T=1.0, h=1e-3, N=n, seed=seed)
-        return cfg, simulate_ensemble(cfg, scalar_ou_coefficients(1.0), ORIGIN,
-                                      store_paths=True, store_increments=True)
+    def _reweight(self, c, n=20000, seed=8, h=1e-3):
+        cfg = SimConfig(T=1.0, h=h, N=n, seed=seed)
+        return girsanov_weighted_law(cfg, scalar_ou_coefficients(1.0), constant_shift_xi([c]),
+                                     ORIGIN)
 
     def test_zero_shift_gives_unit_weights(self):
-        _, ens = self._reference(n=200)
-        res = girsanov_weighted_law(ens, constant_shift_xi([0.0]))
+        res = self._reweight(0.0, n=200)
         assert np.all(res.log_weights == 0.0)
         assert res.mean_weight == 1.0
         assert res.pinsker_tv_bound == 0.0
 
     def test_constant_shift_exponential_martingale_moments(self):
-        _, ens = self._reference()
         c = 0.5
-        res = girsanov_weighted_law(ens, constant_shift_xi([c]))
+        res = self._reweight(c)
         w = np.exp(res.log_weights)
         se1 = w.std(ddof=1) / np.sqrt(w.size)
         assert abs(w.mean() - 1.0) < 3.0 * se1
@@ -212,10 +226,9 @@ class TestGirsanov:
 
         hist = HistogramSpec([-1.0, -4.0], [1.0, 4.0], [2, 20], dim=2)
         cfg = SimConfig(T=1.0, h=1e-3, N=20000, seed=8, hist=hist)
-        ens = simulate_ensemble(cfg, scalar_ou_coefficients(1.0), ORIGIN,
-                                store_paths=True, store_increments=True)
         c = 0.5
-        res = girsanov_weighted_law(ens, constant_shift_xi([c]))
+        res = girsanov_weighted_law(cfg, scalar_ou_coefficients(1.0), constant_shift_xi([c]),
+                                    ORIGIN)
         shifted = build_coefficients(z1=lambda t, x, y: np.zeros_like(x),
                                      z2=lambda t, x, y, law: -y + c,
                                      b=None, sigma=1.0, d1=1, d2=1)
@@ -225,10 +238,26 @@ class TestGirsanov:
         floor = bootstrap_noise_floor(res.law, hist, seed=8)
         assert tv < 3.0 * floor
 
+    def test_criterion5_weights_and_law_pinned(self):
+        # sha256 of the log-weights and of the weighted law's x, y and weight
+        # bytes, captured while the weights were still replayed from stored paths
+        res = self._reweight(0.5)
+        law = res.law
+        assert sha256_of(res.log_weights) == (
+            "4cc68d107eb0ae1b4d38fdc2de51c894261aee7638a82a05a31fbd043c54b50d")
+        assert sha256_of(law.x, law.y, law.weights) == (
+            "f8a4193e7d046963a30a3708c95490ba2955ea7a0d8479c7edb2945fe025f77f")
+
     def test_degenerate_reweighting_raises(self):
-        _, ens = self._reference(n=300, seed=12)
         with pytest.raises(DegenerateReweightingError, match="degenerate"):
-            girsanov_weighted_law(ens, constant_shift_xi([8.0]))
+            self._reweight(8.0, n=300, seed=12)
+
+    # c = 60: every weight underflows to 0; c = 40: every square does
+    @pytest.mark.parametrize("c", [60.0, 40.0])
+    def test_underflowed_weights_raise_with_zero_ess(self, c):
+        with pytest.raises(DegenerateReweightingError) as err:
+            self._reweight(c, n=200, seed=8, h=0.01)
+        assert err.value.ess == 0.0 and err.value.n == 200
 
 
 class TestKhasminskii:
@@ -274,13 +303,13 @@ class TestKhasminskii:
 class TestSnapshots:
     def test_roundtrip(self, tmp_path):
         cfg = SimConfig(T=0.3, h=0.1, N=50, seed=14)
-        ens = simulate_ensemble(cfg, linear_langevin_coefficients(), ORIGIN,
-                                store_increments=True)
+        ens, seen = observed_run(cfg, linear_langevin_coefficients())
+        inc = np.stack([dW for _, _, dW in seen[:-1]])
         base = tmp_path / "snap"
-        save_snapshot(base, ens, config_hash="abc123", with_increments=True)
+        save_snapshot(base, ens, config_hash="abc123", increments=inc)
         law, meta = load_snapshot(base)
         assert meta["config_hash"] == "abc123"
         assert np.array_equal(law.x, ens.law().x)
         assert np.array_equal(law.y, ens.law().y)
         assert meta["increments"].shape == (3, 50, 1)
-        assert np.array_equal(meta["increments"], ens.increments)
+        assert np.array_equal(meta["increments"], inc)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from kinsde.cli import main
 from kinsde.core import CloudInit, EmpiricalLaw, SimConfig
 from kinsde.fields import build_coefficients
-from kinsde.integrators import save_snapshot, simulate_ensemble, step_normals
+from kinsde.integrators import save_snapshot, simulate_ensemble, step_arrays, step_normals
 
 BASE = """
 T = {T}
@@ -77,6 +77,14 @@ def death_run(bad: bool = True, **kw):
     return simulate_ensemble(DEATHS, death_coefficients(bad), death_cloud(), **kw)
 
 
+def observed_death_run(bad: bool = True, **kw):
+    """The run and what ``observe`` saw: (k, t, x, y, dW) per grid time, copied."""
+    seen = []
+    ens = death_run(bad, observe=lambda k, t, x, y, dW: seen.append(
+        (k, t, x.copy(), y.copy(), None if dW is None else dW.copy())), **kw)
+    return ens, seen
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -118,12 +126,13 @@ class TestGoldenBytes:
 class TestDeathMask:
     def test_bad_rows_freeze_at_last_finite_state(self):
         ens = death_run()
-        clean = death_run(bad=False, store_paths=True)
+        clean, seen = observed_death_run(bad=False)
         dead = np.zeros(DEATHS.N, dtype=bool)
         for k0, rows, _, _ in BAD_ROWS.values():
             # the step from t_k0 produces the bad value, so the row keeps its state at k0
-            assert np.array_equal(ens.x[rows], clean.paths_x[k0][rows])
-            assert np.array_equal(ens.y[rows], clean.paths_y[k0][rows])
+            _, _, x_k0, y_k0, _ = seen[k0]
+            assert np.array_equal(ens.x[rows], x_k0[rows])
+            assert np.array_equal(ens.y[rows], y_k0[rows])
             dead[rows] = True
         assert ens.n_dead == int(dead.sum()) == 7
         assert np.array_equal(ens.alive, ~dead)
@@ -217,28 +226,42 @@ class TestApplySigma:
 
 class TestPerStepCallables:
     def test_law_and_observe_see_each_grid_state_in_order(self):
-        seen_law, seen = [], []
+        seen_law = []
 
         def law(k, t, x, y, alive):
             seen_law.append((k, t, x.copy(), alive.copy()))
             return None
 
-        def observe(k, t, x, y, dW):
-            seen.append((k, t, x.copy(), y.copy(), None if dW is None else dW.copy()))
-
-        kw = dict(store_paths=True, store_increments=True)
-        ens = death_run(law=law, observe=observe, **kw)
-        K = DEATHS.n_steps
+        ens, seen = observed_death_run(law=law)
+        K, h = DEATHS.n_steps, DEATHS.h
+        co = death_coefficients(True)
         assert [s[0] for s in seen] == list(range(K + 1))
         assert [s[0] for s in seen_law] == list(range(K))
+        live = np.ones(DEATHS.N, dtype=bool)
         for k, t, x, y, dW in seen:
             assert t == ens.times[k]
-            assert np.array_equal(x, ens.paths_x[k]) and np.array_equal(y, ens.paths_y[k])
-            assert dW is None if k == K else np.array_equal(dW, ens.increments[k])
+            if k == K:
+                assert dW is None
+                assert np.array_equal(x, ens.x) and np.array_equal(y, ens.y)
+                continue
+            # the step's increments are the step noise, and the next state is
+            # one step from this one on the rows still alive, this one on the dead
+            assert np.array_equal(dW, np.sqrt(h) * step_normals(DEATHS.seed, 0, k, DEATHS.N, 1))
+            with np.errstate(invalid="ignore"):
+                nx, ny = step_arrays(co, t, h, x, y, None, dW, False)
+            live &= np.isfinite(nx[:, 0]) & (np.abs(nx[:, 0]) < 1e12) \
+                & np.isfinite(ny[:, 0]) & (np.abs(ny[:, 0]) < 1e12)
+            _, _, x1, y1, _ = seen[k + 1]
+            assert np.array_equal(x1[live], nx[live]) and np.array_equal(y1[live], ny[live])
+            assert np.array_equal(x1[~live], x[~live]) and np.array_equal(y1[~live], y[~live])
         for k, t, x, alive in seen_law:
-            assert t == ens.times[k] and np.array_equal(x, ens.paths_x[k])
+            assert t == ens.times[k] and np.array_equal(x, seen[k][2])
+        assert np.array_equal(live, ens.alive)
         assert np.array_equal(seen_law[-1][3], ens.alive) and ens.n_dead == 7
         # looking on changes nothing
-        plain = death_run(**kw)
-        for name in ("x", "y", "alive", "paths_x", "paths_y", "increments"):
+        plain, plain_seen = observed_death_run()
+        for name in ("x", "y", "alive"):
             assert np.array_equal(getattr(ens, name), getattr(plain, name))
+        for (_, _, x, y, dW), (_, _, px, py, pdW) in zip(seen, plain_seen, strict=True):
+            assert np.array_equal(x, px) and np.array_equal(y, py)
+            assert (dW is None and pdW is None) or np.array_equal(dW, pdW)
