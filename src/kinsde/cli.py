@@ -239,13 +239,24 @@ def _build_init(kv: dict, key: str, cfg: SimConfig) -> DiracInit:
 
 
 def _record_times(kv: dict, cfg: SimConfig) -> np.ndarray:
+    """start, start + step, ... up to stop; a time off the grid or outside [0, T]
+    names the start, else the step (the second time), else the stop."""
+    h = cfg.h
     start = _real("record.start", kv.get("record.start", 0.0))
     stop = _real("record.stop", kv.get("record.stop", cfg.T))
-    step = _positive("record.step", kv.get("record.step", max(cfg.h, (stop - start) / 16 or cfg.h)))
-    times = np.round(np.arange(start, stop + step / 2, step), 12)
-    if not np.any((times >= 0.0) & (times <= cfg.T)):
+    if not (math.isfinite(start) and stop >= start):
         raise ConfigError(f"record.start = {start:g} and record.stop = {stop:g} "
                           f"give no record time in [0, T = {cfg.T:g}]")
+    span = min(stop - start, cfg.T)  # never inf; a longer span fails below anyway
+    step = _positive("record.step", kv.get("record.step", h * max(1, round(span / (16 * h)))))
+    n = min((stop - start) / step, cfg.n_steps + 1)  # one time past T at most
+    times = start + step * np.arange(math.floor(n + 1e-9) + 1)
+    for key, val, head in (("record.start", start, 1), ("record.step", step, 2),
+                           ("record.stop", stop, times.size)):
+        try:
+            cfg.record_steps(times[:head])
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {val:g}: {exc}") from None
     return times
 
 

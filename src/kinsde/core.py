@@ -173,6 +173,25 @@ class SimConfig:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.h
 
+    def record_steps(self, times) -> np.ndarray:
+        """The sorted unique steps k of grid times t = k h in [0, T].
+
+        Nothing is rounded off or clipped: any other time raises ``ValueError``.
+        """
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        steps = np.round(times / self.h)
+        for t, off, k in zip(times.tolist(), _off_grid(times / self.h), steps.tolist()):
+            if off or not 0 <= k <= self.n_steps:
+                raise ValueError(f"record time {t:.12g} " + (
+                    f"is off the step grid h = {self.h!r}" if off
+                    else f"lies outside [0, T = {self.T!r}]"))
+        return np.unique(steps.astype(int))
+
+
+def _off_grid(ratio):
+    """Whether t / h is farther from a whole number than rounding explains."""
+    return np.abs(ratio - np.round(ratio)) > 1e-9 * np.maximum(1.0, ratio)
+
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
@@ -214,6 +233,27 @@ class EmpiricalLaw:
 
     def points(self) -> np.ndarray:
         return np.concatenate([self.x, self.y], axis=1)
+
+
+@dataclass(frozen=True)
+class MeasureFlow:
+    """Particle clouds at strictly increasing grid times: a flow of laws."""
+
+    times: np.ndarray
+    clouds: list[EmpiricalLaw]
+
+    def __post_init__(self):
+        if len(self.clouds) != self.times.size:
+            raise ValueError("one cloud per grid time required")
+        if not np.all(np.diff(self.times) > 0):
+            raise ValueError("flow times must be strictly increasing")
+        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.times.tolist())})
+
+    def law_at(self, t: float) -> EmpiricalLaw:
+        """The cloud recorded at exactly t; the step loop's k h is the recorded k h."""
+        if t not in self._index:
+            raise ValueError(f"flow recorded no law at t = {t!r}")
+        return self.clouds[self._index[t]]
 
 
 @dataclass(frozen=True)
@@ -307,7 +347,7 @@ def validate_config(
     if cfg.T < cfg.h:
         bad.append(f"horizon T = {cfg.T} shorter than one step h = {cfg.h}")
     k = cfg.T / cfg.h
-    if abs(k - round(k)) > 1e-9 * max(1.0, k):
+    if _off_grid(k):
         bad.append(f"T/h = {k!r} is not integral within rounding tolerance")
     if np.any(cfg.hist.bins < 2):
         bad.append("histogram needs at least 2 bins per axis")

@@ -176,9 +176,9 @@ def tv_decay_experiment(
     """
     ens_a = simulate_ensemble(cfg, coeffs, init_a, stream=1, record_times=record_times)
     ens_b = simulate_ensemble(cfg, coeffs, init_b, stream=2, record_times=record_times)
-    tv = law_distances(ens_a.records, ens_b.records, cfg.hist)
-    floor = bootstrap_noise_floor(ens_a.records[-1], cfg.hist, seed=cfg.seed)
-    return TVDecaySeries(ens_a.record_times, tv, floor)
+    tv = law_distances(ens_a.flow.clouds, ens_b.flow.clouds, cfg.hist)
+    floor = bootstrap_noise_floor(ens_a.flow.clouds[-1], cfg.hist, seed=cfg.seed)
+    return TVDecaySeries(ens_a.flow.times, tv, floor)
 
 
 # --- H-transform envelope (integrated rate function) ------------------------------

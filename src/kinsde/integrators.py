@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, EmpiricalLaw, SimConfig, validate_config
+from kinsde.core import CoefficientSet, EmpiricalLaw, MeasureFlow, SimConfig, validate_config
 
 BLOWUP_THRESHOLD = 1e12
 UNSTABLE_DEAD_FRACTION = 1e-3
@@ -105,13 +105,21 @@ def step_arrays(
 
 # --- ensembles --------------------------------------------------------------------
 
+def alive_law(x: np.ndarray, y: np.ndarray, alive: np.ndarray) -> EmpiricalLaw:
+    """The law of the alive rows: the whole arrays when nothing died."""
+    if alive.all():
+        return EmpiricalLaw(x, y)
+    return EmpiricalLaw(x[alive], y[alive])
+
+
 @dataclass
 class Ensemble:
     """N trajectories advanced under one coefficient set.
 
     Dead particles (a coordinate beyond the blowup threshold or non-finite)
     are frozen at their last finite state and excluded from laws; their
-    count is reported, never silently dropped.
+    count is reported, never silently dropped.  ``flow`` holds the laws
+    recorded at the requested times.
     """
 
     seed: int
@@ -120,8 +128,7 @@ class Ensemble:
     x: np.ndarray
     y: np.ndarray
     alive: np.ndarray
-    record_times: np.ndarray | None = None
-    records: list[EmpiricalLaw] | None = None
+    flow: MeasureFlow | None = None
 
     @property
     def n(self) -> int:
@@ -136,17 +143,7 @@ class Ensemble:
         return self.n_dead > UNSTABLE_DEAD_FRACTION * self.n
 
     def law(self) -> EmpiricalLaw:
-        if self.n_dead == 0:
-            return EmpiricalLaw(self.x, self.y)
-        return EmpiricalLaw(self.x[self.alive], self.y[self.alive])
-
-
-def _resolve_record_indices(cfg: SimConfig, record_times) -> np.ndarray | None:
-    if record_times is None:
-        return None
-    req = np.atleast_1d(np.asarray(record_times, dtype=float))
-    idx = np.unique(np.clip(np.round(req / cfg.h).astype(int), 0, cfg.n_steps))
-    return idx
+        return alive_law(self.x, self.y, self.alive)
 
 
 def simulate_ensemble(
@@ -166,6 +163,9 @@ def simulate_ensemble(
     gives the interacting particle system.  Without it, measure-dependent
     coefficients see their reference measure.
 
+    The laws of the alive particles at ``record_times``, grid times in
+    [0, T] (:meth:`SimConfig.record_steps`), make up the ensemble's ``flow``.
+
     ``observe(k, t, x, y, dW)`` sees the state at t_k before step k, with
     that step's increments, for k = 0 .. K - 1, and once more at k = K
     with ``dW = None``; it is the only view of a path while it runs, since
@@ -174,20 +174,14 @@ def simulate_ensemble(
     bad = validate_config(cfg, coeffs)
     if bad:
         raise ValueError("invalid configuration: " + "; ".join(bad))
+    steps = None if record_times is None else cfg.record_steps(record_times)
     x, y = init.sample(cfg.N)  # never written into: each step makes new arrays
-    record_idx = _resolve_record_indices(cfg, record_times)
     n, h, K = cfg.N, cfg.h, cfg.n_steps
     tamed = cfg.scheme == "tamed"
     alive = np.ones(n, dtype=bool)
 
-    records: list[EmpiricalLaw] | None = None
-    rec_times = None
-    if record_idx is not None:
-        records = []
-        rec_times = record_idx * h
-        if 0 in record_idx:
-            records.append(EmpiricalLaw(x[alive], y[alive]))
-    rec_set = set(record_idx.tolist()) if record_idx is not None else set()
+    rec_set = set() if steps is None else set(steps.tolist())
+    clouds = [alive_law(x, y, alive)] if 0 in rec_set else []
 
     sqh = math.sqrt(h)
     n_alive = n
@@ -215,20 +209,13 @@ def simulate_ensemble(
             y = np.where(alive[:, None], ny, y)
 
         if (k + 1) in rec_set:
-            records.append(EmpiricalLaw(x[alive], y[alive]))
+            clouds.append(alive_law(x, y, alive))
     if observe is not None:
         observe(K, K * h, x, y, None)
 
-    return Ensemble(
-        seed=cfg.seed,
-        stream=stream,
-        times=cfg.times(),
-        x=x,
-        y=y,
-        alive=alive,
-        record_times=rec_times,
-        records=records,
-    )
+    flow = None if steps is None else MeasureFlow(steps * h, clouds)
+    return Ensemble(seed=cfg.seed, stream=stream, times=cfg.times(), x=x, y=y, alive=alive,
+                    flow=flow)
 
 
 # --- Girsanov reweighting ---------------------------------------------------------

@@ -15,37 +15,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from kinsde.core import CloudInit, CoefficientSet, EmpiricalLaw, SimConfig
+from kinsde.core import CloudInit, CoefficientSet, EmpiricalLaw, MeasureFlow, SimConfig
 from kinsde.ergodicity import DecayFit, bootstrap_noise_floor, fit_exponential_decay, law_distances
 from kinsde.integrators import (
     Ensemble,
     GirsanovAccumulator,
-    _resolve_record_indices,
+    alive_law,
     drift_difference_xi,
     simulate_ensemble,
 )
-
-
-@dataclass
-class MeasureFlow:
-    """Time-grid-indexed particle clouds standing in for a flow of laws."""
-
-    times: np.ndarray
-    clouds: list[EmpiricalLaw]
-
-    def __post_init__(self):
-        if len(self.clouds) != self.times.size:
-            raise ValueError("one cloud per grid time required")
-
-    def law_at(self, t: float) -> EmpiricalLaw:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        return self.clouds[idx]
-
-    @staticmethod
-    def from_ensemble(ens: Ensemble) -> "MeasureFlow":
-        if ens.records is None:
-            raise ValueError("ensemble carries no recorded clouds")
-        return MeasureFlow(ens.record_times, ens.records)
 
 
 def constant_flow(law: EmpiricalLaw, times) -> MeasureFlow:
@@ -54,7 +32,8 @@ def constant_flow(law: EmpiricalLaw, times) -> MeasureFlow:
 
 
 def frozen(flow: MeasureFlow) -> Callable:
-    """The ``law`` argument of :func:`simulate_ensemble` that freezes ``flow``."""
+    """The ``law`` argument of :func:`simulate_ensemble` that freezes ``flow``;
+    a step at a time the flow did not record raises ``ValueError``."""
     return lambda k, t, *_: flow.law_at(t)
 
 
@@ -66,7 +45,7 @@ def rho_lambda(a: MeasureFlow, b: MeasureFlow, lam: float, spec, V=None) -> floa
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if a.times.size != b.times.size or not np.allclose(a.times, b.times):
+    if not np.array_equal(a.times, b.times):
         raise ValueError("flows live on different grids")
     dist = law_distances(a.clouds, b.clouds, spec, V)
     return float(max((math.exp(-lam * t) * d for t, d in zip(a.times, dist)), default=0.0))
@@ -87,17 +66,10 @@ def particle_system_run(
     mean-field average never reads in-progress updates.  Dead particles are
     excluded from the law and reported.
     """
-    if record_times is None:
-        record_times = cfg.times()
-
-    def own_law(k, t, x, y, alive):
-        if int(np.count_nonzero(alive)) == x.shape[0]:
-            return EmpiricalLaw(x.copy(), y.copy())
-        return EmpiricalLaw(x[alive].copy(), y[alive].copy())
-
+    own_law = lambda k, t, x, y, alive: alive_law(x, y, alive)
     ens = simulate_ensemble(cfg, coeffs, init, law=own_law, stream=stream,
-                            record_times=record_times)
-    return MeasureFlow.from_ensemble(ens), ens
+                            record_times=cfg.times() if record_times is None else record_times)
+    return ens.flow, ens
 
 
 # --- fixed-point iteration over measure flows ---------------------------------------
@@ -130,14 +102,11 @@ def picard_iterate(state: PicardState, cfg: SimConfig, coeffs: CoefficientSet,
     """One application of the law-flow map with the current flow frozen in."""
     stream = state.base_stream if state.common_random_numbers \
         else state.base_stream + state.iteration + 1
-    ens = simulate_ensemble(
-        cfg, coeffs, init, law=frozen(state.flow), stream=stream,
-        record_times=cfg.times(),
-    )
-    new_flow = MeasureFlow.from_ensemble(ens)
-    rho = rho_lambda(new_flow, state.flow, state.lam, cfg.hist)
+    ens = simulate_ensemble(cfg, coeffs, init, law=frozen(state.flow), stream=stream,
+                            record_times=cfg.times())
+    rho = rho_lambda(ens.flow, state.flow, state.lam, cfg.hist)
     return PicardState(
-        state.iteration + 1, new_flow, state.rho_history + [rho],
+        state.iteration + 1, ens.flow, state.rho_history + [rho],
         state.lam, state.common_random_numbers, state.base_stream,
     )
 
@@ -220,41 +189,31 @@ def girsanov_flow_bound(
     xi = drift_difference_xi(coeffs, delta_z2)
     if init is None:
         init = CloudInit(flow_nu.clouds[0])  # the two decoupled runs share one initial law
-    rec_idx = _resolve_record_indices(cfg, record_times)
-    rec_set = set(rec_idx.tolist())
+    rec_set = set(cfg.record_steps(record_times).tolist())
     h = cfg.h
 
     acc = GirsanovAccumulator(xi, cfg.N, h)
     a_int = np.zeros(cfg.N)  # int_0^t R_s |xi_s|^2 ds, left point
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    snapshots = []  # (log R_t, a_int at t) at each recorded step, in order
 
     def observe(k, t, x, y, dW):
         logw, sq = acc(k, t, x, y, dW)
         if k in rec_set:
-            snapshots[k] = (logw, a_int.copy())
+            snapshots.append((logw, a_int.copy()))
         if dW is not None:
             np.add(a_int, np.exp(logw) * sq * h, out=a_int)
 
-    ens_ref = simulate_ensemble(
-        cfg, coeffs, init, law=frozen(flow_nu), stream=streams[0],
-        record_times=record_times, observe=observe,
-    )
-    ens_tgt = simulate_ensemble(
-        cfg, coeffs, init, law=frozen(flow_mu), stream=streams[1], record_times=record_times,
-    )
-
-    times = rec_idx * h
-    tv = law_distances(ens_ref.records, ens_tgt.records, cfg.hist, V)
-    pinsker = np.empty(times.size)
-    xi_bound = np.empty(times.size)
-    for j, k in enumerate(rec_idx.tolist()):
-        logw, a_t = snapshots[k]
-        w = np.exp(logw)
-        pinsker[j] = math.sqrt(max(0.0, 2.0 * float(np.mean(w * logw))))
-        xi_bound[j] = math.sqrt(max(0.0, float(np.mean(a_t))))
-    floor = bootstrap_noise_floor(ens_ref.records[-1], cfg.hist, seed=cfg.seed)
+    ens_ref = simulate_ensemble(cfg, coeffs, init, law=frozen(flow_nu), stream=streams[0],
+                                record_times=record_times, observe=observe)
+    ens_tgt = simulate_ensemble(cfg, coeffs, init, law=frozen(flow_mu), stream=streams[1],
+                                record_times=record_times)
+    tv = law_distances(ens_ref.flow.clouds, ens_tgt.flow.clouds, cfg.hist, V)
+    pinsker = np.array([math.sqrt(max(0.0, 2.0 * float(np.mean(np.exp(lw) * lw))))
+                        for lw, _ in snapshots])
+    xi_bound = np.array([math.sqrt(max(0.0, float(np.mean(a)))) for _, a in snapshots])
+    floor = bootstrap_noise_floor(ens_ref.flow.clouds[-1], cfg.hist, seed=cfg.seed)
     ok = bool(np.all(tv <= pinsker + floor))
-    return FlowBoundReport(times, tv, pinsker, xi_bound, floor,
+    return FlowBoundReport(ens_ref.flow.times, tv, pinsker, xi_bound, floor,
                            "bound respected" if ok else "bound violated")
 
 

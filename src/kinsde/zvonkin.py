@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, EmpiricalLaw, SimConfig
+from kinsde.core import CoefficientSet, SimConfig
 from kinsde.ergodicity import bootstrap_noise_floor, law_distances
-from kinsde.integrators import simulate_ensemble
+from kinsde.integrators import alive_law, simulate_ensemble
 
 LAMBDA_CAP = float(2**40)
 
@@ -415,7 +415,7 @@ def equivalence_experiment(
         )
 
     law_a = ens_a.law()
-    law_b_back = EmpiricalLaw(ens_b.x[ens_b.alive], y_back[ens_b.alive])
+    law_b_back = alive_law(ens_b.x, y_back, ens_b.alive)
     tv = float(law_distances([law_a], [law_b_back], cfg.hist)[0])
     floor = bootstrap_noise_floor(law_a, cfg.hist, seed=cfg.seed)
     verdict = "equivalent" if tv < 3.0 * floor or tv == 0.0 else "inconclusive"

@@ -332,7 +332,7 @@ class TestCriterion9:
         ens = simulate_ensemble(cfg, co, DiracInit(PhaseState([3.0], [3.0])),
                                 stream=4, record_times=rec)
         curve = np.array([
-            empirical_v_distance(histogram_law(cl, cfg.hist), h_mu, V) for cl in ens.records
+            empirical_v_distance(histogram_law(cl, cfg.hist), h_mu, V) for cl in ens.flow.clouds
         ])
         fit = fit_h_envelope(rec, curve, phi, v0=V.value([3.0], [3.0]))
         ok = h_exact and roundtrip and fit.dominated

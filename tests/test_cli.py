@@ -30,6 +30,10 @@ hist.bins = 8
 """
 
 
+def file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def write_cfg(tmp_path, extra: str, name="run.cfg"):
     p = tmp_path / name
     p.write_text(BASE + extra)
@@ -122,7 +126,14 @@ class TestConfigHandling:
          ("ergodicity", "record.stop = -1.0\n", "no record time in [0, T = 0.5]"),
          ("ergodicity", "record.step = 0\n", "record.step must be greater than 0"),
          ("mkv-sweep", "record.step = -0.5\n", "record.step must be greater than 0"),
-         ("h-bound", "hbound.dt = 0\n", "hbound.dt must be greater than 0")],
+         ("h-bound", "hbound.dt = 0\n", "hbound.dt must be greater than 0"),
+         ("mkv-sweep", "h = 0.02\nrecord.step = 0.25\n",
+          "record.step = 0.25: record time 0.25 is off the step grid h = 0.02"),
+         ("ergodicity", "h = 0.02\nrecord.step = 0.25\n", "record.step = 0.25"),
+         ("ergodicity", "record.start = 0.005\n", "record.start = 0.005"),
+         ("ergodicity", "record.stop = 1.0\n", "record.stop = 1: record time"),
+         ("mkv-sweep", "record.stop = 3.0\nrecord.step = 0.1\n",
+          "record.stop = 3: record time 0.6 lies outside [0, T = 0.5]")],
     )
     def test_bad_run_value_exit_2_naming_key(self, tmp_path, monkeypatch, capsys,
                                              command, extra, message):
@@ -251,6 +262,18 @@ class TestErgodicity:
         assert text.startswith("# config_hash = ")
         assert text.splitlines()[1] == "t,distance,noise_floor"
         assert "\r" not in text and "," in text.splitlines()[2]
+        # captured while off-grid record times were still rounded to a step
+        assert file_sha256(tmp_path / "distances.csv") == (
+            "2a94a6539c0e1e0e70f0a0dbef364d206b6ab05d0b69948bb34012b0894aee6a")
+
+    def test_default_record_step_is_whole_steps(self, tmp_path):
+        # (stop - start) / 16 = 0.125 is 6.25 steps of h = 0.02: the default
+        # step is 6 steps, so every record time is a grid time
+        cfg = write_cfg(tmp_path, "T = 2.0\nh = 0.02\ndrift = scalar_ou\n"
+                                  "init.a = (0.0, 2.0)\ninit.b = (0.0, -2.0)\n")
+        assert main(["ergodicity", str(cfg), "--out", str(tmp_path)]) == 0
+        t = np.loadtxt(tmp_path / "distances.csv", delimiter=",", skiprows=2)[:, 0]
+        assert t.tobytes() == (np.arange(0, 101, 6) * 0.02).tobytes()
 
 
 class TestLyapunovCheck:
@@ -408,20 +431,26 @@ class TestOtherSubcommands:
             a.tobytes() for a in (transformed.x, transformed.y, transformed.alive))).hexdigest()
         assert digests == self.ZVONKIN_SHA256
 
+    SWEEP_SHA256 = {
+        "sweep_tv_0.csv": "847c3a7955a8fb0615aaa9a11328444a778862e1e31dbdbcfa2c0de03b36c52d",
+        "sweep_tv_0.2.csv": "a60197f688325864a6febcc27659b6bbcb049509766b71da9605953033ea9fbd",
+    }
+
     def test_mkv_sweep_outputs(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             "T = 2.0\nh = 0.02\nN = 1000\nseed = 11\nhist.min = -8.0\nhist.max = 8.0\n"
             "hist.bins = 8\ndrift = confining\nc2 = 1.0\nkernel = tanh_y\n"
             "sweep.kappas = [0.0, 0.2]\ninit.a = (2.0, 2.0)\ninit.b = (-2.0, -2.0)\n"
-            "record.step = 0.25\nfit.from = 0.5\n"
+            "record.step = 0.2\nfit.from = 0.5\n"
         )
         rc = main(["mkv-sweep", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
         rep = json.loads((tmp_path / "sweep.json").read_text())
         assert {e["kappa"] for e in rep["entries"]} == {0.0, 0.2}
-        assert (tmp_path / "sweep_tv_0.csv").exists()
-        assert (tmp_path / "sweep_tv_0.2.csv").exists()
+        # captured while off-grid record times were still rounded to a step
+        assert {name: file_sha256(tmp_path / name) for name in self.SWEEP_SHA256} == \
+            self.SWEEP_SHA256
 
     def test_store_increments_in_snapshot(self, tmp_path):
         cfg = write_cfg(tmp_path, "drift = scalar_ou\nstore_increments = True\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from kinsde.cli import ConfigError, _parse_config, _sim_config
 from kinsde.core import (
     AdmissiblePair,
     EmpiricalLaw,
+    MeasureFlow,
     NormDivergedError,
     PhaseState,
     SimConfig,
@@ -111,6 +114,59 @@ class TestValidateConfig:
         assert any("tamed" in b for b in validate_config(cfg, co))
         cfg2 = SimConfig(T=1.0, h=0.1, N=10, seed=0, scheme="tamed")
         assert validate_config(cfg2, co) == []
+
+
+class TestRecordSteps:
+    def test_sorted_unique_steps(self):
+        cfg = SimConfig(T=1.0, h=0.01, N=1, seed=0)
+        steps = cfg.record_steps([1.0, 0.0, 0.5, 0.5, 0.30000000000000004])
+        assert steps.tolist() == [0, 30, 50, 100]
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.25], "0.25 is off the step grid h = 0.02"),
+        ([0.0, 0.01], "0.01 is off the step grid"),
+        ([2.0 + 0.02], "outside [0, T = 2.0]"),
+        ([-0.02], "outside [0, T = 2.0]"),
+        ([np.nan], "outside"),
+    ])
+    def test_off_grid_or_out_of_range_raises(self, times, message):
+        cfg = SimConfig(T=2.0, h=0.02, N=1, seed=0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cfg.record_steps(times)
+
+    @pytest.mark.parametrize("rel, on_grid", [(5e-10, True), (-5e-10, True),
+                                              (2e-9, False), (-2e-9, False)])
+    def test_one_tolerance_for_horizon_and_record_times(self, rel, on_grid):
+        # t / h = 100 (1 + rel): within 1e-9 relative of a whole step or not,
+        # for the horizon T as for a record time
+        t = 1.0 * (1.0 + rel)
+        bad = validate_config(SimConfig(T=t, h=0.01, N=1, seed=0), linear_langevin_coefficients())
+        assert (bad == []) == on_grid
+        cfg = SimConfig(T=1.0, h=0.01, N=1, seed=0)
+        if on_grid:
+            assert cfg.record_steps([t]).tolist() == [100]
+        else:
+            with pytest.raises(ValueError, match="off the step grid"):
+                cfg.record_steps([t])
+
+
+class TestMeasureFlow:
+    CLOUDS = [EmpiricalLaw(np.full((1, 1), v), np.zeros((1, 1))) for v in (0.0, 1.0, 2.0)]
+
+    def test_law_at_recorded_time(self):
+        flow = MeasureFlow(np.array([0.0, 0.5, 1.0]), self.CLOUDS)
+        assert [flow.law_at(t) for t in (0.0, 0.5, 1.0)] == self.CLOUDS
+
+    @pytest.mark.parametrize("t", [0.4, 0.5 + 1e-12, 1.5, -0.5])
+    def test_law_at_other_time_raises(self, t):
+        flow = MeasureFlow(np.array([0.0, 0.5, 1.0]), self.CLOUDS)
+        with pytest.raises(ValueError, match="no law at t"):
+            flow.law_at(t)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0, 1.0], [0.0, 1.0, 0.5], [0.0, np.nan, 1.0]])
+    def test_times_must_increase_strictly(self, times):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            MeasureFlow(np.array(times), self.CLOUDS)
 
 
 class TestEmpiricalLaw:

@@ -1,7 +1,10 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinsde.core import DiracInit, PhaseState, SimConfig
 from kinsde.fields import (
@@ -182,8 +185,28 @@ class TestEnsemble:
         cfg = SimConfig(T=1.0, h=0.1, N=16, seed=6)
         ens = simulate_ensemble(cfg, scalar_ou_coefficients(1.0), ORIGIN,
                                 record_times=[0.0, 0.5, 1.0])
-        assert np.allclose(ens.record_times, [0.0, 0.5, 1.0])
-        assert len(ens.records) == 3
+        assert np.allclose(ens.flow.times, [0.0, 0.5, 1.0])
+        assert len(ens.flow.clouds) == 3
+
+    @pytest.mark.parametrize("times, message", [([0.25], "off the step grid"),
+                                                ([2.0 + 0.02], "outside [0, T")])
+    def test_record_time_off_grid_or_past_horizon_raises(self, times, message):
+        cfg = SimConfig(T=2.0, h=0.02, N=4, seed=6)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_ensemble(cfg, zero_coefficients(), ORIGIN, record_times=times)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-3, 0.5), st.integers(1, 40), st.data())
+    def test_record_steps_are_the_flow_steps(self, h, K, data):
+        steps = np.array(data.draw(st.lists(st.integers(0, K), min_size=1, max_size=12)))
+        cfg = SimConfig(T=K * h, h=h, N=2, seed=1)
+        assert np.array_equal(cfg.record_steps(steps * h), np.unique(steps))
+        ens = simulate_ensemble(cfg, zero_coefficients(), ORIGIN, record_times=steps * h)
+        assert ens.flow.times.tobytes() == (np.unique(steps) * h).tobytes()
+        with pytest.raises(ValueError, match="off the step grid"):
+            cfg.record_steps(steps * h + h / 2)
+        with pytest.raises(ValueError, match="outside"):
+            cfg.record_steps([(K + 1) * h])
 
 
 class TestInitialLaws:

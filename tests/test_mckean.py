@@ -10,11 +10,13 @@ from kinsde.fields import (
     MeanFieldKernel,
     build_coefficients,
     confining_coefficients,
+    zero_coefficients,
 )
 from kinsde.integrators import simulate_ensemble
 from kinsde.mckean import (
     MeasureFlow,
     constant_flow,
+    frozen,
     girsanov_flow_bound,
     particle_system_run,
     picard_fixed_point,
@@ -97,6 +99,26 @@ class TestMeasureFlowAndRho:
         b = MeasureFlow(np.array([0.0, 2.0]), [base, base])
         with pytest.raises(ValueError, match="grids"):
             rho_lambda(a, b, 1.0, HIST)
+
+
+class TestFrozenFlow:
+    def test_flow_missing_a_step_time_raises(self):
+        # a flow recorded only at t = 1.0 cannot stand in for the law at t = 0
+        cfg = SimConfig(T=1.0, h=0.1, N=8, seed=5, hist=HIST)
+        flow = atom_flow(1.0, 1.0, [1.0])
+        with pytest.raises(ValueError, match="no law at t = 0.0"):
+            simulate_ensemble(cfg, coeffs_with(0.2), INIT, law=frozen(flow))
+
+    @pytest.mark.parametrize("n", [3, 7, 10, 20, 30, 50, 100, 128, 300, 1000])
+    def test_step_times_are_the_recorded_times_bit_for_bit(self, n):
+        # every t = k h the loop passes is found in a flow recorded at cfg.times()
+        cfg = SimConfig(T=1.0, h=1.0 / n, N=1, seed=5, hist=HIST)
+        seen = []
+        ens = simulate_ensemble(cfg, zero_coefficients(), INIT, record_times=cfg.times(),
+                                law=frozen(atom_flow(0.0, 0.0, cfg.times())),
+                                observe=lambda k, t, *_: seen.append(t))
+        assert ens.flow.times.tobytes() == cfg.times().tobytes()
+        assert seen == ens.flow.times.tolist()
 
 
 class TestParticleSystem:
@@ -251,7 +273,8 @@ class TestSweep:
         cfg = SimConfig(T=2.0, h=0.02, N=1500, seed=5, hist=HIST)
         res = uniform_ergodicity_sweep(
             cfg, coeffs_with, [0.0, 0.2], INIT, INIT,
-            record_times=np.arange(0.0, 2.01, 0.25),
+            # the steps recorded at h = 0.02 when off-grid times were rounded
+            record_times=np.array([0, 12, 25, 38, 50, 62, 75, 88, 100]) * 0.02,
         )
         for e in res.entries:
             assert np.all(e.tv[1:] <= 2.5 * e.noise_floor)

@@ -143,7 +143,7 @@ class TestDeathMask:
 
     def test_dead_rows_leave_the_law_and_records(self):
         ens = death_run(record_times=[0.0, 0.15, 0.5])
-        assert [law.n for law in ens.records] == [300, 297, 293]
+        assert [law.n for law in ens.flow.clouds] == [300, 297, 293]
         assert ens.law().n == 293
 
     @pytest.mark.parametrize("coord", ["x", "y"])
