@@ -30,9 +30,10 @@ from kinsde.core import (
     PhaseState,
     SimConfig,
     localized_lpq_norm,
+    off_grid,
     AdmissiblePair,
 )
-from kinsde.ergodicity import NumericCheckError, fit_exponential_decay, h_envelope, tv_decay_experiment
+from kinsde.ergodicity import NumericCheckError, TVDecaySeries, h_envelope, tv_decay_experiment
 from kinsde.fields import (
     ConfiningDrift,
     LyapunovV,
@@ -90,6 +91,7 @@ class NumericFailure(RuntimeError):
 def _parse_config(text: str) -> dict:
     """Parse and validate keys, reporting the offending line verbatim."""
     out: dict = {}
+    line_of: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,6 +101,9 @@ def _parse_config(text: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key in config: {raw}")
+        if key in line_of:
+            raise ConfigError(f"line {lineno}: key {key} repeats line {line_of[key]}: {raw}")
+        line_of[key] = lineno
         try:
             out[key] = ast.literal_eval(val)
         except (SyntaxError, ValueError):
@@ -278,6 +283,13 @@ def write_csv(path: Path, header: list[str], rows, chash: str):
             fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
+def _write_series(path: Path, series: TVDecaySeries, man: Manifest):
+    """The distances of a two-law comparison, one row per time, with its noise floor."""
+    write_csv(path, ["t", "distance", "noise_floor"],
+              [(t, d, series.noise_floor) for t, d in zip(series.times, series.tv)], man.chash)
+    man.add(path)
+
+
 def _fmt_cell(v) -> str:
     if isinstance(v, float) or isinstance(v, np.floating):
         return format(float(v), ".17g")
@@ -358,27 +370,21 @@ def cmd_simulate(kv, cfg, out, man):
 
 def cmd_ergodicity(kv, cfg, out, man, replay: Path | None = None):
     if replay is not None:
-        rows = np.loadtxt(replay, delimiter=",", comments="#", skiprows=_csv_skip(replay))
-        times, tv = rows[:, 0], rows[:, 1]
-        floor = float(rows[0, 2]) if rows.shape[1] > 2 else 0.0
+        rows = np.loadtxt(replay, delimiter=",", skiprows=_csv_skip(replay), ndmin=2)
+        series = TVDecaySeries(rows[:, 0], rows[:, 1],
+                               float(rows[0, 2]) if rows.shape[1] > 2 else 0.0)
     else:
         coeffs = _build_coefficients(kv, cfg)
         series = tv_decay_experiment(
             cfg, coeffs, _build_init(kv, "init.a", cfg), _build_init(kv, "init.b", cfg),
             _record_times(kv, cfg),
         )
-        times, tv, floor = series.times, series.tv, series.noise_floor
-    fit_from = _real("fit.from", kv.get("fit.from", 0.0))
-    mask = times >= fit_from
-    fit = fit_exponential_decay(times[mask], tv[mask], noise_floor=floor)
-    csv = out / "distances.csv"
-    write_csv(csv, ["t", "distance", "noise_floor"],
-              [(t, d, floor) for t, d in zip(times, tv)], man.chash)
-    man.add(csv)
+    fit = series.fit(_real("fit.from", kv.get("fit.from", 0.0)))
+    _write_series(out / "distances.csv", series, man)
     js = out / "fit.json"
     write_json(js, {
-        "lambda_hat": fit.lam, "prefactor": fit.prefactor, "r2": fit.r2,
-        "verdict": fit.verdict, "noise_floor": floor, "n_points_used": int(np.sum(fit.used)),
+        "lambda_hat": fit.lam, "prefactor": fit.prefactor, "r2": fit.r2, "verdict": fit.verdict,
+        "noise_floor": series.noise_floor, "n_points_used": int(np.sum(fit.used)),
     }, man.chash)
     man.add(js)
 
@@ -527,13 +533,10 @@ def cmd_mkv_sweep(kv, cfg, out, man):
     )
     summary = []
     for e in res.entries:
-        csv = out / f"sweep_tv_{e.kappa:g}.csv"
-        write_csv(csv, ["t", "distance", "noise_floor"],
-                  [(t, d, e.noise_floor) for t, d in zip(e.times, e.tv)], man.chash)
-        man.add(csv)
+        _write_series(out / f"sweep_tv_{e.kappa:g}.csv", e.series, man)
         summary.append({
             "kappa": e.kappa, "lambda_hat": e.fit.lam, "r2": e.fit.r2,
-            "verdict": e.fit.verdict, "noise_floor": e.noise_floor,
+            "verdict": e.fit.verdict, "noise_floor": e.series.noise_floor,
         })
     js = out / "sweep.json"
     write_json(js, {"entries": summary, "kappa_star": res.kappa_star}, man.chash)
@@ -549,7 +552,11 @@ def cmd_h_bound(kv, cfg, out, man):
     lam = _real("hbound.lam", kv.get("hbound.lam", 1.0))
     tmax = _real("hbound.tmax", kv.get("hbound.tmax", 8.0))
     dt = _positive("hbound.dt", kv.get("hbound.dt", 0.25))
-    times = np.round(np.arange(0.0, tmax + dt / 2, dt), 12)
+    n = tmax / dt
+    if not 0.0 <= n < math.inf or off_grid(n):
+        raise ConfigError(f"hbound.tmax = {tmax:g} must be 0 or a whole multiple "
+                          f"of hbound.dt = {dt:g}")
+    times = np.arange(round(n) + 1) * dt
     env = h_envelope(phi, v0, k, lam, times)
     csv = out / "envelope.csv"
     write_csv(csv, ["t", "envelope"], zip(times, env), man.chash)

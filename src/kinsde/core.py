@@ -180,7 +180,7 @@ class SimConfig:
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         steps = np.round(times / self.h)
-        for t, off, k in zip(times.tolist(), _off_grid(times / self.h), steps.tolist()):
+        for t, off, k in zip(times.tolist(), off_grid(times / self.h), steps.tolist()):
             if off or not 0 <= k <= self.n_steps:
                 raise ValueError(f"record time {t:.12g} " + (
                     f"is off the step grid h = {self.h!r}" if off
@@ -188,7 +188,7 @@ class SimConfig:
         return np.unique(steps.astype(int))
 
 
-def _off_grid(ratio):
+def off_grid(ratio):
     """Whether t / h is farther from a whole number than rounding explains."""
     return np.abs(ratio - np.round(ratio)) > 1e-9 * np.maximum(1.0, ratio)
 
@@ -347,7 +347,7 @@ def validate_config(
     if cfg.T < cfg.h:
         bad.append(f"horizon T = {cfg.T} shorter than one step h = {cfg.h}")
     k = cfg.T / cfg.h
-    if _off_grid(k):
+    if off_grid(k):
         bad.append(f"T/h = {k!r} is not integral within rounding tolerance")
     if np.any(cfg.hist.bins < 2):
         bad.append("histogram needs at least 2 bins per axis")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, EmpiricalLaw, HistogramSpec, SimConfig
+from kinsde.core import CoefficientSet, EmpiricalLaw, HistogramSpec, MeasureFlow, SimConfig
 from kinsde.fields import LyapunovV, PhiFamily
 from kinsde.integrators import bootstrap_rng, simulate_ensemble
 
@@ -119,9 +119,6 @@ def bootstrap_noise_floor(
 
 @dataclass(frozen=True)
 class DecayFit:
-    times: np.ndarray
-    distances: np.ndarray
-    noise_floor: float
     used: np.ndarray
     lam: float
     prefactor: float
@@ -139,8 +136,7 @@ def fit_exponential_decay(
     distances = np.asarray(distances, dtype=float)
     used = (distances > noise_floor) & (distances > 0.0) & np.isfinite(distances)
     if np.count_nonzero(used) < 4:
-        return DecayFit(times, distances, noise_floor, used,
-                        math.nan, math.nan, math.nan, "insufficient signal")
+        return DecayFit(used, math.nan, math.nan, math.nan, "insufficient signal")
     t = times[used]
     logd = np.log(distances[used])
     slope, intercept = np.polyfit(t, logd, 1)
@@ -150,16 +146,29 @@ def fit_exponential_decay(
     r2 = 1.0 if ss_tot < 1e-30 and ss_res < 1e-30 else (1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
     lam = -float(slope)
     verdict = "decay confirmed" if (lam > 0.0 and r2 > 0.9) else "no decay"
-    return DecayFit(times, distances, noise_floor, used, lam, float(np.exp(intercept)), r2, verdict)
+    return DecayFit(used, lam, float(np.exp(intercept)), r2, verdict)
 
 
-# --- two-flow decay experiment ----------------------------------------------------
+# --- comparing two law series -----------------------------------------------------
 
 @dataclass(frozen=True)
 class TVDecaySeries:
     times: np.ndarray
     tv: np.ndarray
     noise_floor: float
+
+    def fit(self, fit_from: float = 0.0) -> DecayFit:
+        """Exponential decay fit of the distances at times >= ``fit_from``, above the floor."""
+        window = self.times >= fit_from
+        return fit_exponential_decay(self.times[window], self.tv[window], self.noise_floor)
+
+
+def compare_flows(a: MeasureFlow, b: MeasureFlow, spec: HistogramSpec, floor_seed: int,
+                  V: LyapunovV | None = None) -> TVDecaySeries:
+    """:func:`law_distances` of two flows recorded at the same times, read against
+    the bootstrap noise floor of ``a``'s last cloud at ``floor_seed``."""
+    tv = law_distances(a.clouds, b.clouds, spec, V)
+    return TVDecaySeries(a.times, tv, bootstrap_noise_floor(a.clouds[-1], spec, seed=floor_seed))
 
 
 def tv_decay_experiment(
@@ -176,9 +185,7 @@ def tv_decay_experiment(
     """
     ens_a = simulate_ensemble(cfg, coeffs, init_a, stream=1, record_times=record_times)
     ens_b = simulate_ensemble(cfg, coeffs, init_b, stream=2, record_times=record_times)
-    tv = law_distances(ens_a.flow.clouds, ens_b.flow.clouds, cfg.hist)
-    floor = bootstrap_noise_floor(ens_a.flow.clouds[-1], cfg.hist, seed=cfg.seed)
-    return TVDecaySeries(ens_a.flow.times, tv, floor)
+    return compare_flows(ens_a.flow, ens_b.flow, cfg.hist, cfg.seed)
 
 
 # --- H-transform envelope (integrated rate function) ------------------------------

@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from kinsde.core import CloudInit, CoefficientSet, EmpiricalLaw, MeasureFlow, SimConfig
-from kinsde.ergodicity import DecayFit, bootstrap_noise_floor, fit_exponential_decay, law_distances
+from kinsde.ergodicity import (DecayFit, TVDecaySeries, bootstrap_noise_floor, compare_flows,
+                               law_distances)
 from kinsde.integrators import (
     Ensemble,
     GirsanovAccumulator,
@@ -207,13 +208,12 @@ def girsanov_flow_bound(
                                 record_times=record_times, observe=observe)
     ens_tgt = simulate_ensemble(cfg, coeffs, init, law=frozen(flow_mu), stream=streams[1],
                                 record_times=record_times)
-    tv = law_distances(ens_ref.flow.clouds, ens_tgt.flow.clouds, cfg.hist, V)
+    series = compare_flows(ens_ref.flow, ens_tgt.flow, cfg.hist, cfg.seed, V)
     pinsker = np.array([math.sqrt(max(0.0, 2.0 * float(np.mean(np.exp(lw) * lw))))
                         for lw, _ in snapshots])
     xi_bound = np.array([math.sqrt(max(0.0, float(np.mean(a)))) for _, a in snapshots])
-    floor = bootstrap_noise_floor(ens_ref.flow.clouds[-1], cfg.hist, seed=cfg.seed)
-    ok = bool(np.all(tv <= pinsker + floor))
-    return FlowBoundReport(ens_ref.flow.times, tv, pinsker, xi_bound, floor,
+    ok = bool(np.all(series.tv <= pinsker + series.noise_floor))
+    return FlowBoundReport(series.times, series.tv, pinsker, xi_bound, series.noise_floor,
                            "bound respected" if ok else "bound violated")
 
 
@@ -222,10 +222,8 @@ def girsanov_flow_bound(
 @dataclass(frozen=True)
 class SweepEntry:
     kappa: float
+    series: TVDecaySeries
     fit: DecayFit
-    noise_floor: float
-    times: np.ndarray
-    tv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -261,10 +259,7 @@ def uniform_ergodicity_sweep(
         coeffs = coeffs_factory(kappa)
         flow_a, _ = particle_system_run(cfg, coeffs, init_a, record_times, stream=40 + 2 * i)
         flow_b, _ = particle_system_run(cfg, coeffs, init_b, record_times, stream=41 + 2 * i)
-        tv = law_distances(flow_a.clouds, flow_b.clouds, cfg.hist)
-        floor = bootstrap_noise_floor(flow_a.clouds[-1], cfg.hist, seed=cfg.seed + i)
-        window = flow_a.times >= fit_from
-        fit = fit_exponential_decay(flow_a.times[window], tv[window], noise_floor=floor)
-        entries.append(SweepEntry(kappa, fit, floor, flow_a.times, tv))
+        series = compare_flows(flow_a, flow_b, cfg.hist, cfg.seed + i)
+        entries.append(SweepEntry(kappa, series, series.fit(fit_from)))
     confirmed = [e.kappa for e in entries if e.fit.verdict == "decay confirmed"]
     return SweepResult(entries, max(confirmed) if confirmed else None)

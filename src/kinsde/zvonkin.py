@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, SimConfig
-from kinsde.ergodicity import bootstrap_noise_floor, law_distances
+from kinsde.core import CoefficientSet, MeasureFlow, SimConfig
+from kinsde.ergodicity import compare_flows
 from kinsde.integrators import alive_law, simulate_ensemble
 
 LAMBDA_CAP = float(2**40)
@@ -404,7 +404,7 @@ def equivalence_experiment(
     hits: list = []
     transformed = transform_coefficients(sol, coeffs, clamp=True, out_hits=hits)
 
-    ens_a = simulate_ensemble(cfg, coeffs, init, stream=stream)
+    ens_a = simulate_ensemble(cfg, coeffs, init, stream=stream, record_times=[cfg.T])
     ens_b = simulate_ensemble(cfg, transformed, _TransformedInit(init, sol), stream=stream)
 
     y_back = sol.theta_inv(ens_b.y[:, 0], clamp=True, hits=hits)[:, None]
@@ -414,10 +414,9 @@ def equivalence_experiment(
             f"experiment aborted: {out_frac:.2%} out-of-domain transform hits; enlarge L"
         )
 
-    law_a = ens_a.law()
-    law_b_back = alive_law(ens_b.x, y_back, ens_b.alive)
-    tv = float(law_distances([law_a], [law_b_back], cfg.hist)[0])
-    floor = bootstrap_noise_floor(law_a, cfg.hist, seed=cfg.seed)
+    back = MeasureFlow(ens_a.flow.times, [alive_law(ens_b.x, y_back, ens_b.alive)])
+    series = compare_flows(ens_a.flow, back, cfg.hist, cfg.seed)
+    tv, floor = float(series.tv[0]), series.noise_floor
     verdict = "equivalent" if tv < 3.0 * floor or tv == 0.0 else "inconclusive"
     return EquivalenceReport(
         tv=tv, noise_floor=floor, out_of_domain_fraction=out_frac, verdict=verdict,

@@ -35,8 +35,13 @@ def file_sha256(path: Path) -> str:
 
 
 def write_cfg(tmp_path, extra: str, name="run.cfg"):
+    """BASE with ``extra`` appended; a key that ``extra`` sets is dropped from
+    BASE, since a config may not repeat a key."""
+    keys = {line.split("=")[0].strip() for line in extra.splitlines() if "=" in line}
+    base = "".join(line for line in BASE.splitlines(keepends=True)
+                   if line.split("=")[0].strip() not in keys)
     p = tmp_path / name
-    p.write_text(BASE + extra)
+    p.write_text(base + extra)
     return p
 
 
@@ -52,6 +57,20 @@ class TestConfigHandling:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("T = 1.0\nh 0.1\nN = 5\n")
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("T = 0.5\nh = 0.01\nN = 5\nseed = 1\nseed = 2\n",
+          "line 5: key seed repeats line 4: seed = 2"),
+         ("drift = zero\nT = 0.5\nh = 0.01\n# a comment\nN = 5\n  drift = zero  # same value\n",
+          "line 6: key drift repeats line 1")],
+    )
+    def test_repeated_key_exit_2_naming_both_lines(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(text)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
@@ -127,6 +146,11 @@ class TestConfigHandling:
          ("ergodicity", "record.step = 0\n", "record.step must be greater than 0"),
          ("mkv-sweep", "record.step = -0.5\n", "record.step must be greater than 0"),
          ("h-bound", "hbound.dt = 0\n", "hbound.dt must be greater than 0"),
+         ("h-bound", "hbound.tmax = 8.2\n",
+          "hbound.tmax = 8.2 must be 0 or a whole multiple of hbound.dt = 0.25"),
+         ("h-bound", "hbound.tmax = -0.5\n", "hbound.tmax = -0.5 must be 0"),
+         ("h-bound", "hbound.tmax = 'inf'\n", "hbound.tmax = inf must be 0"),
+         ("h-bound", "hbound.tmax = 'nan'\n", "hbound.tmax = nan must be 0"),
          ("mkv-sweep", "h = 0.02\nrecord.step = 0.25\n",
           "record.step = 0.25: record time 0.25 is off the step grid h = 0.02"),
          ("ergodicity", "h = 0.02\nrecord.step = 0.25\n", "record.step = 0.25"),
@@ -265,6 +289,33 @@ class TestErgodicity:
         # captured while off-grid record times were still rounded to a step
         assert file_sha256(tmp_path / "distances.csv") == (
             "2a94a6539c0e1e0e70f0a0dbef364d206b6ab05d0b69948bb34012b0894aee6a")
+        # captured before the fit window moved onto TVDecaySeries.fit
+        assert file_sha256(tmp_path / "fit.json") == (
+            "d723e1d4d4caa83fff78e1be01cb752c92f3764049be9c4af0d5e1a218c0bb54")
+
+    def test_replay_single_row(self, tmp_path):
+        # one data row is read as one row, not as a flat array of its cells
+        series = tmp_path / "series.csv"
+        series.write_text("t,distance,noise_floor\n0.5,0.25,0.125\n")
+        cfg = write_cfg(tmp_path, "drift = scalar_ou\n")
+        assert main(["ergodicity", str(cfg), "--out", str(tmp_path / "o"),
+                     "--replay", str(series)]) == 0
+        fit = json.loads((tmp_path / "o" / "fit.json").read_text())
+        assert fit["verdict"] == "insufficient signal" and fit["noise_floor"] == 0.125
+
+    def test_replay_rewrites_live_outputs(self, tmp_path):
+        # the replay reads the series back from distances.csv, fits it over the
+        # same fit.from window and writes both files again byte for byte
+        cfg = write_cfg(tmp_path, "T = 2.0\nN = 2000\ndrift = scalar_ou\n"
+                                  "init.a = (0.0, 2.0)\ninit.b = (0.0, -2.0)\n"
+                                  "record.step = 0.1\nfit.from = 0.3\n")
+        live, replay = tmp_path / "live", tmp_path / "replay"
+        assert main(["ergodicity", str(cfg), "--out", str(live)]) == 0
+        assert json.loads((live / "fit.json").read_text())["verdict"] == "decay confirmed"
+        assert main(["ergodicity", str(cfg), "--out", str(replay),
+                     "--replay", str(live / "distances.csv")]) == 0
+        for name in ("distances.csv", "fit.json"):
+            assert (replay / name).read_bytes() == (live / name).read_bytes(), name
 
     def test_default_record_step_is_whole_steps(self, tmp_path):
         # (stop - start) / 16 = 0.125 is 6.25 steps of h = 0.02: the default
@@ -319,6 +370,14 @@ class TestOtherSubcommands:
         assert rows[1] == "t,envelope"
         first = float(rows[2].split(",")[1])
         assert first == pytest.approx(2.0 * 5.0)
+
+    @pytest.mark.parametrize("tmax, dt, n", [(0.3, 0.1, 3), (0.0, 0.25, 0), (1.0, 0.1, 10)])
+    def test_h_bound_times_are_whole_steps(self, tmp_path, tmax, dt, n):
+        # tmax / dt within rounding of a whole number n gives the times k dt, k = 0..n
+        cfg = write_cfg(tmp_path, f"hbound.tmax = {tmax}\nhbound.dt = {dt}\n")
+        assert main(["h-bound", str(cfg), "--out", str(tmp_path)]) == 0
+        t = np.loadtxt(tmp_path / "envelope.csv", delimiter=",", skiprows=2, ndmin=2)[:, 0]
+        assert t.tobytes() == (np.arange(n + 1) * dt).tobytes()
 
     def test_h_bound_large_v0_starts_at_k_one_plus_v0(self, tmp_path):
         # quad over [0, 1e6] once returned H(1e6) ~ 0 here and the envelope started at 4
@@ -434,6 +493,8 @@ class TestOtherSubcommands:
     SWEEP_SHA256 = {
         "sweep_tv_0.csv": "847c3a7955a8fb0615aaa9a11328444a778862e1e31dbdbcfa2c0de03b36c52d",
         "sweep_tv_0.2.csv": "a60197f688325864a6febcc27659b6bbcb049509766b71da9605953033ea9fbd",
+        # captured before SweepEntry stopped copying its series' fields
+        "sweep.json": "7f6bc6f7d0ca9efd9bae8fdbf3dee02b78ce714bd38a0fbe254386eef1c47e4b",
     }
 
     def test_mkv_sweep_outputs(self, tmp_path):

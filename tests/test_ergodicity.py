@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, PhaseState, SimConfig
+from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, MeasureFlow, PhaseState, SimConfig
 from kinsde.ergodicity import (
     HistogramLaw,
     HTransform,
     NumericCheckError,
+    TVDecaySeries,
     bootstrap_noise_floor,
+    compare_flows,
     empirical_v_distance,
     empirical_var_distance,
     fit_exponential_decay,
@@ -167,6 +169,46 @@ class TestLawDistances:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="length"):
             law_distances([_law(rng, 5)], [_law(rng, 5), _law(rng, 5)], SPEC2)
+
+
+_GRID_TIMES = st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True).map(
+    lambda ks: np.array(sorted(ks)) * 0.25
+)
+
+
+def _same_fit(a, b):
+    assert np.array_equal(a.used, b.used) and a.verdict == b.verdict
+    assert np.array_equal([a.lam, a.prefactor, a.r2], [b.lam, b.prefactor, b.r2],
+                          equal_nan=True)
+
+
+class TestCompareFlows:
+    @settings(max_examples=25, deadline=None)
+    @given(_SERIES_PAIR, st.integers(0, 10**6))
+    def test_distances_and_floor(self, pair, seed):
+        a, b = (MeasureFlow(np.arange(len(clouds)) * 0.5, clouds) for clouds in pair)
+        s = compare_flows(a, b, SPEC2, seed)
+        assert np.array_equal(s.times, a.times)
+        assert np.all(compare_flows(a, a, SPEC2, seed).tv == 0.0)
+        assert np.array_equal(s.tv, compare_flows(b, a, SPEC2, seed).tv)
+        assert s.noise_floor == bootstrap_noise_floor(a.clouds[-1], SPEC2, seed=seed)
+        weighted = compare_flows(a, b, SPEC2, seed, LyapunovV(0.5, 1, 1))
+        assert np.all(weighted.tv >= s.tv)  # V >= 1
+        assert weighted.noise_floor == s.noise_floor
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_fit_is_the_windowed_decay_fit(self, data):
+        times = data.draw(_GRID_TIMES)
+        tv = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=times.size,
+                                         max_size=times.size)))
+        floor = data.draw(st.floats(0.0, 0.5))
+        fit_from = data.draw(st.floats(-1.0, 11.0))
+        series = TVDecaySeries(times, tv, floor)
+        window = times >= fit_from
+        _same_fit(series.fit(fit_from), fit_exponential_decay(times[window], tv[window], floor))
+        _same_fit(series.fit(), fit_exponential_decay(times, tv, floor))
+        assert series.fit(times[-1] + 0.25).verdict == "insufficient signal"
 
 
 class TestVDistance:

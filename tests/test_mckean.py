@@ -277,5 +277,5 @@ class TestSweep:
             record_times=np.array([0, 12, 25, 38, 50, 62, 75, 88, 100]) * 0.02,
         )
         for e in res.entries:
-            assert np.all(e.tv[1:] <= 2.5 * e.noise_floor)
+            assert np.all(e.series.tv[1:] <= 2.5 * e.series.noise_floor)
             assert e.fit.verdict in ("insufficient signal", "no decay")
