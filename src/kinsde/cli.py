@@ -6,13 +6,15 @@ rerunning from the same config reproduces all numeric
 outputs bit-exactly on one machine.  All randomness flows from the single
 seed in the config; there are no hidden entropy sources.
 
-Exit codes: 0 success, 2 validation failure, 3 numeric failure.
+Exit codes: 0 success, 2 refused input (``InputError``), 3 numeric failure
+(``NumericError``).  Any other exception is a bug and escapes with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,36 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from kinsde import __version__
-from kinsde.core import (
-    DiracInit,
-    HistogramSpec,
-    PhaseState,
-    SimConfig,
-    localized_lpq_norm,
-    off_grid,
-    AdmissiblePair,
-)
-from kinsde.ergodicity import NumericCheckError, TVDecaySeries, h_envelope, tv_decay_experiment
-from kinsde.fields import (
-    ConfiningDrift,
-    LyapunovV,
-    MeanFieldKernel,
-    PhiFamily,
-    RieszDrift,
-    bounded_sine_perturbation,
-    confining_coefficients,
-    linear_langevin_coefficients,
-    scalar_ou_coefficients,
-    zero_coefficients,
-)
+from kinsde.core import (AdmissiblePair, DiracInit, HistogramSpec, InputError, NumericError,
+                         PhaseState, SimConfig, localized_lpq_norm, off_grid)
+from kinsde.ergodicity import TVDecaySeries, h_envelope, tv_decay_experiment
+from kinsde.fields import (ConfiningDrift, LyapunovV, MeanFieldKernel, PhiFamily, RieszDrift,
+                           bounded_sine_perturbation, confining_coefficients,
+                           linear_langevin_coefficients, scalar_ou_coefficients, zero_coefficients)
 from kinsde.integrators import khasminskii_estimate, save_snapshot, simulate_ensemble
 from kinsde.lyapunov import CertificationError, LogRadialSamples, check_drift_condition, search_constants
 from kinsde.mckean import picard_fixed_point, uniform_ergodicity_sweep
-from kinsde.zvonkin import (
-    OutOfTransformDomainError,
-    SmallnessNotAchievedError,
-    equivalence_experiment,
-)
+from kinsde.zvonkin import equivalence_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -80,14 +62,6 @@ _MODULE_KEYS = {
 KNOWN_KEYS = _CORE_KEYS | _FIELD_KEYS | _RUN_KEYS | _MODULE_KEYS
 
 
-class ConfigError(ValueError):
-    pass
-
-
-class NumericFailure(RuntimeError):
-    pass
-
-
 def _parse_config(text: str) -> dict:
     """Parse and validate keys, reporting the offending line verbatim."""
     out: dict = {}
@@ -97,12 +71,12 @@ def _parse_config(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: malformed (expected 'key = value'): {raw}")
+            raise InputError(f"line {lineno}: malformed (expected 'key = value'): {raw}")
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key in config: {raw}")
+            raise InputError(f"line {lineno}: unknown key in config: {raw}")
         if key in line_of:
-            raise ConfigError(f"line {lineno}: key {key} repeats line {line_of[key]}: {raw}")
+            raise InputError(f"line {lineno}: key {key} repeats line {line_of[key]}: {raw}")
         line_of[key] = lineno
         try:
             out[key] = ast.literal_eval(val)
@@ -111,11 +85,14 @@ def _parse_config(text: str) -> dict:
     return out
 
 
-def _whole(key: str, val) -> int:
-    """``val`` as an int; integral floats such as 1e4 pass, anything else is refused."""
-    if isinstance(val, int) or (isinstance(val, float) and val.is_integer()):
-        return int(val)
-    raise ConfigError(f"{key} must be a whole number, got {val!r}")
+def _whole(key: str, val, least: int = -2**53) -> int:
+    """``val`` as an int in [least, 2^53); integral floats such as 1e4 pass."""
+    whole = isinstance(val, int) or (isinstance(val, float) and val.is_integer())
+    if not (whole and abs(val) < 2**53):
+        raise InputError(f"{key} must be a whole number below 2^53 in size, got {val!r}")
+    if val < least:
+        raise InputError(f"{key} must be at least {least}, got {val!r}")
+    return int(val)
 
 
 def _real(key: str, val) -> float:
@@ -125,14 +102,14 @@ def _real(key: str, val) -> float:
             return float(val)
         except ValueError:
             pass
-    raise ConfigError(f"{key} must be a number, got {val!r}")
+    raise InputError(f"{key} must be a number, got {val!r}")
 
 
 def _positive(key: str, val) -> float:
-    """``val`` as a float greater than 0."""
+    """``val`` as a finite float greater than 0."""
     x = _real(key, val)
-    if not x > 0.0:
-        raise ConfigError(f"{key} must be greater than 0, got {val!r}")
+    if not 0.0 < x < math.inf:
+        raise InputError(f"{key} must be greater than 0 and finite, got {val!r}")
     return x
 
 
@@ -140,14 +117,27 @@ def _text(key: str, val) -> str:
     """``val`` as a string; a number or a list is refused."""
     if isinstance(val, str):
         return val
-    raise ConfigError(f"{key} must be a string, got {val!r}")
+    raise InputError(f"{key} must be a string, got {val!r}")
 
 
 def _flag(key: str, val) -> bool:
     """``val`` as a bool; only True and False pass (``no`` or 1 is refused)."""
     if isinstance(val, bool):
         return val
-    raise ConfigError(f"{key} must be True or False, got {val!r}")
+    raise InputError(f"{key} must be True or False, got {val!r}")
+
+
+def _reals(key: str, val, read=_real):
+    """``val`` read as one number or as a list of numbers."""
+    return [read(key, c) for c in val] if isinstance(val, (list, tuple)) else read(key, val)
+
+
+def _keyed(keys: str, make, *args, **kw):
+    """``make(*args, **kw)``; a refusal names the config keys the arguments came from."""
+    try:
+        return make(*args, **kw)
+    except InputError as exc:
+        raise InputError(f"{keys}: {exc}") from None
 
 
 def _atoms(key: str, val) -> list[tuple]:
@@ -155,26 +145,25 @@ def _atoms(key: str, val) -> list[tuple]:
     a number or a list of numbers."""
     pair = lambda a: isinstance(a, (list, tuple)) and len(a) == 2
     if not (isinstance(val, (list, tuple)) and val and all(map(pair, val))):
-        raise ConfigError(f"{key} must be a non-empty list of (location, weight) pairs, "
-                          f"got {val!r}")
-    num = lambda v: [_real(key, c) for c in v] if isinstance(v, (list, tuple)) else _real(key, v)
-    return [(num(loc), _real(key, w)) for loc, w in val]
+        raise InputError(f"{key} must be a non-empty list of (location, weight) pairs, "
+                         f"got {val!r}")
+    return [(_reals(key, loc), _real(key, w)) for loc, w in val]
 
 
 def _sim_config(kv: dict) -> SimConfig:
     missing = [k for k in ("T", "h", "N") if k not in kv]
     if missing:
-        raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    d1, d2 = _whole("d1", kv.get("d1", 1)), _whole("d2", kv.get("d2", 1))
-    bins = kv.get("hist.bins", 16)
-    bins = ([_whole("hist.bins", b) for b in bins] if isinstance(bins, (list, tuple))
-            else _whole("hist.bins", bins))
-    hist = HistogramSpec(kv.get("hist.min", -6.0), kv.get("hist.max", 6.0), bins, dim=d1 + d2)
-    return SimConfig(
+        raise InputError(f"missing required keys: {', '.join(missing)}")
+    cfg = SimConfig(
         T=_real("T", kv["T"]), h=_real("h", kv["h"]), N=_whole("N", kv["N"]),
-        seed=_whole("seed", kv.get("seed", 0)), d1=d1, d2=d2,
-        m=_whole("m", kv.get("m", d2)), scheme=str(kv.get("scheme", "euler")), hist=hist,
+        seed=_whole("seed", kv.get("seed", 0)), d1=_whole("d1", kv.get("d1", 1)),
+        d2=_whole("d2", kv.get("d2", 1)), m=_whole("m", kv.get("m", kv.get("d2", 1))),
+        scheme=str(kv.get("scheme", "euler")),
     )
+    return dataclasses.replace(cfg, hist=_keyed(
+        "hist.min, hist.max, hist.bins", HistogramSpec,
+        _reals("hist.min", kv.get("hist.min", -6.0)), _reals("hist.max", kv.get("hist.max", 6.0)),
+        _reals("hist.bins", kv.get("hist.bins", 16), _whole), cfg.d1 + cfg.d2))
 
 
 def _build_kernel(kv: dict, d1: int) -> MeanFieldKernel | None:
@@ -182,9 +171,9 @@ def _build_kernel(kv: dict, d1: int) -> MeanFieldKernel | None:
     if name in ("none", None):
         return None
     if name == "constant":
-        return MeanFieldKernel.constant(kv.get("kernel.w", 1.0))
+        return MeanFieldKernel.constant(_reals("kernel.w", kv.get("kernel.w", 1.0)))
     if name in ("tanh_y", "tanh_x", "mean_attraction") and d1 != 1:
-        raise ConfigError(
+        raise InputError(
             f"kernel = {name} bounds each coordinate by 1, so with d1 = {d1} "
             f"its magnitude reaches sqrt({d1}) > 1; it needs d1 = 1")
     if name == "tanh_y":
@@ -193,53 +182,62 @@ def _build_kernel(kv: dict, d1: int) -> MeanFieldKernel | None:
         return MeanFieldKernel.target(lambda xp, yp: np.tanh(xp), 1.0)
     if name == "mean_attraction":
         return MeanFieldKernel.clipped_difference()
-    raise ConfigError(f"unknown kernel {name!r}")
+    raise InputError(f"unknown kernel {name!r}")
 
 
 def _build_riesz(kv: dict) -> RieszDrift | None:
     atoms = kv.get("riesz.atoms")
     if atoms is None:
         return None
-    return RieszDrift(_atoms("riesz.atoms", atoms),
-                      _real("riesz.alpha", kv.get("riesz.alpha", 0.5)),
-                      _real("riesz.eta", kv.get("riesz.eta", 1e-6)))
+    return _keyed("riesz.atoms, riesz.alpha, riesz.eta", RieszDrift, _atoms("riesz.atoms", atoms),
+                  _real("riesz.alpha", kv.get("riesz.alpha", 0.5)),
+                  _real("riesz.eta", kv.get("riesz.eta", 1e-6)))
+
+
+def _sigma(val, d2: int, m: int):
+    """``val`` as a finite number, or as the finite noise matrix: d2 rows of m numbers."""
+    if not isinstance(val, (list, tuple)):
+        sig = _real("sigma", val)
+    elif len(val) == d2 and all(isinstance(r, (list, tuple)) and len(r) == m for r in val):
+        sig = np.array([[_real("sigma", v) for v in r] for r in val])
+    else:
+        raise InputError(f"sigma must be a number or a {d2} x {m} matrix, got {val!r}")
+    if not np.all(np.isfinite(sig)):
+        raise InputError(f"sigma must be finite, got {val!r}")
+    return sig
 
 
 def _build_coefficients(kv: dict, cfg: SimConfig, kappa: float | None = None):
     name = kv.get("drift", "confining")
-    sigma = kv.get("sigma", 1.0)
+    sigma = (_sigma(kv["sigma"], *((cfg.d2, cfg.m) if name == "zero" else (cfg.d1, cfg.d1)))
+             if "sigma" in kv else None)
     if name == "zero":
-        return zero_coefficients(cfg.d1, cfg.d2, cfg.m, sigma=kv.get("sigma", 0.0))
+        return zero_coefficients(cfg.d1, cfg.d2, cfg.m, sigma=0.0 if sigma is None else sigma)
     if name == "linear_langevin":
         # canonical benchmark noise is sqrt(2) unless the config overrides it
-        return linear_langevin_coefficients(cfg.d1, sigma=kv.get("sigma"))
+        return linear_langevin_coefficients(cfg.d1, sigma=sigma)
+    sigma = 1.0 if sigma is None else sigma
     if name == "scalar_ou":
         return scalar_ou_coefficients(_real("rate", kv.get("rate", 1.0)), sigma=sigma, d=cfg.d1)
     if name == "confining":
-        pert = None
-        if kv.get("z.scale"):
-            pert = bounded_sine_perturbation(_real("z.scale", kv["z.scale"]))
+        z = kv.get("z.scale")
+        pert = bounded_sine_perturbation(_real("z.scale", z)) if z else None
         drift = ConfiningDrift(
             c1=_real("c1", kv.get("c1", 1.0)), c2=_real("c2", kv.get("c2", 0.0)),
             c3=_real("c3", kv.get("c3", 1.0)), delta=_real("delta", kv.get("delta", 0.0)),
             perturbation=pert,
         )
-        kern = _build_kernel(kv, cfg.d1)
         kap = _real("kappa", kv.get("kappa", 0.0)) if kappa is None else kappa
-        return confining_coefficients(
-            drift, b=_build_riesz(kv), d=cfg.d1, sigma=sigma,
-            kernel=kern, kappa=kap,
-        )
-    raise ConfigError(f"unknown drift {name!r}")
+        return confining_coefficients(drift, b=_build_riesz(kv), d=cfg.d1, sigma=sigma,
+                                      kernel=_build_kernel(kv, cfg.d1), kappa=kap)
+    raise InputError(f"unknown drift {name!r}")
 
 
 def _build_init(kv: dict, key: str, cfg: SimConfig) -> DiracInit:
-    pt = kv.get(key)
-    if pt is None:
-        pt = [0.0] * (cfg.d1 + cfg.d2)
-    pt = np.asarray(pt, dtype=float).ravel()
-    if pt.size != cfg.d1 + cfg.d2:
-        raise ConfigError(f"{key} needs {cfg.d1 + cfg.d2} coordinates")
+    d = cfg.d1 + cfg.d2
+    pt = _reals(key, kv.get(key, [0.0] * d))
+    if not (isinstance(pt, list) and len(pt) == d and all(map(math.isfinite, pt))):
+        raise InputError(f"{key} needs {d} finite coordinates, got {kv.get(key)!r}")
     return DiracInit(PhaseState(pt[:cfg.d1], pt[cfg.d1:]))
 
 
@@ -250,18 +248,15 @@ def _record_times(kv: dict, cfg: SimConfig) -> np.ndarray:
     start = _real("record.start", kv.get("record.start", 0.0))
     stop = _real("record.stop", kv.get("record.stop", cfg.T))
     if not (math.isfinite(start) and stop >= start):
-        raise ConfigError(f"record.start = {start:g} and record.stop = {stop:g} "
-                          f"give no record time in [0, T = {cfg.T:g}]")
+        raise InputError(f"record.start = {start:g} and record.stop = {stop:g} "
+                         f"give no record time in [0, T = {cfg.T:g}]")
     span = min(stop - start, cfg.T)  # never inf; a longer span fails below anyway
     step = _positive("record.step", kv.get("record.step", h * max(1, round(span / (16 * h)))))
     n = min((stop - start) / step, cfg.n_steps + 1)  # one time past T at most
     times = start + step * np.arange(math.floor(n + 1e-9) + 1)
     for key, val, head in (("record.start", start, 1), ("record.step", step, 2),
                            ("record.stop", stop, times.size)):
-        try:
-            cfg.record_steps(times[:head])
-        except ValueError as exc:
-            raise ConfigError(f"{key} = {val:g}: {exc}") from None
+        _keyed(f"{key} = {val:g}", cfg.record_steps, times[:head])
     return times
 
 
@@ -363,16 +358,14 @@ def cmd_simulate(kv, cfg, out, man):
 
     ens = simulate_ensemble(cfg, coeffs, _build_init(kv, "init.a", cfg), observe=observe)
     if ens.unstable:
-        raise NumericFailure(f"run unstable: {ens.n_dead} of {ens.n} particles blew up")
+        raise NumericError(f"run unstable: {ens.n_dead} of {ens.n} particles blew up")
     b, j = save_snapshot(out / "snapshot", ens, man.chash, increments=inc)
     man.add(b); man.add(j)
 
 
 def cmd_ergodicity(kv, cfg, out, man, replay: Path | None = None):
     if replay is not None:
-        rows = np.loadtxt(replay, delimiter=",", skiprows=_csv_skip(replay), ndmin=2)
-        series = TVDecaySeries(rows[:, 0], rows[:, 1],
-                               float(rows[0, 2]) if rows.shape[1] > 2 else 0.0)
+        series = _read_replay(replay)
     else:
         coeffs = _build_coefficients(kv, cfg)
         series = tv_decay_experiment(
@@ -389,40 +382,51 @@ def cmd_ergodicity(kv, cfg, out, man, replay: Path | None = None):
     man.add(js)
 
 
-def _csv_skip(path: Path) -> int:
-    with open(path) as fh:
-        n = 0
-        for line in fh:
-            if line.startswith("#") or any(c.isalpha() for c in line.split(",")[0]):
-                n += 1
-            else:
-                break
-    return n
+def _read(path: Path, what: str) -> str:
+    """The text of ``path``; an unreadable file is refused, naming ``what``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from None
+
+
+def _read_replay(path: Path) -> TVDecaySeries:
+    """The t, distance[, noise_floor] rows of a ``--replay`` CSV, from its first numeric line."""
+    lines = [ln for ln in _read(path, "--replay").splitlines() if ln.strip()]
+    head = next((i for i, ln in enumerate(lines) if ln.lstrip(" +-.")[:1].isdigit()), len(lines))
+    try:
+        rows = np.loadtxt(lines[head:], delimiter=",", ndmin=2) if lines[head:] else None
+    except ValueError as exc:
+        raise InputError(f"--replay {path}: {exc}") from None
+    if rows is None or rows.shape[1] < 2:
+        raise InputError(f"--replay {path} holds no t,distance rows")
+    return TVDecaySeries(rows[:, 0], rows[:, 1], float(rows[0, 2]) if rows.shape[1] > 2 else 0.0)
 
 
 def cmd_lyapunov_check(kv, cfg, out, man):
     coeffs = _build_coefficients(kv, cfg)
-    V = LyapunovV(_real("lyapunov.theta", kv.get("lyapunov.theta", 1.0)), cfg.d1, cfg.d2)
+    V = LyapunovV(_positive("lyapunov.theta", kv.get("lyapunov.theta", 1.0)), cfg.d1, cfg.d2)
     samples = LogRadialSamples(
-        r_min=_real("lyap.rmin", kv.get("lyap.rmin", 0.05)),
-        r_max=_real("lyap.rmax", kv.get("lyap.rmax", 50.0)),
-        n_radii=_whole("lyap.radii", kv.get("lyap.radii", 24)),
-        n_dirs=_whole("lyap.dirs", kv.get("lyap.dirs", 16)),
+        r_min=_positive("lyap.rmin", kv.get("lyap.rmin", 0.05)),
+        r_max=_positive("lyap.rmax", kv.get("lyap.rmax", 50.0)),
+        n_radii=_whole("lyap.radii", kv.get("lyap.radii", 24), 1),
+        n_dirs=_whole("lyap.dirs", kv.get("lyap.dirs", 16), 1),
         seed=cfg.seed,
     )
     eps = _real("eps.shell", kv.get("eps.shell", 0.1))
     kind = kv.get("phi.kind", "linear")
-    beta = kv.get("phi.beta")
-    beta = None if beta is None else _real("phi.beta", beta)
+    beta = _real("phi.beta", kv["phi.beta"]) if "phi.beta" in kv else None
     kcap = _real("lyap.kcap", kv.get("lyap.kcap", 50.0))
     payload: dict = {}
     if "phi.c0" in kv:
-        phi = PhiFamily(kind, _real("phi.c0", kv["phi.c0"]), beta)
-        report = check_drift_condition(coeffs, V, phi, kcap, eps, samples)
+        phi = _keyed("phi.kind, phi.c0, phi.beta", PhiFamily, kind,
+                     _real("phi.c0", kv["phi.c0"]), beta)
+        report = _keyed("eps.shell", check_drift_condition, coeffs, V, phi, kcap, eps, samples)
         payload.update({"mode": "check", "c0": phi.c0, "K": kcap})
     else:
         try:
-            res = search_constants(coeffs, V, kind, eps, samples, beta=beta, k_cap=kcap)
+            res = _keyed("eps.shell, phi.kind, phi.beta", search_constants, coeffs, V, kind, eps,
+                         samples, beta=beta, k_cap=kcap)
             report = res.report
             payload.update({"mode": "search", "c0": res.c0, "K": res.K})
         except CertificationError as exc:
@@ -449,9 +453,11 @@ def cmd_lyapunov_check(kv, cfg, out, man):
 
 def cmd_zvonkin(kv, cfg, out, man):
     coeffs = _build_coefficients(kv, cfg)
-    L = _real("zvonkin.L", kv.get("zvonkin.L", 12.0))
-    n = _whole("zvonkin.n", kv.get("zvonkin.n", 4001))
+    L = _positive("zvonkin.L", kv.get("zvonkin.L", 12.0))
+    n = _whole("zvonkin.n", kv.get("zvonkin.n", 4001), 5)
     eps = _real("zvonkin.eps", kv.get("zvonkin.eps", 0.1))
+    if not 0.0 < eps < 1.0:
+        raise InputError(f"zvonkin.eps must lie in (0, 1), got {eps!r}")
     report = equivalence_experiment(coeffs, cfg, _build_init(kv, "init.a", cfg),
                                     eps_target=eps, L=L, n_grid=n)
     sol = report.solution
@@ -478,17 +484,17 @@ def cmd_khasminskii(kv, cfg, out, man):
     elif kind == "riesz":
         rz = _build_riesz(kv)
         if rz is None:
-            raise ConfigError("khasminskii.f = riesz needs riesz.atoms")
+            raise InputError("khasminskii.f = riesz needs riesz.atoms")
         f = lambda t, y: np.sqrt(np.sum(rz(y) ** 2, axis=1))
     else:
-        raise ConfigError(f"unknown khasminskii.f {kind!r}")
-    res = khasminskii_estimate(cfg, coeffs, f, _build_init(kv, "init.a", cfg))
+        raise InputError(f"unknown khasminskii.f {kind!r}")
     p = _real("norm.p", kv.get("norm.p", 4.0))
     q = _real("norm.q", kv.get("norm.q", 4.0))
+    pair = _keyed("norm.p, norm.q", AdmissiblePair, p, q, cfg.d2)
     extent = _real("norm.extent", kv.get("norm.extent", 3.0))
+    res = khasminskii_estimate(cfg, coeffs, f, _build_init(kv, "init.a", cfg))
     centers = np.linspace(-extent, extent, 9)[:, None] if cfg.d2 == 1 else np.zeros((1, cfg.d2))
-    norm = localized_lpq_norm(lambda t, pts: f(t, pts), AdmissiblePair(p, q, cfg.d2),
-                              cfg.T, centers, n_time=9, n_ball=201)
+    norm = localized_lpq_norm(f, pair, cfg.T, centers, n_time=9, n_ball=201)
     js = out / "khasminskii.json"
     write_json(js, {
         "estimate": res.estimate, "ci_lo": res.ci_lo, "ci_hi": res.ci_hi,
@@ -523,8 +529,10 @@ def cmd_mkv_picard(kv, cfg, out, man):
 def cmd_mkv_sweep(kv, cfg, out, man):
     kappas = kv.get("sweep.kappas", [0.0, 0.1, 0.2])
     if not (isinstance(kappas, (list, tuple)) and kappas):
-        raise ConfigError(f"sweep.kappas must be a non-empty list of numbers, got {kappas!r}")
+        raise InputError(f"sweep.kappas must be a non-empty list of numbers, got {kappas!r}")
     kappas = [_real("sweep.kappas", k) for k in kappas]
+    if not all(0.0 <= k < math.inf for k in kappas):
+        raise InputError(f"sweep.kappas must be nonnegative and finite, got {kappas!r}")
     factory = lambda kap: _build_coefficients(kv, cfg, kappa=kap)
     res = uniform_ergodicity_sweep(
         cfg, factory, kappas,
@@ -544,57 +552,46 @@ def cmd_mkv_sweep(kv, cfg, out, man):
 
 
 def cmd_h_bound(kv, cfg, out, man):
-    phi = PhiFamily(kv.get("phi.kind", "superlinear"),
-                    _real("phi.c0", kv.get("phi.c0", 1.0)),
-                    _real("phi.beta", kv.get("phi.beta", 1.0)))
+    phi = _keyed("phi.kind, phi.c0, phi.beta", PhiFamily, kv.get("phi.kind", "superlinear"),
+                 _real("phi.c0", kv.get("phi.c0", 1.0)), _real("phi.beta", kv.get("phi.beta", 1.0)))
     v0 = _real("hbound.v0", kv.get("hbound.v0", 1.0))
-    k = _real("hbound.k", kv.get("hbound.k", 1.0))
-    lam = _real("hbound.lam", kv.get("hbound.lam", 1.0))
+    k = _positive("hbound.k", kv.get("hbound.k", 1.0))
+    lam = _positive("hbound.lam", kv.get("hbound.lam", 1.0))
     tmax = _real("hbound.tmax", kv.get("hbound.tmax", 8.0))
     dt = _positive("hbound.dt", kv.get("hbound.dt", 0.25))
     n = tmax / dt
-    if not 0.0 <= n < math.inf or off_grid(n):
-        raise ConfigError(f"hbound.tmax = {tmax:g} must be 0 or a whole multiple "
-                          f"of hbound.dt = {dt:g}")
+    if not 0.0 <= n < 2**40 or off_grid(n):
+        raise InputError(f"hbound.tmax = {tmax:g} must be 0 or a whole multiple "
+                         f"of hbound.dt = {dt:g}, fewer than 2^40 of them")
     times = np.arange(round(n) + 1) * dt
-    env = h_envelope(phi, v0, k, lam, times)
+    env = _keyed("phi.kind, phi.beta, hbound.v0", h_envelope, phi, v0, k, lam, times)
     csv = out / "envelope.csv"
     write_csv(csv, ["t", "envelope"], zip(times, env), man.chash)
     man.add(csv)
 
 
-def cmd_verify(manifest_path: Path) -> int:
+def cmd_verify(manifest_path: Path) -> str:
+    """Recheck the manifest's config hash and rehash every output it lists; any
+    fault (one line, listing them all) is refused."""
     try:
-        man = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"verify: cannot read manifest: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    hashes = man.get("sha256")
-    if not isinstance(hashes, dict):
-        print("verify: manifest records no sha256 per output", file=sys.stderr)
-        return EXIT_VALIDATION
+        man = json.loads(_read(manifest_path, "manifest"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"verify: cannot read manifest: {exc}") from None
+    if not (isinstance(man, dict) and isinstance(man.get("sha256"), dict)):
+        raise InputError("verify: manifest records no sha256 per output")
     expect = man.get("config_hash", "")
     recomputed = config_hash(man.get("config_text", ""))
-    ok = True
-    if recomputed != expect:
-        print(f"verify: manifest hash mismatch: {recomputed} != {expect}", file=sys.stderr)
-        ok = False
-    base = manifest_path.parent
+    faults = [] if recomputed == expect else [f"manifest hash mismatch: {recomputed} != {expect}"]
     for name in man.get("outputs", []):
-        p = base / name
-        if not p.exists():
-            print(f"verify: missing output {name}", file=sys.stderr)
-            ok = False
-            continue
-        got = file_hash(p)
-        if got != hashes.get(name):
-            print(f"verify: {name} sha256 mismatch: {got} != manifest {hashes.get(name)}",
-                  file=sys.stderr)
-            ok = False
-    if ok:
-        print(f"verify: ok ({len(man.get('outputs', []))} outputs, hash {expect[:12]}...)")
-        return EXIT_OK
-    return EXIT_VALIDATION
+        p = manifest_path.parent / name
+        got = file_hash(p) if p.exists() else None
+        if got is None:
+            faults.append(f"missing output {name}")
+        elif got != man["sha256"].get(name):
+            faults.append(f"{name} sha256 mismatch: {got} != manifest {man['sha256'].get(name)}")
+    if faults:
+        raise InputError("verify: " + "; ".join(faults))
+    return f"verify: ok ({len(man.get('outputs', []))} outputs, hash {expect[:12]}...)"
 
 
 _SUBCOMMANDS = {
@@ -627,38 +624,28 @@ def main(argv: list[str] | None = None) -> int:
     pv.add_argument("manifest", type=Path)
     args = parser.parse_args(argv)
 
-    if args.command == "verify":
-        return cmd_verify(args.manifest)
-
     try:
-        text = args.config.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
+        if args.command == "verify":
+            print(cmd_verify(args.manifest))
+            return EXIT_OK
+        text = _read(args.config, "config")
         kv = _parse_config(text)
         cfg = _sim_config(kv)
         # checked and then ignored: the step loop is serial
-        workers = _whole("workers", kv.get("workers", 1) if args.workers is None else args.workers)
-        if workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {workers}")
+        _whole("workers", kv.get("workers", 1) if args.workers is None else args.workers, 1)
         out_dir = args.out or Path(_text("out.dir", kv.get("out.dir", ""))
                                    or os.environ.get("KINSDE_OUT", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         man = Manifest(args.command, text, cfg.seed, cfg.n_steps)
-        if args.command == "ergodicity":
-            _SUBCOMMANDS[args.command](kv, cfg, out_dir, man, replay=getattr(args, "replay", None))
-        else:
-            _SUBCOMMANDS[args.command](kv, cfg, out_dir, man)
+        extra = {"replay": args.replay} if args.command == "ergodicity" else {}
+        _SUBCOMMANDS[args.command](kv, cfg, out_dir, man, **extra)
         man.write(out_dir)
-    except (NumericFailure, ArithmeticError, SmallnessNotAchievedError,
-            OutOfTransformDomainError, NumericCheckError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ConfigError, ValueError, KeyError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -14,7 +14,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class NormDivergedError(ArithmeticError):
+class InputError(ValueError):
+    """A refused input: a value outside what the method accepts (CLI exit 2)."""
+
+
+class NumericError(ArithmeticError):
+    """A failed computation on accepted input (CLI exit 3)."""
+
+
+class NormDivergedError(NumericError):
     """Quadrature of the localized norm produced a non-finite value.
 
     Signals that the sampled function is not in the integrability class at
@@ -44,7 +52,7 @@ class PhaseState:
         object.__setattr__(self, "x", _as_vector(x, "x"))
         object.__setattr__(self, "y", _as_vector(y, "y"))
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("PhaseState coordinates must be finite")
+            raise InputError("PhaseState coordinates must be finite")
 
     @property
     def d1(self) -> int:
@@ -69,11 +77,11 @@ class AdmissiblePair:
 
     def __post_init__(self):
         if not (self.p > 2 and self.q > 2):
-            raise ValueError(f"require p, q > 2, got (p, q) = ({self.p}, {self.q})")
+            raise InputError(f"require p, q > 2, got (p, q) = ({self.p}, {self.q})")
         if self.d2 < 1:
-            raise ValueError("d2 must be a positive dimension")
+            raise InputError("d2 must be a positive dimension")
         if self.deficiency >= 1.0:
-            raise ValueError(
+            raise InputError(
                 f"(p, q) = ({self.p}, {self.q}) inadmissible for d2 = {self.d2}: "
                 f"d2/p + 2/q = {self.deficiency:.6g} >= 1"
             )
@@ -112,9 +120,9 @@ class HistogramSpec:
             if bins.size == 1:
                 bins = np.full(dim, bins[0])
         if not (lo.size == hi.size == bins.size):
-            raise ValueError("lo, hi, bins must agree in length")
-        if np.any(hi <= lo):
-            raise ValueError("histogram box must have hi > lo on every axis")
+            raise InputError("lo, hi, bins must agree in length")
+        if not (np.all(hi > lo) and np.all(np.isfinite(hi - lo))):
+            raise InputError("histogram box must be finite with hi > lo on every axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "bins", bins)
@@ -146,7 +154,7 @@ _SCHEMES = ("euler", "tamed")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters shared by every experiment; h > 0 and N >= 1."""
+    """Simulation parameters shared by every experiment; ``__post_init__`` refuses bad ones."""
 
     T: float
     h: float
@@ -159,10 +167,20 @@ class SimConfig:
     hist: HistogramSpec = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        for name, v in (("T", self.T), ("h", self.h)):
+            if not math.isfinite(v):
+                raise InputError(f"{name} must be finite, got {v!r}")
         if not (self.h > 0):
-            raise ValueError(f"nonpositive step h = {self.h}")
+            raise InputError(f"nonpositive step h = {self.h}")
         if self.N < 1:
-            raise ValueError(f"particle count N = {self.N} < 1")
+            raise InputError(f"particle count N = {self.N} < 1")
+        if not 0 <= self.seed < 2**64:
+            raise InputError(f"seed = {self.seed} must lie in [0, 2^64)")
+        if min(self.d1, self.d2, self.m) < 1:
+            raise InputError(f"d1 = {self.d1}, d2 = {self.d2} and m = {self.m} must be at least 1")
+        if not self.T / self.h < 2**40:
+            # the noise key holds the step in 40 bits
+            raise InputError(f"T = {self.T!r} is 2^40 or more steps of h = {self.h!r}")
         if self.hist is None:
             object.__setattr__(self, "hist", HistogramSpec(-6.0, 6.0, 16, dim=self.d1 + self.d2))
 
@@ -176,13 +194,13 @@ class SimConfig:
     def record_steps(self, times) -> np.ndarray:
         """The sorted unique steps k of grid times t = k h in [0, T].
 
-        Nothing is rounded off or clipped: any other time raises ``ValueError``.
+        Nothing is rounded off or clipped: any other time raises ``InputError``.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         steps = np.round(times / self.h)
         for t, off, k in zip(times.tolist(), off_grid(times / self.h), steps.tolist()):
             if off or not 0 <= k <= self.n_steps:
-                raise ValueError(f"record time {t:.12g} " + (
+                raise InputError(f"record time {t:.12g} " + (
                     f"is off the step grid h = {self.h!r}" if off
                     else f"lies outside [0, T = {self.T!r}]"))
         return np.unique(steps.astype(int))
@@ -286,7 +304,7 @@ class CoefficientSet:
             if hi != 0.0:
                 raise ValueError("zero sigma must declare sigma_bounds = (0, 0)")
         elif not (np.isfinite(hi) and lo > 0):
-            raise ValueError("sigma_bounds must be finite and positive (nondegenerate noise)")
+            raise InputError("sigma is degenerate: its sigma_bounds are not finite and positive")
         if self.growth not in ("bounded", "linear", "superlinear"):
             raise ValueError(f"unknown growth class {self.growth!r}")
         if not isinstance(self.sigma, np.ndarray) and not callable(self.sigma):
@@ -350,7 +368,7 @@ def validate_config(
     if off_grid(k):
         bad.append(f"T/h = {k!r} is not integral within rounding tolerance")
     if np.any(cfg.hist.bins < 2):
-        bad.append("histogram needs at least 2 bins per axis")
+        bad.append("hist.bins must be at least 2 on every axis")
     if cfg.hist.dim != cfg.d1 + cfg.d2:
         bad.append(
             f"histogram dimension {cfg.hist.dim} does not match d1 + d2 = {cfg.d1 + cfg.d2}"
@@ -363,7 +381,7 @@ def validate_config(
             f"do not match coefficients {(coeffs.d1, coeffs.d2, coeffs.m)}"
         )
     if coeffs.growth == "superlinear" and cfg.scheme != "tamed":
-        bad.append("superlinear drift requires tamed scheme")
+        bad.append("superlinear drift (a confining delta > 0) requires scheme = tamed")
     for (p, q) in pairs:
         try:
             AdmissiblePair(p, q, cfg.d2)
@@ -398,7 +416,7 @@ def ball_lp_seminorm(
     center = np.atleast_1d(np.asarray(center, dtype=float))
     d = center.size
     if d > 3:
-        raise ValueError("ball quadrature supports d2 <= 3")
+        raise InputError("ball quadrature supports d2 <= 3")
     edges = np.linspace(-1.0, 1.0, n_per_axis + 1)
     mids = (edges[:-1] + edges[1:]) / 2.0
     cell = (2.0 / n_per_axis) ** d
@@ -430,8 +448,9 @@ def localized_lpq_norm(
     t_grid = np.linspace(0.0, T, n_time)
     best = 0.0
     for c in centers:
-        g = np.array([ball_lp_seminorm(f, t, c, pair.p, n_ball) for t in t_grid])
-        val = float(np.trapezoid(g**pair.q, t_grid)) ** (1.0 / pair.q)
+        with np.errstate(over="ignore"):  # an overflow is reported as the divergence below
+            g = np.array([ball_lp_seminorm(f, t, c, pair.p, n_ball) for t in t_grid])
+            val = float(np.trapezoid(g**pair.q, t_grid)) ** (1.0 / pair.q)
         if not np.isfinite(val):
             raise NormDivergedError(c)
         best = max(best, val)

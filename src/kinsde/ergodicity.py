@@ -15,14 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, EmpiricalLaw, HistogramSpec, MeasureFlow, SimConfig
+from kinsde.core import (CoefficientSet, EmpiricalLaw, HistogramSpec, InputError, MeasureFlow,
+                         NumericError, SimConfig)
 from kinsde.fields import LyapunovV, PhiFamily
 from kinsde.integrators import bootstrap_rng, simulate_ensemble
-
-
-class NumericCheckError(ValueError):
-    """A computed quantity left the range its method relies on: a histogram
-    mass other than 1, or an H^-1 target above where H saturates."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,7 @@ class HistogramLaw:
     def __post_init__(self):
         total = math.fsum(self.masses.tolist()) + self.out_mass
         if not abs(total - 1.0) <= 1e-12:  # NaN fails this test too
-            raise NumericCheckError(f"histogram mass {total!r} is not 1 within 1e-12")
+            raise NumericError(f"histogram mass {total!r} is not 1 within 1e-12")
 
 
 def histogram_law(law: EmpiricalLaw, spec: HistogramSpec) -> HistogramLaw:
@@ -260,7 +256,9 @@ class HTransform:
 
     def __init__(self, phi: PhiFamily):
         if phi.kind == "linear":
-            raise ValueError("H diverges at 0 for linear Phi")
+            raise InputError("H diverges at 0 for linear Phi")
+        if not phi.beta <= 2**10:
+            raise InputError(f"H is tabulated for beta <= 2^10, got beta = {phi.beta!r}")
         self.phi = phi
         self._p = 1.0 + phi.beta
 
@@ -282,7 +280,7 @@ class HTransform:
         edges, cum = _h_table(self._p)
         cap = float(cum[-1]) / self.phi.c0
         if np.any(w > cap):
-            raise NumericCheckError(
+            raise NumericError(
                 f"H^-1({float(np.max(w))!r}) out of reach: H saturates at {cap!r} below it")
         target = np.maximum(w.ravel(), 0.0) * self.phi.c0
         j = np.searchsorted(cum, target, side="right") - 1
@@ -306,10 +304,10 @@ def h_envelope(phi: PhiFamily, v0: float, k: float, lam: float, times) -> np.nda
     For t >= k H(V0) the inverse clamps to zero and the curve is exactly
     k e^(-lam t).
     """
-    if v0 < 1.0:
-        raise ValueError("V0 must be >= 1 (Lyapunov functions are >= 1)")
-    if k <= 0 or lam <= 0:
-        raise ValueError("k and lam must be positive")
+    if not v0 >= 1.0:
+        raise InputError("V0 must be >= 1 (Lyapunov functions are >= 1)")
+    if not (k > 0 and lam > 0):
+        raise InputError("k and lam must be positive")
     H = HTransform(phi)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     inv = H.inverse(H.value(v0) - times / k)

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, EmpiricalLaw
+from kinsde.core import CoefficientSet, EmpiricalLaw, InputError
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,15 @@ class RieszDrift:
 
     def __init__(self, atoms, alpha: float, eta_sing: float = 1e-6):
         if len(atoms) == 0:
-            raise ValueError("need at least one atom")
+            raise InputError("need at least one atom")
         locs = np.asarray([np.atleast_1d(a[0]) for a in atoms], dtype=float)
         w = np.asarray([a[1] for a in atoms], dtype=float)
         if not (0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if np.any(w <= 0):
-            raise ValueError("atom weights must be positive")
-        if eta_sing <= 0:
-            raise ValueError("eta_sing must be positive")
+            raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+        if not np.all(w > 0):
+            raise InputError("atom weights must be positive")
+        if not eta_sing > 0:
+            raise InputError("eta_sing must be positive")
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "alpha", float(alpha))
@@ -54,7 +54,7 @@ class RieszDrift:
         """Evaluate at points x of shape (n, d); always finite."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.d:
-            raise ValueError(f"Riesz drift atoms have {self.d} coordinates, "
+            raise InputError(f"Riesz drift atoms have {self.d} coordinates, "
                              f"the points have {x.shape[1]}")
         diff = x[:, None, :] - self.locations[None, :, :]          # (n, k, d)
         dist = np.sqrt(np.sum(diff * diff, axis=2))                # (n, k)
@@ -81,10 +81,11 @@ class ConfiningDrift:
     perturbation: Callable | None = None
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c3 <= 0:
-            raise ValueError("c1 and c3 must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not (0 < self.c1 < np.inf and 0 < self.c3 < np.inf and np.isfinite(self.c2)):
+            raise InputError(f"c1, c2, c3 = {self.c1!r}, {self.c2!r}, {self.c3!r} must be "
+                             "finite with c1, c3 > 0")
+        if not 0 <= self.delta < np.inf:
+            raise InputError(f"delta must be nonnegative and finite, got {self.delta!r}")
 
     @property
     def growth(self) -> str:
@@ -124,8 +125,8 @@ class LyapunovV:
     d2: int = 1
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not self.theta > 0:
+            raise InputError("theta must be positive")
 
     def value(self, x, y) -> float:
         x = np.asarray(x, dtype=float)
@@ -170,11 +171,11 @@ class PhiFamily:
 
     def __post_init__(self):
         if self.kind not in ("linear", "superlinear"):
-            raise ValueError(f"unknown Phi kind {self.kind!r}")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
+            raise InputError(f"unknown Phi kind {self.kind!r}")
+        if not self.c0 > 0:
+            raise InputError("c0 must be positive")
         if self.kind == "superlinear" and not (self.beta is not None and self.beta > 0):
-            raise ValueError("superlinear Phi needs beta > 0")
+            raise InputError("superlinear Phi needs beta > 0")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -291,13 +292,13 @@ def interaction_z2(
     The built field is Lipschitz in the measure argument in total variation
     with constant at most ``kappa * bound``.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    if not 0 <= kappa < np.inf:
+        raise InputError(f"kappa must be nonnegative and finite, got {kappa!r}")
     if kernel.bound > 1.0 + 1e-12:
-        raise ValueError(f"kernel bound {kernel.bound} exceeds 1; construction rejected")
+        raise InputError(f"kernel bound {kernel.bound} exceeds 1; construction rejected")
     mags = kernel.sample_magnitudes(256, d1, d2)
     if np.any(mags > kernel.bound * (1.0 + 1e-9) + 1e-12):
-        raise ValueError(
+        raise InputError(
             f"kernel exceeds its declared bound at a sampled point "
             f"(max |W| = {mags.max():.6g} > {kernel.bound}); construction rejected"
         )
@@ -325,8 +326,11 @@ def _const_sigma(value, d2: int, m: int) -> np.ndarray:
 def sigma_bounds_of(mat: np.ndarray) -> tuple[float, float]:
     if not np.any(mat):
         return (0.0, 0.0)  # noise-free diagnostic dynamics
-    a = mat @ mat.T
-    return (float(np.linalg.norm(mat, 2)), float(np.linalg.norm(np.linalg.inv(a), 2)))
+    try:
+        inv = np.linalg.inv(mat @ mat.T)
+    except np.linalg.LinAlgError:
+        raise InputError(f"sigma sigma* is singular for sigma = {mat.tolist()}") from None
+    return (float(np.linalg.norm(mat, 2)), float(np.linalg.norm(inv, 2)))
 
 
 def build_coefficients(
@@ -369,7 +373,7 @@ def confining_coefficients(
         return drift.z1(x, y)
 
     base = lambda t, x, y: drift.z2(x, y)
-    if kernel is not None and kappa > 0.0:
+    if kernel is not None and kappa != 0.0:
         z2 = interaction_z2(base, kernel, kappa, d1=d, d2=d)
         dep = True
     else:

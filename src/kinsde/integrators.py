@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, EmpiricalLaw, MeasureFlow, SimConfig, validate_config
+from kinsde.core import (CoefficientSet, EmpiricalLaw, InputError, MeasureFlow, NumericError,
+                         SimConfig, validate_config)
 
 BLOWUP_THRESHOLD = 1e12
 UNSTABLE_DEAD_FRACTION = 1e-3
@@ -29,7 +30,7 @@ _PURPOSE_BOOT = 2
 SNAPSHOT_FORMAT = 1
 
 
-class DegenerateReweightingError(ArithmeticError):
+class DegenerateReweightingError(NumericError):
     """Effective sample size of the Girsanov weights collapsed below 1% of N."""
 
     def __init__(self, ess: float, n: int):
@@ -109,6 +110,8 @@ def alive_law(x: np.ndarray, y: np.ndarray, alive: np.ndarray) -> EmpiricalLaw:
     """The law of the alive rows: the whole arrays when nothing died."""
     if alive.all():
         return EmpiricalLaw(x, y)
+    if not alive.any():
+        raise NumericError(f"no law: all {alive.size} particles blew up")
     return EmpiricalLaw(x[alive], y[alive])
 
 
@@ -173,7 +176,7 @@ def simulate_ensemble(
     """
     bad = validate_config(cfg, coeffs)
     if bad:
-        raise ValueError("invalid configuration: " + "; ".join(bad))
+        raise InputError("invalid configuration: " + "; ".join(bad))
     steps = None if record_times is None else cfg.record_steps(record_times)
     x, y = init.sample(cfg.N)  # never written into: each step makes new arrays
     n, h, K = cfg.N, cfg.h, cfg.n_steps

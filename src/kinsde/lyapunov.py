@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinsde.core import CoefficientSet
+from kinsde.core import CoefficientSet, InputError, NumericError
 from kinsde.fields import LyapunovV, PhiFamily
 
 
-class CertificationError(ValueError):
+class CertificationError(NumericError):
     """No feasible constants on the sampled domain."""
 
 
@@ -109,17 +109,21 @@ def drift_condition_lhs(
     """
     d1 = coeffs.d1
     offs = shell_offsets(coeffs.d2, eps, m_shell)
-    hess_xy, grad_y, hess_yy = shell_norms(V, points[:, :d1], points[:, d1:], offs)
     out = np.empty(points.shape[0])
-    for i, pt in enumerate(points):
-        x, y = pt[:d1], pt[d1:]
-        z1 = np.asarray(coeffs.z1(0.0, x[None, :], y[None, :]))[0]
-        z2 = np.asarray(coeffs.z2(0.0, x[None, :], y[None, :], None))[0]
-        n1 = float(np.linalg.norm(z1))
-        n2 = float(np.linalg.norm(z2))
-        shell_max = float(np.max(n1 * hess_xy[i] + n2 * (grad_y[i] + hess_yy[i])))
-        here = V.blocks(x, y)
-        out[i] = eps * shell_max + float(z1 @ here.grad_x) + float(z2 @ here.grad_y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite left side gets flagged
+        hess_xy, grad_y, hess_yy = shell_norms(V, points[:, :d1], points[:, d1:], offs)
+        for i, pt in enumerate(points):
+            x, y = pt[:d1], pt[d1:]
+            z1 = np.asarray(coeffs.z1(0.0, x[None, :], y[None, :]))[0]
+            z2 = np.asarray(coeffs.z2(0.0, x[None, :], y[None, :], None))[0]
+            n1 = float(np.linalg.norm(z1))
+            n2 = float(np.linalg.norm(z2))
+            shell_max = float(np.max(n1 * hess_xy[i] + n2 * (grad_y[i] + hess_yy[i])))
+            try:
+                here = V.blocks(x, y)
+            except OverflowError as exc:  # a float power of V left the float range
+                raise NumericError(f"V overflows at {pt.tolist()}: {exc}") from None
+            out[i] = eps * shell_max + float(z1 @ here.grad_x) + float(z2 @ here.grad_y)
     return out
 
 
@@ -157,27 +161,27 @@ def check_drift_condition(
 ) -> DriftConditionReport:
     """Pointwise margins of LHS <= K - Phi(V) on the sampled domain.
 
-    Derivative or drift evaluation failures flag the point rather than
-    silently skipping it; a flagged point blocks a "holds" verdict.
+    Arithmetic failures of the derivative or drift evaluation flag the point
+    rather than silently skipping it (any other exception is a bug and
+    escapes); a flagged point blocks a "holds" verdict.
     """
     if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+        raise InputError("eps must lie in (0, 1)")
     pts = samples.points(coeffs.d1, coeffs.d2)
     lhs = np.full(pts.shape[0], np.nan)
-    flagged: list[int] = []
     for i, pt in enumerate(pts):
         try:
             lhs[i] = drift_condition_lhs(coeffs, V, eps, pt[None, :])[0]
-            if not np.isfinite(lhs[i]):
-                raise ArithmeticError("non-finite left side")
-        except Exception:
-            flagged.append(i)
-    return _drift_report(V, phi, K, samples, pts, lhs, flagged)
+        except ArithmeticError:  # the point keeps its NaN left side and is flagged
+            continue
+    return _drift_report(V, phi, K, samples, pts, lhs)
 
 
 def _drift_report(V: LyapunovV, phi: PhiFamily, K: float, samples: LogRadialSamples,
-                  pts: np.ndarray, lhs: np.ndarray, flagged: list) -> DriftConditionReport:
-    """Margins K - Phi(V) - LHS and the verdict; any flagged point fails it."""
+                  pts: np.ndarray, lhs: np.ndarray) -> DriftConditionReport:
+    """Margins K - Phi(V) - LHS and the verdict; a point with a non-finite left side is
+    flagged, and any flagged point fails it."""
+    flagged = np.flatnonzero(~np.isfinite(lhs)).tolist()
     rhs = K - np.asarray(phi(V.value_points(pts)))
     margins = rhs - lhs
     ok = np.all(margins[np.isfinite(margins)] >= 0.0) and not flagged
@@ -216,7 +220,7 @@ def search_constants(
     flagged.
     """
     if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+        raise InputError("eps must lie in (0, 1)")
     pts = samples.points(coeffs.d1, coeffs.d2)
     lhs = drift_condition_lhs(coeffs, V, eps, pts)
     vvals = V.value_points(pts)
@@ -240,8 +244,7 @@ def search_constants(
                 fhi = mid
         best = flo
     K = k_min(best)
-    flagged = np.flatnonzero(~np.isfinite(lhs)).tolist()
-    report = _drift_report(V, PhiFamily(phi_kind, best, beta), K, samples, pts, lhs, flagged)
+    report = _drift_report(V, PhiFamily(phi_kind, best, beta), K, samples, pts, lhs)
     return ConstantSearchResult(c0=best, K=K, k_cap=k_cap, report=report)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from kinsde.core import CloudInit, CoefficientSet, EmpiricalLaw, MeasureFlow, SimConfig
+from kinsde.core import CloudInit, CoefficientSet, EmpiricalLaw, InputError, MeasureFlow, SimConfig
 from kinsde.ergodicity import (DecayFit, TVDecaySeries, bootstrap_noise_floor, compare_flows,
                                law_distances)
 from kinsde.integrators import (
@@ -44,8 +44,8 @@ def rho_lambda(a: MeasureFlow, b: MeasureFlow, lam: float, spec, V=None) -> floa
     The slice distance is plain total variation, or its V-weighted variant
     when a Lyapunov weight is supplied.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not lam >= 0:
+        raise InputError("lam must be nonnegative")
     if not np.array_equal(a.times, b.times):
         raise ValueError("flows live on different grids")
     dist = law_distances(a.clouds, b.clouds, spec, V)

@@ -21,32 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, MeasureFlow, SimConfig
+from kinsde.core import CoefficientSet, InputError, MeasureFlow, NumericError, SimConfig
 from kinsde.ergodicity import compare_flows
 from kinsde.integrators import alive_law, simulate_ensemble
 
 LAMBDA_CAP = float(2**40)
-
-
-class DegenerateDiscretizationError(ArithmeticError):
-    """The tridiagonal system was singular at this resolution."""
-
-
-class NotConvergedError(ArithmeticError):
-    """Discrete residual too large relative to the right-hand side."""
-
-
-class SmallnessNotAchievedError(ArithmeticError):
-    """No lambda below the cap reached the requested smallness.
-
-    Flags a coefficient outside the regime the transform expects at this
-    resolution.
-    """
-
-
-class OutOfTransformDomainError(ValueError):
-    """The transform cannot be applied: extrapolation beyond the solved
-    interval was refused, or Theta is not a diffeomorphism on the grid."""
 
 
 class _KnotTables:
@@ -177,7 +156,7 @@ class ZvonkinSolution:
         counted through ``hits`` instead of raising.
         """
         if not self.invertible:
-            raise OutOfTransformDomainError(
+            raise NumericError(
                 "transform is not invertible (||u'|| >= 1 or Theta table not increasing)"
             )
         ty = np.asarray(ty, dtype=float)
@@ -185,7 +164,7 @@ class ZvonkinSolution:
         out = (ty < tv[0]) | (ty > tv[-1])
         if np.any(out):
             if not clamp:
-                raise OutOfTransformDomainError(
+                raise NumericError(
                     "out of transform domain: y outside Theta([-L, L])"
                 )
             if hits is not None:
@@ -211,13 +190,13 @@ def solve_resolvent_1d(
     if lam <= 0:
         raise ValueError("lam must be positive")
     if n < 5:
-        raise ValueError("need at least 5 grid points")
+        raise InputError("need at least 5 grid points")
     y = np.linspace(-L, L, n)
     dy = y[1] - y[0]
     b_vals = np.full(n, float(b)) if np.isscalar(b) else np.asarray(b(y), dtype=float)
     s_vals = np.full(n, float(sigma)) if np.isscalar(sigma) else np.asarray(sigma(y), dtype=float)
     if np.any(s_vals**2 <= 0):
-        raise DegenerateDiscretizationError("sigma^2 must be positive on the grid")
+        raise NumericError("sigma^2 must be positive on the grid")
 
     half_s2 = 0.5 * s_vals**2
     bi = b_vals[1:-1]
@@ -235,9 +214,9 @@ def solve_resolvent_1d(
     try:
         interior = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely here
-        raise DegenerateDiscretizationError(str(exc)) from exc
+        raise NumericError(str(exc)) from exc
     if not np.all(np.isfinite(interior)):
-        raise DegenerateDiscretizationError("tridiagonal solve produced non-finite values")
+        raise NumericError("tridiagonal solve produced non-finite values")
 
     u = np.zeros(n)
     u[1:-1] = interior
@@ -251,7 +230,7 @@ def solve_resolvent_1d(
     scale = max(1.0, float(np.max(np.abs(b_vals))))
     residual = float(np.max(np.abs(resid)))
     if residual > 1e-8 * scale:
-        raise NotConvergedError(f"discrete residual {residual:.3e} above 1e-8 of RHS scale")
+        raise NumericError(f"discrete residual {residual:.3e} above 1e-8 of RHS scale")
 
     du = np.empty(n)
     du[1:-1] = (u[2:] - u[:-2]) / (2.0 * dy)
@@ -272,14 +251,14 @@ def lambda_sweep(
 ) -> ZvonkinSolution:
     """Double lambda from 1 until ||u|| + ||u'|| drops below the target."""
     if not (0.0 < eps_target < 1.0):
-        raise ValueError("eps_target must lie in (0, 1)")
+        raise InputError("eps_target must lie in (0, 1)")
     lam = 1.0
     while lam <= LAMBDA_CAP:
         sol = solve_resolvent_1d(b, sigma, lam, L, n)
         if sol.sup_bound < eps_target:
             return sol
         lam *= 2.0
-    raise SmallnessNotAchievedError(
+    raise NumericError(
         f"smallness not achieved: bound still >= {eps_target} at lambda cap {LAMBDA_CAP:g}"
     )
 
@@ -298,15 +277,15 @@ def transform_coefficients(
     accounts for the clamp hits).
     """
     if coeffs.d2 != 1:
-        raise ValueError("transform requires d2 = 1")
+        raise InputError("transform requires d2 = 1")
     if not sol.invertible:
-        raise OutOfTransformDomainError(
+        raise NumericError(
             "solution does not satisfy ||u'|| < 1 with a strictly increasing Theta table;"
             " not a diffeomorphism"
         )
     rt = np.max(np.abs(sol.theta_inv(sol.theta(sol.grid)) - sol.grid))
     if rt > 1e-8:
-        raise OutOfTransformDomainError(f"inverse roundtrip error {rt:.3e} above 1e-8")
+        raise NumericError(f"inverse roundtrip error {rt:.3e} above 1e-8")
 
     lam = sol.lam
     bdu = float(np.max(np.abs(sol.du)))
@@ -390,7 +369,7 @@ def equivalence_experiment(
     experiment; enlarge L.
     """
     if coeffs.d2 != 1:
-        raise ValueError("experiment requires d2 = 1")
+        raise InputError("experiment requires d2 = 1")
     if coeffs.b is None:
         b_scalar: Callable | float = 0.0
     else:
@@ -410,7 +389,7 @@ def equivalence_experiment(
     y_back = sol.theta_inv(ens_b.y[:, 0], clamp=True, hits=hits)[:, None]
     out_frac = float(sum(hits)) / max(1, cfg.N * cfg.n_steps)
     if out_frac > 1e-3:
-        raise OutOfTransformDomainError(
+        raise NumericError(
             f"experiment aborted: {out_frac:.2%} out-of-domain transform hits; enlarge L"
         )
 

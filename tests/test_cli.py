@@ -157,7 +157,22 @@ class TestConfigHandling:
          ("ergodicity", "record.start = 0.005\n", "record.start = 0.005"),
          ("ergodicity", "record.stop = 1.0\n", "record.stop = 1: record time"),
          ("mkv-sweep", "record.stop = 3.0\nrecord.step = 0.1\n",
-          "record.stop = 3: record time 0.6 lies outside [0, T = 0.5]")],
+          "record.stop = 3: record time 0.6 lies outside [0, T = 0.5]"),
+         # each of these once exited 2 with a numpy, scipy or float() message naming no key
+         ("simulate", "sigma = [[1.0, 0.0]]\n", "sigma must be a number or a 1 x 1 matrix"),
+         ("simulate", "sigma = 'abc'\n", "sigma must be a number, got 'abc'"),
+         ("simulate", "hist.min = 'abc'\n", "hist.min must be a number, got 'abc'"),
+         ("simulate", "kernel = constant\nkernel.w = 'x'\n", "kernel.w must be a number"),
+         ("ergodicity", "init.a = ('a', 1)\n", "init.a must be a number, got 'a'"),
+         ("zvonkin", "zvonkin.L = 0.0\n", "zvonkin.L must be greater than 0"),
+         ("lyapunov-check", "lyap.rmin = 0\n", "lyap.rmin must be greater than 0"),
+         # a negative coupling once ran silently as no coupling
+         ("mkv-sweep", "sweep.kappas = [0.0, -0.1]\n", "sweep.kappas must be nonnegative"),
+         # T = inf once exited 3 as a float-to-int overflow, T = nan 2 naming no key
+         ("simulate", "T = inf\n", "T must be finite, got inf"),
+         ("simulate", "T = nan\n", "T must be finite, got nan"),
+         ("simulate", "h = inf\n", "h must be finite, got inf"),
+         ("simulate", "h = nan\n", "h must be finite, got nan")],
     )
     def test_bad_run_value_exit_2_naming_key(self, tmp_path, monkeypatch, capsys,
                                              command, extra, message):
@@ -316,6 +331,34 @@ class TestErgodicity:
                      "--replay", str(live / "distances.csv")]) == 0
         for name in ("distances.csv", "fit.json"):
             assert (replay / name).read_bytes() == (live / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("t,distance,noise_floor\n", "holds no t,distance rows"),
+         (None, "cannot read --replay"),
+         ("t,distance\n0.0,abc\n", "--replay")],
+        ids=["header only", "missing file", "non-numeric cell"],
+    )
+    def test_bad_replay_exit_2_naming_replay(self, tmp_path, capsys, text, message):
+        series = tmp_path / "series.csv"
+        if text is not None:
+            series.write_text(text)
+        cfg = write_cfg(tmp_path, "drift = scalar_ou\n")
+        assert main(["ergodicity", str(cfg), "--out", str(tmp_path / "o"),
+                     "--replay", str(series)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "--replay" in err and err.count("\n") == 1
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_replay_keeps_a_first_time_in_exponent_form(self, tmp_path):
+        # 1e-05 holds a letter but is a number: it starts the rows, it is not a header
+        series = tmp_path / "series.csv"
+        series.write_text("# a comment\nt,distance\n1e-05,0.5\n0.5,0.25\n")
+        cfg = write_cfg(tmp_path, "drift = scalar_ou\n")
+        assert main(["ergodicity", str(cfg), "--out", str(tmp_path / "o"),
+                     "--replay", str(series)]) == 0
+        t = np.loadtxt(tmp_path / "o" / "distances.csv", delimiter=",", skiprows=2)[:, 0]
+        assert t.tolist() == [1e-05, 0.5]
 
     def test_default_record_step_is_whole_steps(self, tmp_path):
         # (stop - start) / 16 = 0.125 is 6.25 steps of h = 0.02: the default
@@ -589,6 +632,7 @@ class TestVerify:
         man = self._run_simulate(tmp_path)
         data = json.loads(man.read_text())
         del data["sha256"]
-        man.write_text(json.dumps(data))
-        assert main(["verify", str(man)]) == 2
-        assert "records no sha256" in capsys.readouterr().err
+        for text in (json.dumps(data), json.dumps([data])):  # a list once raised AttributeError
+            man.write_text(text)
+            assert main(["verify", str(man)]) == 2
+            assert "records no sha256" in capsys.readouterr().err

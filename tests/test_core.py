@@ -3,10 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from kinsde.cli import ConfigError, _parse_config, _sim_config
+from kinsde.cli import _parse_config, _sim_config
 from kinsde.core import (
     AdmissiblePair,
     EmpiricalLaw,
+    InputError,
     MeasureFlow,
     NormDivergedError,
     PhaseState,
@@ -74,7 +75,7 @@ class TestSimConfig:
         assert cfg.n_steps == 2
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
+        with pytest.raises(InputError, match="unknown key"):
             _parse_config("T = 1.0\nh = 0.5\nN = 1\nbogus = 3\n")
 
     def test_malformed_line_rejected(self):

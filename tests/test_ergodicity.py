@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, MeasureFlow, PhaseState, SimConfig
+from kinsde.core import (DiracInit, EmpiricalLaw, HistogramSpec, MeasureFlow, NumericError,
+                         PhaseState, SimConfig)
 from kinsde.ergodicity import (
     HistogramLaw,
     HTransform,
-    NumericCheckError,
     TVDecaySeries,
     bootstrap_noise_floor,
     compare_flows,
@@ -89,7 +89,7 @@ class TestHistogramLaw:
         masses = np.full(64, 1.0 / 64)
         HistogramLaw(SPEC2, masses, 0.0)
         masses[5] = np.nan
-        with pytest.raises(NumericCheckError, match="histogram mass nan"):
+        with pytest.raises(NumericError, match="histogram mass nan"):
             HistogramLaw(SPEC2, masses, 0.0)
 
 
@@ -356,7 +356,7 @@ class TestHEnvelope:
     def test_inverse_out_of_reach(self):
         H = HTransform(PhiFamily("superlinear", 1.0, beta=1.0))
         assert H.inverse(H.value(2.0**49)) == pytest.approx(2.0**49, rel=1e-3)
-        with pytest.raises(ValueError, match="out of reach"):
+        with pytest.raises(NumericError, match="out of reach"):
             H.inverse(np.pi / 2.0 + 1e-9)
 
     def test_envelope_start_where_h_is_flat(self):

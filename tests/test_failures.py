@@ -1,0 +1,138 @@
+"""The two failure classes: every refusal is an InputError (exit 2), every numeric
+failure a NumericError (exit 3), and any other exception escapes ``main`` as a bug."""
+
+import contextlib
+import importlib
+import inspect
+import io
+import re
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import kinsde.cli as cli
+from kinsde.core import InputError, NumericError
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ["kinsde", "kinsde.cli", "kinsde.core", "kinsde.ergodicity", "kinsde.fields",
+           "kinsde.integrators", "kinsde.lyapunov", "kinsde.mckean", "kinsde.zvonkin"]
+COMMAND = {"ergodicity_riesz": "ergodicity", "h_bound": "h-bound", "khasminskii": "khasminskii",
+           "langevin": "simulate", "lyapunov_confining": "lyapunov-check",
+           "mkv_picard": "mkv-picard", "mkv_sweep": "mkv-sweep", "zvonkin_riesz": "zvonkin"}
+
+
+def exception_classes():
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for _, cls in inspect.getmembers(mod, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == name:
+                yield cls
+
+
+class TestTaxonomy:
+    def test_every_class_derives_from_exactly_one_base(self):
+        classes = set(exception_classes())
+        assert len(classes) <= 5, sorted(c.__name__ for c in classes)
+        for cls in classes:
+            assert issubclass(cls, InputError) != issubclass(cls, NumericError), cls
+
+    @pytest.mark.parametrize("fault", [IndexError, ZeroDivisionError])
+    def test_other_faults_escape_main(self, tmp_path, monkeypatch, fault):
+        def broken(*args, **kwargs):
+            raise fault("a bug")
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "simulate", broken)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("T = 0.1\nh = 0.01\nN = 5\ndrift = zero\n")
+        with pytest.raises(fault, match="a bug"):
+            cli.main(["simulate", str(cfg), "--out", str(tmp_path)])
+        assert not (tmp_path / "manifest.json").exists()
+
+
+# --- one-key mutations of the shipped configs ---------------------------------------
+
+def shrunk(path: Path) -> list[str]:
+    """The config's key lines at N <= 32, T <= 2 and h = 0.05: every shipped config
+    keeps its record times on that grid and runs in well under a second."""
+    out = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if "=" not in line or line.startswith("#"):
+            continue
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key == "N":
+            val = min(int(float(val)), 32)
+        elif key == "T":
+            val = min(float(val), 2.0)
+        elif key == "h":
+            val = 0.05
+        out.append(f"{key} = {val}")
+    return out
+
+
+SHRUNK = {p.stem: shrunk(p) for p in sorted((ROOT / "configs").glob("*.cfg"))}
+MUTATIONS = ["wrong type", "0", "-1", "nan", "inf", "1e300", "deleted", "repeated"]
+
+
+def mutated(lines: list[str], key: str, how: str) -> str:
+    out = []
+    for line in lines:
+        if line.split(" =")[0] != key:
+            out.append(line)
+        elif how == "repeated":
+            out += [line, line]
+        elif how == "wrong type":
+            # a number where the config holds a name, a name where it holds anything else
+            text = line.split("= ", 1)[1]
+            out.append(f"{key} = {5 if text.isidentifier() else repr('x')}")
+        elif how != "deleted":
+            out.append(f"{key} = {how}")
+    return "\n".join(out) + "\n"
+
+
+def print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """``main`` under the warning filters and printer a plain ``kinsde`` process starts
+    with (a RuntimeWarning goes to stderr, where pytest would raise or record it), with
+    stderr captured."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.resetwarnings()
+        for category in (DeprecationWarning, PendingDeprecationWarning, ImportWarning,
+                         ResourceWarning):
+            warnings.simplefilter("ignore", category)
+        warnings.showwarning = print_warning
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+class TestMutatedConfigs:
+    @pytest.mark.parametrize("name", sorted(SHRUNK))
+    def test_shrunk_config_runs(self, tmp_path, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(SHRUNK[name]) + "\n")
+        assert run_main([COMMAND[name], str(cfg), "--out", str(tmp_path / "o")]) == (0, "")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_key_mutation_is_classified(self, data):
+        name = data.draw(st.sampled_from(sorted(SHRUNK)), label="config")
+        key = data.draw(st.sampled_from([ln.split(" =")[0] for ln in SHRUNK[name]]), label="key")
+        how = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+            cfg.write_text(mutated(SHRUNK[name], key, how))
+            rc, err = run_main([COMMAND[name], str(cfg), "--out", str(out)])
+            assert rc in (0, 2, 3)
+            assert "Traceback" not in err
+            if rc:
+                assert err.count("\n") == 1 and err.endswith("\n"), err
+                assert not (out / "manifest.json").exists()
+            if rc == 2:
+                assert re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err), err

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 import kinsde.zvonkin as zvonkin
 from kinsde.cli import main
-from kinsde.core import DiracInit, HistogramSpec, PhaseState, SimConfig
+from kinsde.core import DiracInit, HistogramSpec, NumericError, PhaseState, SimConfig
 from kinsde.fields import ConfiningDrift, RieszDrift, build_coefficients
 from kinsde.integrators import step_arrays
 from kinsde.zvonkin import (
-    OutOfTransformDomainError,
-    SmallnessNotAchievedError,
     ZvonkinSolution,
     _KnotTables,
     equivalence_experiment,
@@ -154,9 +152,7 @@ class TestResolventSolve:
         assert bounds[0] > bounds[1] > bounds[2]
 
     def test_degenerate_sigma_rejected(self):
-        from kinsde.zvonkin import DegenerateDiscretizationError
-
-        with pytest.raises(DegenerateDiscretizationError):
+        with pytest.raises(NumericError):
             solve_resolvent_1d(1.0, 0.0, lam=1.0, L=5.0, n=101)
 
 
@@ -178,7 +174,7 @@ class TestLambdaSweep:
 
     def test_cap_reached_raises(self):
         # a huge drift cannot be tamed below the target at this resolution
-        with pytest.raises(SmallnessNotAchievedError, match="smallness not achieved"):
+        with pytest.raises(NumericError, match="smallness not achieved"):
             lambda_sweep(1e9, 1.0, eps_target=1e-3, L=4.0, n=101)
 
 
@@ -232,13 +228,13 @@ class TestTransform:
 
     def test_out_of_domain_refused(self):
         sol = solve_resolvent_1d(1.0, 1.0, lam=20.0, L=4.0, n=401)
-        with pytest.raises(OutOfTransformDomainError, match="out of transform domain"):
+        with pytest.raises(NumericError, match="out of transform domain"):
             sol.theta_inv(np.array([100.0]))
 
     def test_non_invertible_solution_refused(self):
         sol = solve_resolvent_1d(8.0, 1.0, lam=1.0, L=12.0, n=2001)
         assert not sol.invertible
-        with pytest.raises(OutOfTransformDomainError, match="diffeomorphism"):
+        with pytest.raises(NumericError, match="diffeomorphism"):
             transform_coefficients(sol, self._coeffs())
 
     def test_decreasing_theta_table_is_not_invertible(self):
@@ -246,9 +242,9 @@ class TestTransform:
         assert np.max(np.abs(sol.du)) == pytest.approx(0.3)
         assert np.min(np.diff(sol.theta_values)) < 0.0
         assert not sol.invertible
-        with pytest.raises(OutOfTransformDomainError, match="not invertible"):
+        with pytest.raises(NumericError, match="not invertible"):
             sol.theta_inv(sol.theta(sol.grid))
-        with pytest.raises(OutOfTransformDomainError, match="diffeomorphism"):
+        with pytest.raises(NumericError, match="diffeomorphism"):
             transform_coefficients(sol, self._coeffs())
 
     def test_non_invertible_solution_exits_3(self, tmp_path, monkeypatch, capsys):
