@@ -53,13 +53,15 @@ def _philox(seed: int, purpose: int, stream: int, index: int) -> np.random.Gener
 _step_rng = threading.local()
 
 
-def step_normals(seed: int, stream: int, step: int, n: int, m: int) -> np.ndarray:
+def step_normals(seed: int, stream: int, step: int, n: int, m: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Standard-normal block for one step; row i belongs to particle i.
 
     Equal to ``_philox(seed, _PURPOSE_STEP, stream, step).standard_normal((n, m))``,
     but building a keyed ``Philox`` costs a ``SeedSequence`` (and an
     ``os.urandom`` read) per call, so the thread's generator is re-keyed
     instead: its fresh state (counter 0, empty buffer) with the step's key.
+    ``out``, a C-contiguous (n, m) float64 array, receives the same bytes.
     """
     rng = _step_rng
     if not hasattr(rng, "gen"):
@@ -67,7 +69,9 @@ def step_normals(seed: int, stream: int, step: int, n: int, m: int) -> np.ndarra
         rng.fresh = rng.gen.bit_generator.state
     rng.fresh["state"]["key"] = _key(seed, _PURPOSE_STEP, stream, step)
     rng.gen.bit_generator.state = rng.fresh
-    return rng.gen.standard_normal((n, m))
+    if out is None:
+        return rng.gen.standard_normal((n, m))
+    return rng.gen.standard_normal(out=out)
 
 
 def bootstrap_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -113,6 +117,114 @@ def alive_law(x: np.ndarray, y: np.ndarray, alive: np.ndarray) -> EmpiricalLaw:
     if not alive.any():
         raise NumericError(f"no law: all {alive.size} particles blew up")
     return EmpiricalLaw(x[alive], y[alive])
+
+
+# Step noise is drawn a chunk of ceil(_CHUNK_NORMALS / (n m)) steps at a time.
+# A helper thread draws chunks ahead of the loop only when one step's block
+# holds at least _HELPER_MIN_BLOCK normals: the per-step re-key holds the GIL,
+# so below that the hand-offs cost more than the drawing they move off the
+# loop.  Tamed-cubic drift, m = 1, µs per step without -> with the helper
+# (2-core x86 machine, median of 7): N = 1000 113 -> 188, N = 2000 154 -> 231,
+# N = 3000-4000 even, N = 6000 320 -> 236, N = 10^4 569 -> 362.
+_CHUNK_NORMALS = 40_000
+_HELPER_MIN_BLOCK = 5_000
+_RING_DEPTH = 3
+
+
+class _NoiseRing:
+    """Step k's increments ``sqrt(h) * step_normals(seed, stream, k, n, m)``, k < K,
+    a chunk of B steps at a time, in a ring of reused buffers.
+
+    Chunks are claimed in order: by the helper thread, when there is one, as
+    soon as a buffer is free, and by the loop when the chunk it needs is not
+    ready yet, so the loop fills the next unclaimed chunk instead of idling.
+    Each step's block is keyed by its own k, so its bytes do not depend on the
+    thread that drew it.  Without a helper the ring holds one buffer, which
+    the loop fills as it reaches each chunk.
+    """
+
+    def __init__(self, seed: int, stream: int, n: int, m: int, h: float, K: int):
+        self.B = max(1, min(K, -(-_CHUNK_NORMALS // (n * m))))
+        self.K = K
+        self.n_chunks = -(-K // self.B)
+        threaded = n * m >= _HELPER_MIN_BLOCK and self.n_chunks > 1
+        self.bufs = np.empty((_RING_DEPTH if threaded else 1, self.B, n, m))
+        self.draw = (seed, stream, n, m, math.sqrt(h))
+        self.cond = threading.Condition()
+        self.claimed = 0      # chunks below this one have been claimed
+        self.at = 0           # the chunk the loop is on; older chunks' buffers are free
+        self.ready: set[int] = set()
+        self.error: BaseException | None = None  # what the helper raised
+        self.closed = False
+        self.helper = threading.Thread(target=self._help, daemon=True) if threaded else None
+        if self.helper is not None:
+            self.helper.start()
+
+    def _block(self, c: int) -> np.ndarray:
+        lo = c * self.B
+        return self.bufs[c % len(self.bufs), :min(self.B, self.K - lo)]
+
+    def _claim(self) -> int | None:
+        """The next chunk, if the ring is open, there is one and its buffer is free.
+        Hold the lock."""
+        c = self.claimed
+        if self.closed or c >= min(self.n_chunks, self.at + len(self.bufs)):
+            return None
+        self.claimed += 1
+        return c
+
+    def _fill(self, c: int) -> None:
+        seed, stream, n, m, sqh = self.draw
+        block = self._block(c)
+        for j, out in enumerate(block):
+            step_normals(seed, stream, c * self.B + j, n, m, out=out)
+        np.multiply(block, sqh, out=block)
+
+    def _help(self) -> None:
+        try:
+            while True:
+                with self.cond:
+                    while (c := self._claim()) is None:
+                        if self.closed or self.claimed == self.n_chunks:
+                            return
+                        self.cond.wait()
+                self._fill(c)
+                with self.cond:
+                    self.ready.add(c)
+                    self.cond.notify_all()
+        except BaseException as exc:
+            with self.cond:
+                self.error = exc
+                self.cond.notify_all()
+
+    def chunk(self, c: int) -> np.ndarray:
+        """Chunk c's increments, (steps, n, m); the buffers of earlier chunks become free."""
+        with self.cond:
+            self.at = c
+            self.cond.notify_all()
+            while c not in self.ready:
+                if self.error is not None:
+                    raise self.error
+                own = self._claim()
+                if own is None:
+                    self.cond.wait()
+                    continue
+                self.cond.release()
+                try:
+                    self._fill(own)
+                finally:
+                    self.cond.acquire()
+                self.ready.add(own)
+            self.ready.remove(c)
+        return self._block(c)
+
+    def close(self) -> None:
+        """Stop the helper and wait for it; a chunk it is drawing is finished first."""
+        with self.cond:
+            self.closed = True
+            self.cond.notify_all()
+        if self.helper is not None:
+            self.helper.join()
 
 
 @dataclass
@@ -173,6 +285,13 @@ def simulate_ensemble(
     that step's increments, for k = 0 .. K - 1, and once more at k = K
     with ``dW = None``; it is the only view of a path while it runs, since
     the loop keeps no history.  Neither callable may write into its arrays.
+    ``dW`` is a view into a reused chunk buffer, valid only during the call:
+    copy it to keep it.
+
+    Step k's increments are ``sqrt(h) * step_normals(seed, stream, k, N, m)``,
+    drawn a chunk of steps ahead; when one step's block is large, a helper
+    thread draws them while the loop steps (:class:`_NoiseRing`).  The bytes
+    do not depend on which thread drew them.
     """
     bad = validate_config(cfg, coeffs)
     if bad:
@@ -186,33 +305,39 @@ def simulate_ensemble(
     rec_set = set() if steps is None else set(steps.tolist())
     clouds = [alive_law(x, y, alive)] if 0 in rec_set else []
 
-    sqh = math.sqrt(h)
     n_alive = n
-    for k in range(K):
-        t = k * h
-        law_k = law(k, t, x, y, alive) if law is not None else None
-        dW = sqh * step_normals(cfg.seed, stream, k, n, cfg.m)
-        if observe is not None:
-            observe(k, t, x, y, dW)
+    ring = _NoiseRing(cfg.seed, stream, n, cfg.m, h, K)
+    try:
+        for k in range(K):
+            t = k * h
+            law_k = law(k, t, x, y, alive) if law is not None else None
+            c, j = divmod(k, ring.B)
+            if j == 0:
+                chunk = ring.chunk(c)
+            dW = chunk[j]
+            if observe is not None:
+                observe(k, t, x, y, dW)
 
-        # Death mask.  NaN fails every comparison, so it marks a row dead as
-        # inf does.  One whole-array test per step is far cheaper than the
-        # per-row reductions, which run only when some value fails it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            nx, ny = step_arrays(coeffs, t, h, x, y, law_k, dW, tamed)
-            if not (np.abs(nx).max() < BLOWUP_THRESHOLD
-                    and np.abs(ny).max() < BLOWUP_THRESHOLD):
-                alive = (alive & (np.max(np.abs(nx), axis=1) < BLOWUP_THRESHOLD)
-                         & (np.max(np.abs(ny), axis=1) < BLOWUP_THRESHOLD))
-                n_alive = int(np.count_nonzero(alive))
-        if n_alive == n:
-            x, y = nx, ny
-        else:
-            x = np.where(alive[:, None], nx, x)
-            y = np.where(alive[:, None], ny, y)
+            # Death mask.  NaN fails every comparison, so it marks a row dead
+            # as inf does.  One whole-array test per step is far cheaper than
+            # the per-row reductions, which run only when some value fails it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                nx, ny = step_arrays(coeffs, t, h, x, y, law_k, dW, tamed)
+                if not (np.abs(nx).max() < BLOWUP_THRESHOLD
+                        and np.abs(ny).max() < BLOWUP_THRESHOLD):
+                    alive = (alive & (np.max(np.abs(nx), axis=1) < BLOWUP_THRESHOLD)
+                             & (np.max(np.abs(ny), axis=1) < BLOWUP_THRESHOLD))
+                    n_alive = int(np.count_nonzero(alive))
+            if n_alive == n:
+                x, y = nx, ny
+            else:
+                x = np.where(alive[:, None], nx, x)
+                y = np.where(alive[:, None], ny, y)
 
-        if (k + 1) in rec_set:
-            clouds.append(alive_law(x, y, alive))
+            if (k + 1) in rec_set:
+                clouds.append(alive_law(x, y, alive))
+    finally:
+        ring.close()
     if observe is not None:
         observe(K, K * h, x, y, None)
 

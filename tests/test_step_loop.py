@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from kinsde.cli import main
 from kinsde.core import CloudInit, EmpiricalLaw, SimConfig
 from kinsde.fields import build_coefficients
+from kinsde import integrators
 from kinsde.integrators import save_snapshot, simulate_ensemble, step_arrays, step_normals
 
 BASE = """
@@ -46,11 +47,11 @@ BAD_ROWS = {
 DEATHS = SimConfig(T=0.5, h=0.01, N=300, seed=4)
 
 
-def death_cloud() -> CloudInit:
-    x = np.zeros((DEATHS.N, 1))
+def death_cloud(n: int = DEATHS.N) -> CloudInit:
+    x = np.zeros((n, 1))
     for label, (_, rows, _, _) in BAD_ROWS.items():
         x[rows] = label
-    y = np.linspace(-2.0, 2.0, DEATHS.N)[:, None]
+    y = np.linspace(-2.0, 2.0, n)[:, None]
     return CloudInit(EmpiricalLaw(x, y))
 
 
@@ -73,8 +74,9 @@ def death_coefficients(bad: bool):
     )
 
 
-def death_run(bad: bool = True, **kw):
-    return simulate_ensemble(DEATHS, death_coefficients(bad), death_cloud(), **kw)
+def death_run(bad: bool = True, cfg: SimConfig = DEATHS, **kw):
+    """The labelled rows of ``death_cloud`` die on ``cfg``'s grid (its h must be DEATHS.h)."""
+    return simulate_ensemble(cfg, death_coefficients(bad), death_cloud(cfg.N), **kw)
 
 
 def observed_death_run(bad: bool = True, **kw):
@@ -265,3 +267,101 @@ class TestPerStepCallables:
         for (_, _, x, y, dW), (_, _, px, py, pdW) in zip(seen, plain_seen, strict=True):
             assert np.array_equal(x, px) and np.array_equal(y, py)
             assert (dW is None and pdW is None) or np.array_equal(dW, pdW)
+
+
+# Death runs that span several noise chunks and end in a partial one: N = 300
+# draws without the helper thread, N = 5000 with it.
+RING_RUNS = {
+    "loop only": SimConfig(T=4.5, h=DEATHS.h, N=300, seed=4),
+    "helper": SimConfig(T=0.5, h=DEATHS.h, N=5000, seed=4),
+}
+
+
+def chunk_steps(cfg: SimConfig) -> int:
+    return -(-integrators._CHUNK_NORMALS // (cfg.N * cfg.m))
+
+
+def raised_by(run):
+    """What ``run()`` raised, run on a thread that must end within a minute."""
+    box = {}
+
+    def target():
+        try:
+            run()
+        except BaseException as exc:
+            box["exc"] = exc
+
+    th = threading.Thread(target=target, daemon=True)  # a hung run must not block exit
+    th.start()
+    th.join(timeout=60)
+    assert not th.is_alive(), "the run hung"
+    return box.get("exc")
+
+
+class TestNoiseRing:
+    @pytest.mark.parametrize("name", list(RING_RUNS))
+    def test_observed_increments_are_the_step_noise(self, name):
+        cfg = RING_RUNS[name]
+        K, B = cfg.n_steps, chunk_steps(cfg)
+        assert K // B >= 3 and K % B != 0
+        threaded = cfg.N * cfg.m >= integrators._HELPER_MIN_BLOCK
+        assert threaded == (name == "helper")
+        before = threading.active_count()
+        seen, active = [], []
+
+        def observe(k, t, x, y, dW):
+            active.append(threading.active_count())
+            if dW is not None:
+                want = np.sqrt(cfg.h) * step_normals(cfg.seed, 0, k, cfg.N, cfg.m)
+                seen.append(dW.tobytes() == want.tobytes())
+
+        ens = death_run(cfg=cfg, observe=observe)
+        assert len(seen) == K and all(seen)
+        assert ens.n_dead == 7
+        assert active[0] == before + threaded
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["law", "observe"])
+    def test_hook_exception_reaches_the_caller(self, where):
+        cfg = RING_RUNS["helper"]
+        boom = RuntimeError(f"{where} failed")
+
+        def hook(k, *_):
+            if k == 2 * chunk_steps(cfg) + 3:
+                raise boom
+
+        before = threading.active_count()
+        assert raised_by(lambda: death_run(cfg=cfg, **{where: hook})) is boom
+        assert threading.active_count() == before
+
+    def test_helper_draw_exception_reaches_the_caller(self, monkeypatch):
+        cfg = RING_RUNS["helper"]
+        bad_step = 2 * chunk_steps(cfg) + 1   # in the third chunk, which the helper draws
+        boom = RuntimeError("draw failed")
+        drawn_by = []
+        hit = threading.Event()
+        draw = integrators.step_normals
+
+        def failing_draw(seed, stream, step, n, m, out=None):
+            if step == bad_step:
+                drawn_by.append(threading.current_thread())
+                hit.set()
+                raise boom
+            return draw(seed, stream, step, n, m, out=out)
+
+        def law(k, *_):
+            # hold the loop at step 0 until the helper reaches the bad step
+            if k == 0:
+                assert hit.wait(timeout=30)
+
+        monkeypatch.setattr(integrators, "step_normals", failing_draw)
+        caller = []
+        before = threading.active_count()
+
+        def run():
+            caller.append(threading.current_thread())
+            death_run(cfg=cfg, law=law)
+
+        assert raised_by(run) is boom
+        assert drawn_by and drawn_by[0] is not caller[0]
+        assert threading.active_count() == before
