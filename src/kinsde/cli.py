@@ -27,7 +27,7 @@ import numpy as np
 
 from kinsde import __version__
 from kinsde.core import (AdmissiblePair, DiracInit, HistogramSpec, InputError, NumericError,
-                         PhaseState, SimConfig, localized_lpq_norm, off_grid)
+                         PhaseState, SimConfig, _row_norm, localized_lpq_norm, off_grid)
 from kinsde.ergodicity import TVDecaySeries, h_envelope, tv_decay_experiment
 from kinsde.fields import (ConfiningDrift, LyapunovV, MeanFieldKernel, PhiFamily, RieszDrift,
                            bounded_sine_perturbation, confining_coefficients,
@@ -485,7 +485,7 @@ def cmd_khasminskii(kv, cfg, out, man):
         rz = _build_riesz(kv)
         if rz is None:
             raise InputError("khasminskii.f = riesz needs riesz.atoms")
-        f = lambda t, y: np.sqrt(np.sum(rz(y) ** 2, axis=1))
+        f = lambda t, y: _row_norm(rz(y))
     else:
         raise InputError(f"unknown khasminskii.f {kind!r}")
     p = _real("norm.p", kv.get("norm.p", 4.0))

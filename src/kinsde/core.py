@@ -41,6 +41,22 @@ def _as_vector(v, name: str) -> np.ndarray:
     return arr
 
 
+def _row_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norm of each row of a particle array, over its last axis.
+
+    With one coordinate the norm is ``sqrt(v * v)`` and the reduction is
+    skipped: a sum of one term is that term, so the bits are those of
+    ``sqrt(sum(v * v))``, and at N = 10^4 the reduction costs about three
+    times the multiply.
+    """
+    sq = v * v
+    if v.shape[-1] != 1:
+        sq = np.sum(sq, axis=-1, keepdims=keepdims)
+    elif not keepdims:
+        sq = sq[..., 0]
+    return np.sqrt(sq, out=sq)
+
+
 @dataclass(frozen=True)
 class PhaseState:
     """A point (x, y) in phase space; x carries no noise, y does."""
@@ -395,9 +411,7 @@ def validate_config(
 def _field_magnitude(f: Callable, t: float, pts: np.ndarray) -> np.ndarray:
     """|f_t| at each point; vector-valued fields reduce to Euclidean norm."""
     vals = np.asarray(f(t, pts), dtype=float)
-    if vals.ndim == 2:
-        vals = np.sqrt(np.sum(vals * vals, axis=1))
-    return vals
+    return _row_norm(vals) if vals.ndim == 2 else vals
 
 
 def ball_lp_seminorm(

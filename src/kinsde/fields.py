@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, EmpiricalLaw, InputError
+from kinsde.core import CoefficientSet, EmpiricalLaw, InputError, _row_norm
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,13 @@ class RieszDrift:
             raise InputError(f"Riesz drift atoms have {self.d} coordinates, "
                              f"the points have {x.shape[1]}")
         diff = x[:, None, :] - self.locations[None, :, :]          # (n, k, d)
-        dist = np.sqrt(np.sum(diff * diff, axis=2))                # (n, k)
-        floored = np.maximum(dist, self.eta_sing)
-        contrib = diff / floored[..., None] ** (self.alpha + 1.0)
-        return np.einsum("nkd,k->nd", contrib, self.weights)
+        r = _row_norm(diff, keepdims=True)                         # (n, k, 1)
+        np.maximum(r, self.eta_sing, out=r)
+        np.power(r, self.alpha + 1.0, out=r)
+        np.divide(diff, r, out=diff)
+        # einsum sums over the atoms in its own order; a loop over atoms
+        # rounds differently for 3-5 atoms
+        return np.einsum("nkd,k->nd", diff, self.weights)
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,19 @@ class ConfiningDrift:
     def growth(self) -> str:
         return "superlinear" if self.delta > 0 else "linear"
 
+    def _confine(self, c: float, v: np.ndarray) -> np.ndarray:
+        """-c (1 + |v|)^delta v row by row.  At delta = 0 the factor is skipped:
+        IEEE pow(r, 0) is 1 for every r, NaN and inf included, so -c v has the
+        same bits."""
+        if self.delta == 0.0:
+            return -c * v
+        return -c * (1.0 + _row_norm(v, keepdims=True)) ** self.delta * v
+
     def z1(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-        return -self.c1 * (1.0 + r) ** self.delta * x + self.c2 * y
+        return self._confine(self.c1, x) + self.c2 * y
 
     def z2(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = np.sqrt(np.sum(y * y, axis=1, keepdims=True))
-        out = -self.c3 * (1.0 + r) ** self.delta * y
+        out = self._confine(self.c3, y)
         if self.perturbation is not None:
             out = out + self.perturbation(x, y)
         return out
@@ -248,7 +257,7 @@ class MeanFieldKernel:
             vals = np.atleast_2d(np.asarray(self.func(xp, yp), dtype=float))
         else:
             vals = np.clip(xp - x, -1.0, 1.0)
-        return np.sqrt(np.sum(np.atleast_2d(vals) ** 2, axis=-1)).ravel()
+        return _row_norm(np.atleast_2d(vals)).ravel()
 
 
 def _clipped_mean(q: np.ndarray, xp: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from kinsde.core import (CoefficientSet, EmpiricalLaw, InputError, MeasureFlow, NumericError,
-                         SimConfig, validate_config)
+                         SimConfig, _row_norm, validate_config)
 
 BLOWUP_THRESHOLD = 1e12
 UNSTABLE_DEAD_FRACTION = 1e-3
@@ -81,8 +81,7 @@ def bootstrap_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # --- the step scheme --------------------------------------------------------------
 
 def _tame(v: np.ndarray, h: float) -> np.ndarray:
-    mag = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
-    return v / (1.0 + h * mag)
+    return v / (1.0 + h * _row_norm(v, keepdims=True))
 
 
 def step_arrays(
@@ -122,10 +121,13 @@ def alive_law(x: np.ndarray, y: np.ndarray, alive: np.ndarray) -> EmpiricalLaw:
 # Step noise is drawn a chunk of ceil(_CHUNK_NORMALS / (n m)) steps at a time.
 # A helper thread draws chunks ahead of the loop only when one step's block
 # holds at least _HELPER_MIN_BLOCK normals: the per-step re-key holds the GIL,
-# so below that the hand-offs cost more than the drawing they move off the
-# loop.  Tamed-cubic drift, m = 1, µs per step without -> with the helper
-# (2-core x86 machine, median of 7): N = 1000 113 -> 188, N = 2000 154 -> 231,
-# N = 3000-4000 even, N = 6000 320 -> 236, N = 10^4 569 -> 362.
+# so at small blocks the hand-offs cost more than the drawing they move off
+# the loop.  Tamed-cubic drift, m = 1, 1000 steps, µs per step without -> with
+# the helper (2-core x86 machine, median of 11): N = 1000 116 -> 140,
+# N = 2000 197 -> 196, N = 3000 250 -> 226, N = 4000 301 -> 258,
+# N = 6000 436 -> 329, N = 10^4 679 -> 489.  The helper won 7 of 11 repeats
+# at N = 3000 and 10 of 11 at N = 4000; the constant stays above the
+# mean-field runs (N <= 4000, a law per step), which were not timed with it.
 _CHUNK_NORMALS = 40_000
 _HELPER_MIN_BLOCK = 5_000
 _RING_DEPTH = 3

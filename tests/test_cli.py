@@ -533,6 +533,37 @@ class TestOtherSubcommands:
             a.tobytes() for a in (transformed.x, transformed.y, transformed.alive))).hexdigest()
         assert digests == self.ZVONKIN_SHA256
 
+    # configs/ergodicity_riesz.cfg (confining pair plus the floored Riesz drift)
+    # at N = 2000 and T = 1.0, and the sha256 of its outputs and of both final
+    # ensembles' x, y and alive bytes, captured before the particle fields
+    # shared one row-norm helper
+    ERGODICITY_RIESZ_SHA256 = {
+        "distances.csv": "9d41f3af91112ea3e5d7ebd2bf9e829051185ba955d51cbb6eba0c8677bf4dee",
+        "fit.json": "bdf94b28f86a4d26d2e8fd96a6b38f23ca00ad10b96cea68fe29a453df0b2f18",
+        "ensembles": "6e0a5bc23088281e078390dbea5ff1a9c7b3a931cc692163a2aff87966bf9263",
+    }
+
+    def test_ergodicity_riesz_bytes(self, tmp_path, monkeypatch):
+        import kinsde.ergodicity as ergodicity
+
+        ensembles = []
+
+        def recording(*args, **kwargs):
+            ensembles.append(simulate(*args, **kwargs))
+            return ensembles[-1]
+
+        simulate = ergodicity.simulate_ensemble
+        monkeypatch.setattr(ergodicity, "simulate_ensemble", recording)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((ROOT / "configs" / "ergodicity_riesz.cfg").read_text()
+                       .replace("N = 10000", "N = 2000").replace("T = 8.0", "T = 1.0"))
+        assert main(["ergodicity", str(cfg), "--out", str(tmp_path)]) == 0
+        digests = {name: file_sha256(tmp_path / name) for name in ("distances.csv", "fit.json")}
+        digests["ensembles"] = hashlib.sha256(b"".join(
+            a.tobytes() for e in ensembles for a in (e.x, e.y, e.alive))).hexdigest()
+        assert len(ensembles) == 2
+        assert digests == self.ERGODICITY_RIESZ_SHA256
+
     SWEEP_SHA256 = {
         "sweep_tv_0.csv": "847c3a7955a8fb0615aaa9a11328444a778862e1e31dbdbcfa2c0de03b36c52d",
         "sweep_tv_0.2.csv": "a60197f688325864a6febcc27659b6bbcb049509766b71da9605953033ea9fbd",

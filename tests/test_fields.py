@@ -312,3 +312,110 @@ class TestClippedDifference:
         with pytest.raises(ValueError, match="exceeds its declared bound"):
             interaction_z2(lambda t, x, y: -y, MeanFieldKernel.clipped_difference(),
                            kappa=0.1, d1=2, d2=2)
+
+
+# --- the particle fields against the formulas they replaced, bit for bit ---------
+#
+# The references are the hand-written row norms the fields used before they
+# shared ``core._row_norm``; every value, NaN and inf included, must keep its bytes.
+
+def riesz_reference(rz, x):
+    diff = x[:, None, :] - rz.locations[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    floored = np.maximum(dist, rz.eta_sing)
+    contrib = diff / floored[..., None] ** (rz.alpha + 1.0)
+    return np.einsum("nkd,k->nd", contrib, rz.weights)
+
+
+def z1_reference(drift, x, y):
+    r = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    return -drift.c1 * (1.0 + r) ** drift.delta * x + drift.c2 * y
+
+
+def z2_reference(drift, x, y):
+    r = np.sqrt(np.sum(y * y, axis=1, keepdims=True))
+    out = -drift.c3 * (1.0 + r) ** drift.delta * y
+    if drift.perturbation is not None:
+        out = out + drift.perturbation(x, y)
+    return out
+
+
+def tame_reference(v, h):
+    mag = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
+    return v / (1.0 + h * mag)
+
+
+def field_magnitude_reference(f, t, pts):
+    vals = np.asarray(f(t, pts), dtype=float)
+    if vals.ndim == 2:
+        vals = np.sqrt(np.sum(vals * vals, axis=1))
+    return vals
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def particle_rows(draw, d=None):
+    """An (n, d) block whose rows span magnitudes 1e-170 to 1e160, past where
+    v * v underflows and overflows, with zeros, signed zeros, NaN and +-inf."""
+    d = draw(st.integers(1, 3)) if d is None else d
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.floats(-170.0, 160.0))
+    hi = draw(st.floats(lo, 160.0))
+    v = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(lo, hi, size=(n, 1)) / 3.0
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf]
+    hits = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.02, 0.2]))
+    v[hits] = rng.choice(values, size=int(hits.sum()))
+    return v
+
+
+class TestFieldBits:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.floats(-8.0, -1.0),
+           st.floats(0.05, 0.95))
+    def test_riesz(self, data, k, d, log_eta, alpha):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        locs = rng.uniform(-3.0, 3.0, size=(k, d))
+        rz = RieszDrift([(tuple(p), w) for p, w in zip(locs, rng.uniform(0.1, 2.0, k))],
+                        alpha=alpha, eta_sing=10.0**log_eta)
+        x = data.draw(particle_rows(d))
+        on_atom = rng.random(x.shape[0]) < 0.2      # points exactly on an atom
+        x[on_atom] = locs[rng.integers(k, size=int(on_atom.sum()))]
+        with np.errstate(all="ignore"):
+            assert same_bits(rz(x), riesz_reference(rz, x))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5]),
+           st.floats(0.1, 5.0), st.floats(-2.0, 2.0), st.floats(0.1, 5.0), st.booleans())
+    def test_confining(self, data, d, delta, c1, c2, c3, perturbed):
+        from kinsde.fields import bounded_sine_perturbation
+
+        drift = ConfiningDrift(c1, c2, c3, delta,
+                               bounded_sine_perturbation(0.3) if perturbed else None)
+        x, y = data.draw(particle_rows(d)), data.draw(particle_rows(d))
+        n = min(len(x), len(y))
+        x, y = x[:n], y[:n]
+        with np.errstate(all="ignore"):
+            assert same_bits(drift.z1(x, y), z1_reference(drift, x, y))
+            assert same_bits(drift.z2(x, y), z2_reference(drift, x, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(particle_rows(), st.floats(1e-4, 1.0))
+    def test_tame(self, v, h):
+        from kinsde.integrators import _tame
+
+        with np.errstate(all="ignore"):
+            assert same_bits(_tame(v, h), tame_reference(v, h))
+
+    @settings(max_examples=60, deadline=None)
+    @given(particle_rows(), st.booleans())
+    def test_field_magnitude(self, vals, scalar_field):
+        from kinsde.core import _field_magnitude
+
+        f = (lambda t, pts: pts[:, 0]) if scalar_field else (lambda t, pts: pts)
+        with np.errstate(all="ignore"):
+            assert same_bits(_field_magnitude(f, 0.0, vals),
+                             field_magnitude_reference(f, 0.0, vals))
