@@ -22,7 +22,6 @@ from kinsde.core import (
     PhaseState,
     SimConfig,
     localized_lpq_norm,
-    validate_config,
 )
 from kinsde.fields import ConfiningDrift, LyapunovV, MeanFieldKernel, PhiFamily, RieszDrift
 from kinsde.integrators import Ensemble, simulate_ensemble
@@ -44,6 +43,5 @@ __all__ = [
     "SimConfig",
     "localized_lpq_norm",
     "simulate_ensemble",
-    "validate_config",
     "__version__",
 ]

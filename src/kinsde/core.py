@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -127,7 +127,10 @@ class HistogramSpec:
     def __init__(self, lo, hi, bins, dim: int | None = None):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        bins = np.atleast_1d(np.asarray(bins, dtype=int))
+        counts = np.atleast_1d(np.asarray(bins, dtype=float))
+        if not np.all((counts == np.floor(counts)) & (np.abs(counts) < 2**53)):  # nan, inf fail
+            raise InputError(f"bin counts must be whole numbers, got {counts.tolist()}")
+        bins = counts.astype(int)
         if dim is not None:
             if lo.size == 1:
                 lo = np.full(dim, lo[0])
@@ -199,6 +202,17 @@ class SimConfig:
             raise InputError(f"T = {self.T!r} is 2^40 or more steps of h = {self.h!r}")
         if self.hist is None:
             object.__setattr__(self, "hist", HistogramSpec(-6.0, 6.0, 16, dim=self.d1 + self.d2))
+        if self.T < self.h:
+            raise InputError(f"horizon T = {self.T} shorter than one step h = {self.h}")
+        if off_grid(self.T / self.h):
+            raise InputError(f"T/h = {self.T / self.h!r} is not integral within rounding tolerance")
+        if np.any(self.hist.bins < 2):
+            raise InputError("hist.bins must be at least 2 on every axis")
+        if self.hist.dim != self.d1 + self.d2:
+            raise InputError(f"histogram dimension {self.hist.dim} "
+                             f"does not match d1 + d2 = {self.d1 + self.d2}")
+        if self.scheme not in _SCHEMES:
+            raise InputError(f"unknown scheme {self.scheme!r}")
 
     @property
     def n_steps(self) -> int:
@@ -364,46 +378,6 @@ class CloudInit:
         if self.law.n != n:
             raise ValueError(f"cloud has {self.law.n} particles, config wants {n}")
         return self.law.x.copy(), self.law.y.copy()
-
-
-# --- configuration validation ---------------------------------------------------
-
-def validate_config(
-    cfg: SimConfig,
-    coeffs: CoefficientSet,
-    pairs: Sequence[tuple[float, float]] = (),
-) -> list[str]:
-    """Collect structural violations; an empty list means valid.
-
-    Report-style on purpose: callers decide whether a violation is fatal.
-    """
-    bad: list[str] = []
-    if cfg.T < cfg.h:
-        bad.append(f"horizon T = {cfg.T} shorter than one step h = {cfg.h}")
-    k = cfg.T / cfg.h
-    if off_grid(k):
-        bad.append(f"T/h = {k!r} is not integral within rounding tolerance")
-    if np.any(cfg.hist.bins < 2):
-        bad.append("hist.bins must be at least 2 on every axis")
-    if cfg.hist.dim != cfg.d1 + cfg.d2:
-        bad.append(
-            f"histogram dimension {cfg.hist.dim} does not match d1 + d2 = {cfg.d1 + cfg.d2}"
-        )
-    if cfg.scheme not in _SCHEMES:
-        bad.append(f"unknown scheme {cfg.scheme!r}")
-    if (cfg.d1, cfg.d2, cfg.m) != (coeffs.d1, coeffs.d2, coeffs.m):
-        bad.append(
-            f"config dims (d1, d2, m) = {(cfg.d1, cfg.d2, cfg.m)} "
-            f"do not match coefficients {(coeffs.d1, coeffs.d2, coeffs.m)}"
-        )
-    if coeffs.growth == "superlinear" and cfg.scheme != "tamed":
-        bad.append("superlinear drift (a confining delta > 0) requires scheme = tamed")
-    for (p, q) in pairs:
-        try:
-            AdmissiblePair(p, q, cfg.d2)
-        except ValueError as exc:
-            bad.append(str(exc))
-    return bad
 
 
 # --- localized L^p-in-space, L^q-in-time norm ------------------------------------

@@ -181,8 +181,8 @@ class PhiFamily:
     def __post_init__(self):
         if self.kind not in ("linear", "superlinear"):
             raise InputError(f"unknown Phi kind {self.kind!r}")
-        if not self.c0 > 0:
-            raise InputError("c0 must be positive")
+        if not 0 < self.c0 < np.inf:
+            raise InputError(f"c0 must be positive and finite, got {self.c0!r}")
         if self.kind == "superlinear" and not (self.beta is not None and self.beta > 0):
             raise InputError("superlinear Phi needs beta > 0")
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from kinsde.core import (CoefficientSet, EmpiricalLaw, InputError, MeasureFlow, NumericError,
-                         SimConfig, _row_norm, validate_config)
+                         SimConfig, _row_norm)
 
 BLOWUP_THRESHOLD = 1e12
 UNSTABLE_DEAD_FRACTION = 1e-3
@@ -295,9 +295,11 @@ def simulate_ensemble(
     thread draws them while the loop steps (:class:`_NoiseRing`).  The bytes
     do not depend on which thread drew them.
     """
-    bad = validate_config(cfg, coeffs)
-    if bad:
-        raise InputError("invalid configuration: " + "; ".join(bad))
+    if (cfg.d1, cfg.d2, cfg.m) != (coeffs.d1, coeffs.d2, coeffs.m):
+        raise InputError(f"config dims (d1, d2, m) = {(cfg.d1, cfg.d2, cfg.m)} "
+                         f"do not match coefficients {(coeffs.d1, coeffs.d2, coeffs.m)}")
+    if coeffs.growth == "superlinear" and cfg.scheme != "tamed":
+        raise InputError("superlinear drift (a confining delta > 0) requires scheme = tamed")
     steps = None if record_times is None else cfg.record_steps(record_times)
     x, y = init.sample(cfg.N)  # never written into: each step makes new arrays
     n, h, K = cfg.N, cfg.h, cfg.n_steps

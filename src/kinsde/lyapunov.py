@@ -105,7 +105,9 @@ def drift_condition_lhs(
     eps * sup over the eps-shell of {|Z1| ||d_x d_y V|| + |Z2| (|d_y V| + ||d_y^2 V||)}
     plus the inner products <Z1, d_x V> + <Z2, d_y V> at the point itself.
     The drift magnitudes are evaluated at the point, not on the shell; the
-    shell applies to the derivative factors only.
+    shell applies to the derivative factors only.  A point where a drift or a
+    float power of V fails (say by leaving the float range) gets an infinite
+    left side, so it is flagged; any other exception is a bug and escapes.
     """
     d1 = coeffs.d1
     offs = shell_offsets(coeffs.d2, eps, m_shell)
@@ -114,15 +116,16 @@ def drift_condition_lhs(
         hess_xy, grad_y, hess_yy = shell_norms(V, points[:, :d1], points[:, d1:], offs)
         for i, pt in enumerate(points):
             x, y = pt[:d1], pt[d1:]
-            z1 = np.asarray(coeffs.z1(0.0, x[None, :], y[None, :]))[0]
-            z2 = np.asarray(coeffs.z2(0.0, x[None, :], y[None, :], None))[0]
+            try:
+                z1 = np.asarray(coeffs.z1(0.0, x[None, :], y[None, :]))[0]
+                z2 = np.asarray(coeffs.z2(0.0, x[None, :], y[None, :], None))[0]
+                here = V.blocks(x, y)
+            except ArithmeticError:
+                out[i] = math.inf
+                continue
             n1 = float(np.linalg.norm(z1))
             n2 = float(np.linalg.norm(z2))
             shell_max = float(np.max(n1 * hess_xy[i] + n2 * (grad_y[i] + hess_yy[i])))
-            try:
-                here = V.blocks(x, y)
-            except OverflowError as exc:  # a float power of V left the float range
-                raise NumericError(f"V overflows at {pt.tolist()}: {exc}") from None
             out[i] = eps * shell_max + float(z1 @ here.grad_x) + float(z2 @ here.grad_y)
     return out
 
@@ -161,30 +164,24 @@ def check_drift_condition(
 ) -> DriftConditionReport:
     """Pointwise margins of LHS <= K - Phi(V) on the sampled domain.
 
-    Arithmetic failures of the derivative or drift evaluation flag the point
-    rather than silently skipping it (any other exception is a bug and
-    escapes); a flagged point blocks a "holds" verdict.
+    A point whose left side overflows or is not a number is flagged rather
+    than skipped; a flagged point blocks a "holds" verdict.
     """
     if not (0.0 < eps < 1.0):
         raise InputError("eps must lie in (0, 1)")
     pts = samples.points(coeffs.d1, coeffs.d2)
-    lhs = np.full(pts.shape[0], np.nan)
-    for i, pt in enumerate(pts):
-        try:
-            lhs[i] = drift_condition_lhs(coeffs, V, eps, pt[None, :])[0]
-        except ArithmeticError:  # the point keeps its NaN left side and is flagged
-            continue
-    return _drift_report(V, phi, K, samples, pts, lhs)
+    return _drift_report(V, phi, K, samples, pts, drift_condition_lhs(coeffs, V, eps, pts))
 
 
 def _drift_report(V: LyapunovV, phi: PhiFamily, K: float, samples: LogRadialSamples,
                   pts: np.ndarray, lhs: np.ndarray) -> DriftConditionReport:
     """Margins K - Phi(V) - LHS and the verdict; a point with a non-finite left side is
-    flagged, and any flagged point fails it."""
+    flagged, and a flagged point or a margin that is not a number >= 0 fails it."""
     flagged = np.flatnonzero(~np.isfinite(lhs)).tolist()
-    rhs = K - np.asarray(phi(V.value_points(pts)))
-    margins = rhs - lhs
-    ok = np.all(margins[np.isfinite(margins)] >= 0.0) and not flagged
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Phi(V) fails the margin
+        rhs = K - np.asarray(phi(V.value_points(pts)))
+        margins = rhs - lhs
+    ok = not flagged and bool(np.all(margins >= 0.0))
     return DriftConditionReport(
         points=pts, lhs=lhs, rhs=rhs, margins=margins, flagged=flagged,
         domain=samples.describe(),
@@ -223,11 +220,13 @@ def search_constants(
         raise InputError("eps must lie in (0, 1)")
     pts = samples.points(coeffs.d1, coeffs.d2)
     lhs = drift_condition_lhs(coeffs, V, eps, pts)
-    vvals = V.value_points(pts)
+    with np.errstate(over="ignore"):  # V overflows where lhs is flagged
+        vvals = V.value_points(pts)
 
     def k_min(c0: float) -> float:
         phi = PhiFamily(phi_kind, c0, beta)
-        return float(np.max(lhs + np.asarray(phi(vvals))))
+        with np.errstate(over="ignore"):  # an overflowing Phi(V) makes K infinite
+            return float(np.max(lhs + np.asarray(phi(vvals))))
 
     lo, hi = c0_bracket
     if k_min(lo) > k_cap:

@@ -151,6 +151,9 @@ class TestConfigHandling:
          ("h-bound", "hbound.tmax = -0.5\n", "hbound.tmax = -0.5 must be 0"),
          ("h-bound", "hbound.tmax = 'inf'\n", "hbound.tmax = inf must be 0"),
          ("h-bound", "hbound.tmax = 'nan'\n", "hbound.tmax = nan must be 0"),
+         # an infinite c0 once wrote the envelope of c0 = 1e-300
+         ("h-bound", "phi.kind = superlinear\nphi.beta = 1.0\nphi.c0 = inf\n",
+          "phi.kind, phi.c0, phi.beta: c0 must be positive and finite, got inf"),
          ("mkv-sweep", "h = 0.02\nrecord.step = 0.25\n",
           "record.step = 0.25: record time 0.25 is off the step grid h = 0.02"),
          ("ergodicity", "h = 0.02\nrecord.step = 0.25\n", "record.step = 0.25"),
@@ -397,6 +400,18 @@ class TestLyapunovCheck:
         assert rep["mode"] == "search"
         assert rep["verdict"] == "holds"
         assert rep["c0"] > 0.0
+
+    @pytest.mark.parametrize("mode, extra", [("search", ""), ("check", "phi.c0 = 1.0\n")],
+                             ids=["search", "check"])
+    def test_overflowing_v_fails_alike_in_both_modes(self, tmp_path, capsys, mode, extra):
+        # V = (1 + |z|^2)^200 leaves the float range on the outer shells of the domain
+        text = (ROOT / "configs" / "lyapunov_confining.cfg").read_text(encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace("lyapunov.theta = 1.0", "lyapunov.theta = 200") + extra)
+        assert main(["lyapunov-check", str(cfg), "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "lyapunov.json").read_text())
+        assert (rep["mode"], rep["verdict"]) == (mode, "fails")
+        assert capsys.readouterr().err == ""
 
 
 class TestOtherSubcommands:

@@ -6,7 +6,9 @@ import pytest
 from kinsde.cli import _parse_config, _sim_config
 from kinsde.core import (
     AdmissiblePair,
+    DiracInit,
     EmpiricalLaw,
+    HistogramSpec,
     InputError,
     MeasureFlow,
     NormDivergedError,
@@ -14,9 +16,11 @@ from kinsde.core import (
     SimConfig,
     ball_lp_seminorm,
     localized_lpq_norm,
-    validate_config,
 )
 from kinsde.fields import linear_langevin_coefficients, zero_coefficients
+from kinsde.integrators import simulate_ensemble
+
+DIRAC = DiracInit(PhaseState([0.0], [0.0]))
 
 
 class TestPhaseState:
@@ -88,33 +92,62 @@ class TestSimConfig:
 
 
 class TestValidateConfig:
+    """``SimConfig`` refuses a config whose fields do not fit together when it is built;
+    ``simulate_ensemble`` refuses coefficients that do not fit the config."""
+
     def test_valid(self):
         cfg = SimConfig(T=1.0, h=0.1, N=10, seed=0)
-        assert validate_config(cfg, linear_langevin_coefficients()) == []
+        assert cfg.hist.dim == 2 and cfg.n_steps == 10
+        assert simulate_ensemble(cfg, linear_langevin_coefficients(), DIRAC).n_dead == 0
 
     def test_nonpositive_step(self):
-        with pytest.raises(ValueError, match="nonpositive step"):
+        with pytest.raises(InputError, match="nonpositive step"):
             SimConfig(T=1.0, h=0.0, N=10, seed=0)
 
     def test_non_integral_horizon(self):
-        cfg = SimConfig(T=1.0, h=0.3, N=10, seed=0)
-        bad = validate_config(cfg, linear_langevin_coefficients())
-        assert any("not integral" in b for b in bad)
+        with pytest.raises(InputError, match=re.escape("T/h = 3.3333333333333335 is not integral")):
+            SimConfig(T=1.0, h=0.3, N=10, seed=0)
 
-    def test_admissibility_of_supplied_pairs(self):
+    @pytest.mark.parametrize("kw, message", [
+        ({"T": 0.05}, "horizon T = 0.05 shorter than one step h = 0.1"),
+        ({"T": 0.0}, "horizon T = 0.0 shorter than one step"),
+        ({"hist": HistogramSpec(-1.0, 1.0, [8, 1], dim=2)},
+         "hist.bins must be at least 2 on every axis"),
+        ({"hist": HistogramSpec(-1.0, 1.0, 8, dim=3)},
+         "histogram dimension 3 does not match d1 + d2 = 2"),
+        ({"d2": 2, "m": 2}, "histogram dimension 2 does not match d1 + d2 = 3"),
+        ({"scheme": "x"}, "unknown scheme 'x'"),
+    ])
+    def test_config_faults_refused_on_construction(self, kw, message):
+        base = {"T": 1.0, "h": 0.1, "N": 10, "seed": 0, "hist": HistogramSpec(-1.0, 1.0, 8, dim=2)}
+        with pytest.raises(InputError, match=re.escape(message)):
+            SimConfig(**{**base, **kw})
+
+    def test_dims_must_match_coefficients(self):
         cfg = SimConfig(T=1.0, h=0.1, N=10, seed=0, d2=3, m=3)
-        bad = validate_config(cfg, zero_coefficients(1, 3, 3), pairs=[(3.0, 3.0)])
-        assert any("inadmissible" in b for b in bad)
-        assert validate_config(cfg, zero_coefficients(1, 3, 3), pairs=[(8.0, 8.0)]) == []
+        with pytest.raises(InputError, match=re.escape(
+                "config dims (d1, d2, m) = (1, 3, 3) do not match coefficients (1, 1, 1)")):
+            simulate_ensemble(cfg, zero_coefficients(1, 1, 1), DIRAC)
 
     def test_superlinear_needs_tamed(self):
         from kinsde.fields import ConfiningDrift, confining_coefficients
 
         co = confining_coefficients(ConfiningDrift(1.0, 0.0, 1.0, delta=1.0))
         cfg = SimConfig(T=1.0, h=0.1, N=10, seed=0, scheme="euler")
-        assert any("tamed" in b for b in validate_config(cfg, co))
+        with pytest.raises(InputError, match="requires scheme = tamed"):
+            simulate_ensemble(cfg, co, DIRAC)
         cfg2 = SimConfig(T=1.0, h=0.1, N=10, seed=0, scheme="tamed")
-        assert validate_config(cfg2, co) == []
+        assert simulate_ensemble(cfg2, co, DIRAC).n_dead == 0
+
+
+class TestHistogramSpec:
+    @pytest.mark.parametrize("bins", [8.7, [8, 2.5], np.nan, np.inf, 2.0**53])
+    def test_bin_count_not_whole_refused(self, bins):
+        with pytest.raises(InputError, match="bin counts must be whole numbers"):
+            HistogramSpec(-1.0, 1.0, bins, dim=2)
+
+    def test_integral_float_bin_count_accepted(self):
+        assert HistogramSpec(-1.0, 1.0, [8.0, 3], dim=2).bins.tolist() == [8, 3]
 
 
 class TestRecordSteps:
@@ -141,13 +174,14 @@ class TestRecordSteps:
         # t / h = 100 (1 + rel): within 1e-9 relative of a whole step or not,
         # for the horizon T as for a record time
         t = 1.0 * (1.0 + rel)
-        bad = validate_config(SimConfig(T=t, h=0.01, N=1, seed=0), linear_langevin_coefficients())
-        assert (bad == []) == on_grid
         cfg = SimConfig(T=1.0, h=0.01, N=1, seed=0)
         if on_grid:
+            assert SimConfig(T=t, h=0.01, N=1, seed=0).n_steps == 100
             assert cfg.record_steps([t]).tolist() == [100]
         else:
-            with pytest.raises(ValueError, match="off the step grid"):
+            with pytest.raises(InputError, match="is not integral"):
+                SimConfig(T=t, h=0.01, N=1, seed=0)
+            with pytest.raises(InputError, match="off the step grid"):
                 cfg.record_steps([t])
 
 

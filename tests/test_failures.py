@@ -136,3 +136,31 @@ class TestMutatedConfigs:
                 assert not (out / "manifest.json").exists()
             if rc == 2:
                 assert re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err), err
+
+
+class TestConfigFaults:
+    """``SimConfig`` refuses a T, h, scheme or histogram that do not fit together, so every
+    subcommand exits 2 naming the key before it creates ``--out`` or starts any work."""
+
+    @pytest.mark.parametrize("key, value", [("h", 0.3), ("T", 0.02), ("scheme", "'x'"),
+                                            ("hist.bins", 1)])
+    @pytest.mark.parametrize("name", sorted(SHRUNK))
+    def test_refused_before_any_work(self, tmp_path, monkeypatch, name, key, value):
+        monkeypatch.setitem(cli._SUBCOMMANDS, COMMAND[name], None)  # calling it would raise
+        lines = [ln for ln in SHRUNK[name] if ln.split(" =")[0] != key] + [f"{key} = {value}"]
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text("\n".join(lines) + "\n")
+        rc, err = run_main([COMMAND[name], str(cfg), "--out", str(out)])
+        assert rc == 2 and err.count("\n") == 1, err
+        assert re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err), err
+        assert not out.exists()
+
+    def test_zvonkin_off_grid_step_refused_before_the_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "equivalence_experiment", None)  # calling it would raise
+        text = (ROOT / "configs" / "zvonkin_riesz.cfg").read_text(encoding="utf-8")
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(text.replace("h = 0.001", "h = 0.0003"))
+        rc, err = run_main(["zvonkin", str(cfg), "--out", str(out)])
+        assert (rc, err) == (2, "error: T/h = 3333.3333333333335 is not integral "
+                                "within rounding tolerance\n")
+        assert not out.exists()

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from kinsde.core import EmpiricalLaw
+from kinsde.core import EmpiricalLaw, InputError
 from kinsde.fields import (
     ConfiningDrift,
     LyapunovV,
@@ -168,6 +168,12 @@ class TestPhiFamily:
             PhiFamily("superlinear", 1.0, beta=None)
         with pytest.raises(ValueError):
             PhiFamily("cubic", 1.0)
+
+    @pytest.mark.parametrize("c0", [np.inf, np.nan, 0.0])
+    def test_rejects_c0_not_positive_and_finite(self, c0):
+        # an infinite c0 would make H^-1 multiply 0 by inf into a NaN target
+        with pytest.raises(InputError, match="c0 must be positive and finite"):
+            PhiFamily("superlinear", c0, beta=1.0)
 
 
 class TestConfiningDrift:

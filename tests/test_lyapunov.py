@@ -182,6 +182,29 @@ class TestSearchReport:
         assert res.report.flagged and res.report.flagged == rep.flagged
         assert res.report.verdict == "fails"
 
+    def test_overflowing_v_flagged_alike_in_both_modes(self):
+        # lyapunov_confining.cfg's domain at theta = 200: V leaves the float range
+        # on the outer shells, which gets those points flagged, not an error
+        V = LyapunovV(200.0, 1, 1)
+        samples = LogRadialSamples(r_max=50.0, n_radii=20, n_dirs=12, seed=7)
+        rep = check_drift_condition(confining_good(), V, PhiFamily("linear", 1.0), 50.0,
+                                    eps=0.1, samples=samples)
+        assert rep.verdict == "fails" and len(rep.flagged) == 81
+        assert np.all(np.isinf(rep.lhs[rep.flagged]))
+        res = search_constants(confining_good(), V, "linear", eps=0.1, samples=samples)
+        assert res.report.verdict == "fails" and res.report.flagged == rep.flagged
+        assert np.array_equal(res.report.lhs, rep.lhs)
+        with pytest.raises(CertificationError, match="not certifiable"):
+            search_constants(confining_good(), V, "linear", eps=0.1, samples=samples, k_cap=50.0)
+
+    def test_overflowing_phi_fails_the_verdict(self):
+        # Phi(V) = c0 (1 + V^101) leaves the float range on the outer shells, where the
+        # left side is finite: K - Phi(V) = -inf there, so the condition fails
+        rep = check_drift_condition(confining_good(), V1, PhiFamily("superlinear", 1e-6, 100.0),
+                                    1e300, eps=0.1, samples=SAMPLES)
+        assert rep.flagged == [] and np.isneginf(rep.min_margin)
+        assert rep.verdict == "fails"
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
     def test_eps_outside_unit_interval_raises(self, eps):
         with pytest.raises(ValueError, match="eps must lie in"):
