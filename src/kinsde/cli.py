@@ -278,11 +278,10 @@ def write_csv(path: Path, header: list[str], rows, chash: str):
             fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
-def _write_series(path: Path, series: TVDecaySeries, man: Manifest):
+def _series_table(series: TVDecaySeries) -> tuple[list[str], list[tuple]]:
     """The distances of a two-law comparison, one row per time, with its noise floor."""
-    write_csv(path, ["t", "distance", "noise_floor"],
-              [(t, d, series.noise_floor) for t, d in zip(series.times, series.tv)], man.chash)
-    man.add(path)
+    return (["t", "distance", "noise_floor"],
+            [(t, d, series.noise_floor) for t, d in zip(series.times, series.tv)])
 
 
 def _fmt_cell(v) -> str:
@@ -315,7 +314,13 @@ def _jsonable(obj):
 
 
 class Manifest:
-    def __init__(self, subcommand: str, config_text: str, seed: int, n_steps: int):
+    """The run's record, and the one writer of its outputs: each file is listed
+    with its sha256 as it is written into ``out``.  The module's ``write_csv``
+    and ``write_json`` are looked up by name at each write, so a wrapper set on
+    them (a profiler's) sees every output."""
+
+    def __init__(self, out: Path, subcommand: str, config_text: str, seed: int, n_steps: int):
+        self.out = out
         self.data = {
             "artifact_version": __version__,
             "subcommand": subcommand,
@@ -337,16 +342,24 @@ class Manifest:
         self.data["outputs"].append(path.name)
         self.data["sha256"][path.name] = file_hash(path)
 
-    def write(self, out_dir: Path):
+    def csv(self, name: str, header: list[str], rows):
+        write_csv(self.out / name, header, rows, self.chash)
+        self.add(self.out / name)
+
+    def json(self, name: str, payload: dict):
+        write_json(self.out / name, payload, self.chash)
+        self.add(self.out / name)
+
+    def write(self):
         self.data["wall_clock_s"] = round(time.time() - self._t0, 3)
-        p = out_dir / "manifest.json"
+        p = self.out / "manifest.json"
         p.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return p
 
 
 # --- subcommands ------------------------------------------------------------------
 
-def cmd_simulate(kv, cfg, out, man):
+def cmd_simulate(kv, cfg, man):
     coeffs = _build_coefficients(kv, cfg)
     inc = observe = None
     if _flag("store_increments", kv.get("store_increments", False)):
@@ -359,11 +372,11 @@ def cmd_simulate(kv, cfg, out, man):
     ens = simulate_ensemble(cfg, coeffs, _build_init(kv, "init.a", cfg), observe=observe)
     if ens.unstable:
         raise NumericError(f"run unstable: {ens.n_dead} of {ens.n} particles blew up")
-    b, j = save_snapshot(out / "snapshot", ens, man.chash, increments=inc)
-    man.add(b); man.add(j)
+    for path in save_snapshot(man.out / "snapshot", ens, man.chash, increments=inc):
+        man.add(path)
 
 
-def cmd_ergodicity(kv, cfg, out, man, replay: Path | None = None):
+def cmd_ergodicity(kv, cfg, man, replay: Path | None = None):
     if replay is not None:
         series = _read_replay(replay)
     else:
@@ -373,13 +386,11 @@ def cmd_ergodicity(kv, cfg, out, man, replay: Path | None = None):
             _record_times(kv, cfg),
         )
     fit = series.fit(_real("fit.from", kv.get("fit.from", 0.0)))
-    _write_series(out / "distances.csv", series, man)
-    js = out / "fit.json"
-    write_json(js, {
+    man.csv("distances.csv", *_series_table(series))
+    man.json("fit.json", {
         "lambda_hat": fit.lam, "prefactor": fit.prefactor, "r2": fit.r2, "verdict": fit.verdict,
         "noise_floor": series.noise_floor, "n_points_used": int(np.sum(fit.used)),
-    }, man.chash)
-    man.add(js)
+    })
 
 
 def _read(path: Path, what: str) -> str:
@@ -403,7 +414,7 @@ def _read_replay(path: Path) -> TVDecaySeries:
     return TVDecaySeries(rows[:, 0], rows[:, 1], float(rows[0, 2]) if rows.shape[1] > 2 else 0.0)
 
 
-def cmd_lyapunov_check(kv, cfg, out, man):
+def cmd_lyapunov_check(kv, cfg, man):
     coeffs = _build_coefficients(kv, cfg)
     V = LyapunovV(_positive("lyapunov.theta", kv.get("lyapunov.theta", 1.0)), cfg.d1, cfg.d2)
     samples = LogRadialSamples(
@@ -430,28 +441,22 @@ def cmd_lyapunov_check(kv, cfg, out, man):
             report = res.report
             payload.update({"mode": "search", "c0": res.c0, "K": res.K})
         except CertificationError as exc:
-            write_json(out / "lyapunov.json", {"mode": "search", "verdict": "fails",
-                                               "reason": str(exc)}, man.chash)
-            man.add(out / "lyapunov.json")
+            man.json("lyapunov.json", {"mode": "search", "verdict": "fails", "reason": str(exc)})
             return
     payload.update({
         "verdict": report.verdict, "min_margin": report.min_margin,
         "worst_point": report.worst_point, "summary": report.summary(),
         "n_flagged": len(report.flagged),
     })
-    js = out / "lyapunov.json"
-    write_json(js, payload, man.chash)
-    man.add(js)
-    csv = out / "margins.csv"
+    man.json("lyapunov.json", payload)
     d = cfg.d1 + cfg.d2
     header = [f"z{i}" for i in range(d)] + ["lhs", "rhs", "margin"]
     rows = [tuple(p) + (l, r, mg) for p, l, r, mg in
             zip(report.points, report.lhs, report.rhs, report.margins)]
-    write_csv(csv, header, rows, man.chash)
-    man.add(csv)
+    man.csv("margins.csv", header, rows)
 
 
-def cmd_zvonkin(kv, cfg, out, man):
+def cmd_zvonkin(kv, cfg, man):
     coeffs = _build_coefficients(kv, cfg)
     L = _positive("zvonkin.L", kv.get("zvonkin.L", 12.0))
     n = _whole("zvonkin.n", kv.get("zvonkin.n", 4001), 5)
@@ -461,21 +466,17 @@ def cmd_zvonkin(kv, cfg, out, man):
     report = equivalence_experiment(coeffs, cfg, _build_init(kv, "init.a", cfg),
                                     eps_target=eps, L=L, n_grid=n)
     sol = report.solution
-    csv = out / "solution.csv"
-    write_csv(csv, ["y", "u", "du", "d2u", "theta"],
-              zip(sol.grid, sol.u, sol.du, sol.d2u, sol.theta_values), man.chash)
-    man.add(csv)
-    js = out / "zvonkin.json"
-    write_json(js, {
+    man.csv("solution.csv", ["y", "u", "du", "d2u", "theta"],
+            zip(sol.grid, sol.u, sol.du, sol.d2u, sol.theta_values))
+    man.json("zvonkin.json", {
         "lambda": sol.lam, "sup_bound": sol.sup_bound, "tv": report.tv,
         "noise_floor": report.noise_floor, "verdict": report.verdict,
         "out_of_domain_fraction": report.out_of_domain_fraction,
         "residual": sol.residual,
-    }, man.chash)
-    man.add(js)
+    })
 
 
-def cmd_khasminskii(kv, cfg, out, man):
+def cmd_khasminskii(kv, cfg, man):
     coeffs = _build_coefficients(kv, cfg)
     kind = kv.get("khasminskii.f", "const")
     if kind == "const":
@@ -495,15 +496,13 @@ def cmd_khasminskii(kv, cfg, out, man):
     res = khasminskii_estimate(cfg, coeffs, f, _build_init(kv, "init.a", cfg))
     centers = np.linspace(-extent, extent, 9)[:, None] if cfg.d2 == 1 else np.zeros((1, cfg.d2))
     norm = localized_lpq_norm(f, pair, cfg.T, centers, n_time=9, n_ball=201)
-    js = out / "khasminskii.json"
-    write_json(js, {
+    man.json("khasminskii.json", {
         "estimate": res.estimate, "ci_lo": res.ci_lo, "ci_hi": res.ci_hi,
         "diverged": res.diverged, "lpq_norm": norm, "p": p, "q": q,
-    }, man.chash)
-    man.add(js)
+    })
 
 
-def cmd_mkv_picard(kv, cfg, out, man):
+def cmd_mkv_picard(kv, cfg, man):
     kappa = _real("kappa", kv.get("kappa", 0.0))
     coeffs = _build_coefficients(kv, cfg)
     lam = kv.get("picard.lam")
@@ -513,20 +512,15 @@ def cmd_mkv_picard(kv, cfg, out, man):
         max_iter=_whole("picard.maxiter", kv.get("picard.maxiter", 20)),
         common_random_numbers=_flag("picard.crn", kv.get("picard.crn", True)),
     )
-    csv = out / "rho.csv"
-    write_csv(csv, ["iteration", "rho"],
-              list(enumerate(res.state.rho_history, start=1)), man.chash)
-    man.add(csv)
-    js = out / "picard.json"
-    write_json(js, {
+    man.csv("rho.csv", ["iteration", "rho"], list(enumerate(res.state.rho_history, start=1)))
+    man.json("picard.json", {
         "converged": res.converged, "iterations": res.n_iterations,
         "noise_floor": res.noise_floor, "lambda": res.state.lam,
         "rho_history": res.state.rho_history,
-    }, man.chash)
-    man.add(js)
+    })
 
 
-def cmd_mkv_sweep(kv, cfg, out, man):
+def cmd_mkv_sweep(kv, cfg, man):
     kappas = kv.get("sweep.kappas", [0.0, 0.1, 0.2])
     if not (isinstance(kappas, (list, tuple)) and kappas):
         raise InputError(f"sweep.kappas must be a non-empty list of numbers, got {kappas!r}")
@@ -541,17 +535,15 @@ def cmd_mkv_sweep(kv, cfg, out, man):
     )
     summary = []
     for e in res.entries:
-        _write_series(out / f"sweep_tv_{e.kappa:g}.csv", e.series, man)
+        man.csv(f"sweep_tv_{e.kappa:g}.csv", *_series_table(e.series))
         summary.append({
             "kappa": e.kappa, "lambda_hat": e.fit.lam, "r2": e.fit.r2,
             "verdict": e.fit.verdict, "noise_floor": e.series.noise_floor,
         })
-    js = out / "sweep.json"
-    write_json(js, {"entries": summary, "kappa_star": res.kappa_star}, man.chash)
-    man.add(js)
+    man.json("sweep.json", {"entries": summary, "kappa_star": res.kappa_star})
 
 
-def cmd_h_bound(kv, cfg, out, man):
+def cmd_h_bound(kv, cfg, man):
     phi = _keyed("phi.kind, phi.c0, phi.beta", PhiFamily, kv.get("phi.kind", "superlinear"),
                  _real("phi.c0", kv.get("phi.c0", 1.0)), _real("phi.beta", kv.get("phi.beta", 1.0)))
     v0 = _real("hbound.v0", kv.get("hbound.v0", 1.0))
@@ -565,33 +557,42 @@ def cmd_h_bound(kv, cfg, out, man):
                          f"of hbound.dt = {dt:g}, fewer than 2^40 of them")
     times = np.arange(round(n) + 1) * dt
     env = _keyed("phi.kind, phi.beta, hbound.v0", h_envelope, phi, v0, k, lam, times)
-    csv = out / "envelope.csv"
-    write_csv(csv, ["t", "envelope"], zip(times, env), man.chash)
-    man.add(csv)
+    man.csv("envelope.csv", ["t", "envelope"], zip(times, env))
 
 
 def cmd_verify(manifest_path: Path) -> str:
     """Recheck the manifest's config hash and rehash every output it lists; any
-    fault (one line, listing them all) is refused."""
+    fault (one line, listing them all) is refused.  An output must be a plain
+    file name, so nothing outside the run directory is read."""
     try:
         man = json.loads(_read(manifest_path, "manifest"))
     except json.JSONDecodeError as exc:
         raise InputError(f"verify: cannot read manifest: {exc}") from None
     if not (isinstance(man, dict) and isinstance(man.get("sha256"), dict)):
         raise InputError("verify: manifest records no sha256 per output")
-    expect = man.get("config_hash", "")
-    recomputed = config_hash(man.get("config_text", ""))
-    faults = [] if recomputed == expect else [f"manifest hash mismatch: {recomputed} != {expect}"]
-    for name in man.get("outputs", []):
+    expect, text = man.get("config_hash", ""), man.get("config_text", "")
+    outputs = man.get("outputs", [])
+    faults = []
+    if not isinstance(text, str):
+        faults.append(f"config_text is not a string: {text!r}")
+    elif config_hash(text) != expect:
+        faults.append(f"manifest hash mismatch: {config_hash(text)} != {expect}")
+    if not isinstance(outputs, list):
+        faults.append(f"outputs is not a list: {outputs!r}")
+        outputs = []
+    for name in outputs:
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            faults.append(f"output {name!r} is not a plain file name")
+            continue
         p = manifest_path.parent / name
-        got = file_hash(p) if p.exists() else None
+        got = file_hash(p) if p.is_file() else None
         if got is None:
             faults.append(f"missing output {name}")
         elif got != man["sha256"].get(name):
             faults.append(f"{name} sha256 mismatch: {got} != manifest {man['sha256'].get(name)}")
     if faults:
         raise InputError("verify: " + "; ".join(faults))
-    return f"verify: ok ({len(man.get('outputs', []))} outputs, hash {expect[:12]}...)"
+    return f"verify: ok ({len(outputs)} outputs, hash {expect[:12]}...)"
 
 
 _SUBCOMMANDS = {
@@ -636,10 +637,10 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out or Path(_text("out.dir", kv.get("out.dir", ""))
                                    or os.environ.get("KINSDE_OUT", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        man = Manifest(args.command, text, cfg.seed, cfg.n_steps)
+        man = Manifest(out_dir, args.command, text, cfg.seed, cfg.n_steps)
         extra = {"replay": args.replay} if args.command == "ergodicity" else {}
-        _SUBCOMMANDS[args.command](kv, cfg, out_dir, man, **extra)
-        man.write(out_dir)
+        _SUBCOMMANDS[args.command](kv, cfg, man, **extra)
+        man.write()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -304,6 +304,23 @@ class MeasureFlow:
         return self.clouds[self._index[t]]
 
 
+def _check_nondegenerate(sigma: np.ndarray):
+    """Refuse a sigma unless sigma sigma* is invertible and both ||sigma|| and
+    ||(sigma sigma*)^-1|| are finite and positive."""
+    with np.errstate(all="ignore"):  # an overflow or a nan fails the check below
+        try:
+            inv = np.linalg.inv(sigma @ sigma.T)
+        except np.linalg.LinAlgError:
+            raise InputError(f"sigma sigma* is singular for sigma = {sigma.tolist()}") from None
+        try:
+            ok = all(0.0 < np.linalg.norm(a, 2) < math.inf for a in (sigma, inv))
+        except np.linalg.LinAlgError:  # the SVD of a nan or inf entry does not converge
+            ok = False
+        if not ok:
+            raise InputError("sigma is degenerate: ||sigma|| or ||(sigma sigma*)^-1|| "
+                             f"is not finite and positive for sigma = {sigma.tolist()}")
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Drift/diffusion fields of the system plus structural metadata.
@@ -311,7 +328,8 @@ class CoefficientSet:
     ``z1(t, x, y) -> (n, d1)``, ``z2(t, x, y, law) -> (n, d2)``,
     ``b(t, y) -> (n, d2)`` (``None`` means zero), and ``sigma`` is either a
     constant ``(d2, m)`` matrix or a callable ``(t, y) -> (n, d2, m)``.
-    ``sigma_bounds = (sup ||sigma||, sup ||(sigma sigma*)^-1||)``.
+    A constant sigma is zero (noise-free diagnostic dynamics) or
+    nondegenerate, which construction checks.
     """
 
     d1: int
@@ -321,20 +339,11 @@ class CoefficientSet:
     z2: Callable
     b: Callable | None
     sigma: np.ndarray | Callable
-    sigma_bounds: tuple[float, float]
-    measure_dependent: bool = False
     growth: str = "linear"  # one of bounded | linear | superlinear
 
     def __post_init__(self):
-        lo = min(self.sigma_bounds)
-        hi = max(self.sigma_bounds)
-        noise_free = isinstance(self.sigma, np.ndarray) and not np.any(self.sigma)
-        if noise_free:
-            # deterministic diagnostic dynamics are representable with bounds (0, 0)
-            if hi != 0.0:
-                raise ValueError("zero sigma must declare sigma_bounds = (0, 0)")
-        elif not (np.isfinite(hi) and lo > 0):
-            raise InputError("sigma is degenerate: its sigma_bounds are not finite and positive")
+        if isinstance(self.sigma, np.ndarray) and np.any(self.sigma):
+            _check_nondegenerate(self.sigma)
         if self.growth not in ("bounded", "linear", "superlinear"):
             raise ValueError(f"unknown growth class {self.growth!r}")
         if not isinstance(self.sigma, np.ndarray) and not callable(self.sigma):
@@ -342,7 +351,7 @@ class CoefficientSet:
 
     def drift_y(self, t: float, x: np.ndarray, y: np.ndarray, law: EmpiricalLaw | None) -> np.ndarray:
         """Full y-block drift Z2 + b."""
-        out = self.z2(t, x, y, law) if self.measure_dependent else self.z2(t, x, y, None)
+        out = self.z2(t, x, y, law)
         if self.b is not None:
             out = out + self.b(t, y)
         return out

@@ -369,7 +369,6 @@ def fit_h_envelope(
 
 @dataclass(frozen=True)
 class MomentBoundReport:
-    initial_values: np.ndarray   # V(X_0, Y_0) per run
     ratios: np.ndarray           # E[sup_t V] / V(X_0, Y_0) per run
     n_dead: np.ndarray
     verdict: str                 # bounded | unbounded
@@ -385,7 +384,7 @@ def moment_bound_check(cfg: SimConfig, coeffs: CoefficientSet, V: LyapunovV,
     expectation, counted in the report, and themselves evidence of an
     unbounded system.
     """
-    v0s, ratios, dead = [], [], []
+    ratios, dead = [], []
     for init in inits:
         seen = {}
 
@@ -398,9 +397,8 @@ def moment_bound_check(cfg: SimConfig, coeffs: CoefficientSet, V: LyapunovV,
 
         ens = simulate_ensemble(cfg, coeffs, init, observe=running_sup)
         ratios.append(float(np.mean(seen["sup"][ens.alive])) / seen["v0"])
-        v0s.append(seen["v0"])
         dead.append(ens.n_dead)
     ratios = np.asarray(ratios)
     dead = np.asarray(dead)
     ok = ratios.max() <= 2.0 * ratios.min() and not np.any(dead)
-    return MomentBoundReport(np.asarray(v0s), ratios, dead, "bounded" if ok else "unbounded")
+    return MomentBoundReport(ratios, dead, "bounded" if ok else "unbounded")

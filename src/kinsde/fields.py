@@ -332,16 +332,6 @@ def _const_sigma(value, d2: int, m: int) -> np.ndarray:
     return arr.reshape(d2, m)
 
 
-def sigma_bounds_of(mat: np.ndarray) -> tuple[float, float]:
-    if not np.any(mat):
-        return (0.0, 0.0)  # noise-free diagnostic dynamics
-    try:
-        inv = np.linalg.inv(mat @ mat.T)
-    except np.linalg.LinAlgError:
-        raise InputError(f"sigma sigma* is singular for sigma = {mat.tolist()}") from None
-    return (float(np.linalg.norm(mat, 2)), float(np.linalg.norm(inv, 2)))
-
-
 def build_coefficients(
     z1: Callable,
     z2: Callable,
@@ -351,18 +341,11 @@ def build_coefficients(
     d2: int,
     m: int | None = None,
     growth: str = "linear",
-    measure_dependent: bool = False,
 ) -> CoefficientSet:
     m = d2 if m is None else m
     if not callable(sigma):
         sigma = _const_sigma(sigma, d2, m)
-        bounds = sigma_bounds_of(sigma)
-    else:
-        raise ValueError("callable sigma needs explicit bounds; use CoefficientSet directly")
-    return CoefficientSet(
-        d1=d1, d2=d2, m=m, z1=z1, z2=z2, b=b, sigma=sigma,
-        sigma_bounds=bounds, measure_dependent=measure_dependent, growth=growth,
-    )
+    return CoefficientSet(d1=d1, d2=d2, m=m, z1=z1, z2=z2, b=b, sigma=sigma, growth=growth)
 
 
 def confining_coefficients(
@@ -384,15 +367,10 @@ def confining_coefficients(
     base = lambda t, x, y: drift.z2(x, y)
     if kernel is not None and kappa != 0.0:
         z2 = interaction_z2(base, kernel, kappa, d1=d, d2=d)
-        dep = True
     else:
         z2 = lambda t, x, y, law: base(t, x, y)
-        dep = False
     b_field = None if b is None else (lambda t, y: b(y))
-    return build_coefficients(
-        z1, z2, b_field, sigma, d1=d, d2=d, m=d,
-        growth=drift.growth, measure_dependent=dep,
-    )
+    return build_coefficients(z1, z2, b_field, sigma, d1=d, d2=d, m=d, growth=drift.growth)
 
 
 def linear_langevin_coefficients(d: int = 1, sigma=None) -> CoefficientSet:

@@ -126,8 +126,13 @@ def alive_law(x: np.ndarray, y: np.ndarray, alive: np.ndarray) -> EmpiricalLaw:
 # the helper (2-core x86 machine, median of 11): N = 1000 116 -> 140,
 # N = 2000 197 -> 196, N = 3000 250 -> 226, N = 4000 301 -> 258,
 # N = 6000 436 -> 329, N = 10^4 679 -> 489.  The helper won 7 of 11 repeats
-# at N = 3000 and 10 of 11 at N = 4000; the constant stays above the
-# mean-field runs (N <= 4000, a law per step), which were not timed with it.
+# at N = 3000 and 10 of 11 at N = 4000.  The constant stays above the
+# mean-field runs (N <= 4000, a law per step): with it lowered to 1000, the
+# helper lost on the same machine, in alternating pairs of whole CLI runs,
+# `mkv-picard configs/mkv_picard.cfg` 0.90 s against 0.81 s (medians; faster
+# in 1 of 7 pairs) and `mkv-sweep configs/mkv_sweep.cfg` 4.65 s against
+# 3.88 s (faster in 0 of 5), with host steal time 7-24 % during its runs and
+# 2-9 % without it.
 _CHUNK_NORMALS = 40_000
 _HELPER_MIN_BLOCK = 5_000
 _RING_DEPTH = 3
@@ -466,7 +471,6 @@ class KhasminskiiResult:
     ci_lo: float
     ci_hi: float
     diverged: bool
-    integrals: np.ndarray
 
 
 def khasminskii_estimate(
@@ -492,13 +496,12 @@ def khasminskii_estimate(
         prev["g"] = g
 
     ens = simulate_ensemble(cfg, coeffs, init, stream=stream, observe=on_state)
-    integrals = acc[ens.alive]
     with np.errstate(over="ignore"):
-        vals = np.exp(integrals)
+        vals = np.exp(acc[ens.alive])
     est = float(np.mean(vals))
     diverged = not np.isfinite(est)
     if diverged:
-        return KhasminskiiResult(math.inf, math.nan, math.inf, True, integrals)
+        return KhasminskiiResult(math.inf, math.nan, math.inf, True)
     rng = bootstrap_rng(cfg.seed, stream)
     n_boot = 400
     boots = np.empty(n_boot)
@@ -506,7 +509,7 @@ def khasminskii_estimate(
         idx = rng.integers(0, vals.size, vals.size)
         boots[i] = np.mean(vals[idx])
     lo, hi = np.percentile(boots, [2.5, 97.5])
-    return KhasminskiiResult(est, float(lo), float(hi), False, integrals)
+    return KhasminskiiResult(est, float(lo), float(hi), False)
 
 
 # --- snapshot persistence ---------------------------------------------------------

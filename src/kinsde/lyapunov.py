@@ -193,7 +193,6 @@ def _drift_report(V: LyapunovV, phi: PhiFamily, K: float, samples: LogRadialSamp
 class ConstantSearchResult:
     c0: float
     K: float
-    k_cap: float
     report: DriftConditionReport
 
 
@@ -244,7 +243,7 @@ def search_constants(
         best = flo
     K = k_min(best)
     report = _drift_report(V, PhiFamily(phi_kind, best, beta), K, samples, pts, lhs)
-    return ConstantSearchResult(c0=best, K=K, k_cap=k_cap, report=report)
+    return ConstantSearchResult(c0=best, K=K, report=report)
 
 
 @dataclass(frozen=True)

@@ -288,7 +288,6 @@ def transform_coefficients(
         raise NumericError(f"inverse roundtrip error {rt:.3e} above 1e-8")
 
     lam = sol.lam
-    bdu = float(np.max(np.abs(sol.du)))
 
     # step_arrays hands one y object to z1, drift_y and apply_sigma, and
     # simulate_ensemble never writes into y, so one pull-back per step serves
@@ -322,15 +321,8 @@ def transform_coefficients(
             yb, grad, _ = back(ty)
             return grad[:, None, None] * coeffs.sigma(t, yb)
 
-    s_lo, s_hi = coeffs.sigma_bounds
-    new_bounds = (s_lo * (1.0 + bdu), s_hi / max(1e-12, (1.0 - bdu) ** 2))
-    return CoefficientSet(
-        d1=coeffs.d1, d2=1, m=coeffs.m,
-        z1=z1t, z2=z2t, b=None, sigma=sigt,
-        sigma_bounds=new_bounds,
-        measure_dependent=coeffs.measure_dependent,
-        growth=coeffs.growth,
-    )
+    return CoefficientSet(d1=coeffs.d1, d2=1, m=coeffs.m, z1=z1t, z2=z2t, b=None, sigma=sigt,
+                          growth=coeffs.growth)
 
 
 class _TransformedInit:

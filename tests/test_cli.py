@@ -175,7 +175,11 @@ class TestConfigHandling:
          ("simulate", "T = inf\n", "T must be finite, got inf"),
          ("simulate", "T = nan\n", "T must be finite, got nan"),
          ("simulate", "h = inf\n", "h must be finite, got inf"),
-         ("simulate", "h = nan\n", "h must be finite, got nan")],
+         ("simulate", "h = nan\n", "h must be finite, got nan"),
+         # a nonzero sigma is refused unless it is nondegenerate
+         ("simulate", "drift = zero\nd2 = 2\nsigma = [[1.0], [2.0]]\n",
+          "sigma sigma* is singular for sigma = [[1.0], [2.0]]"),
+         ("simulate", "drift = zero\nsigma = 1e300\n", "sigma is degenerate")],
     )
     def test_bad_run_value_exit_2_naming_key(self, tmp_path, monkeypatch, capsys,
                                              command, extra, message):
@@ -682,3 +686,32 @@ class TestVerify:
             man.write_text(text)
             assert main(["verify", str(man)]) == 2
             assert "records no sha256" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, fault",
+        # each of the first six once escaped with a traceback (exit 1)
+        [("outputs", [5], "output 5 is not a plain file name"),
+         ("outputs", [["a"]], "output ['a'] is not a plain file name"),
+         ("outputs", "envelope.csv", "outputs is not a list: 'envelope.csv'"),
+         ("outputs", None, "outputs is not a list: None"),
+         ("config_text", 5, "config_text is not a string: 5"),
+         ("outputs", ["", ".", ".."], "output '' is not a plain file name; "
+          "output '.' is not a plain file name; output '..' is not a plain file name"),
+         # once hashed outside the run directory, and passed
+         ("outputs", ["../run.cfg"], "output '../run.cfg' is not a plain file name"),
+         # a path separator on Windows
+         ("outputs", ["..\\run.cfg"], "output '..\\\\run.cfg' is not a plain file name")],
+        ids=["int", "list", "string", "null", "config_text", "dots", "parent", "backslash"],
+    )
+    def test_verify_refuses_malformed_manifest(self, tmp_path, capsys, key, value, fault):
+        cfg = write_cfg(tmp_path, "")
+        run = tmp_path / "run"
+        assert main(["h-bound", str(cfg), "--out", str(run)]) == 0
+        man = run / "manifest.json"
+        data = json.loads(man.read_text())
+        data[key] = value
+        data["sha256"]["../run.cfg"] = file_sha256(cfg)
+        man.write_text(json.dumps(data))
+        assert main(["verify", str(man)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: verify: ") and fault in err

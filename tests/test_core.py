@@ -1,7 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kinsde.cli import _parse_config, _sim_config
 from kinsde.core import (
@@ -17,7 +20,7 @@ from kinsde.core import (
     ball_lp_seminorm,
     localized_lpq_norm,
 )
-from kinsde.fields import linear_langevin_coefficients, zero_coefficients
+from kinsde.fields import build_coefficients, linear_langevin_coefficients, zero_coefficients
 from kinsde.integrators import simulate_ensemble
 
 DIRAC = DiracInit(PhaseState([0.0], [0.0]))
@@ -221,6 +224,65 @@ class TestEmpiricalLaw:
     def test_rejects_non_finite_weights(self, bad):
         with pytest.raises(ValueError, match="weights must be finite"):
             EmpiricalLaw(np.zeros((2, 1)), np.ones((2, 1)), weights=[bad, 1.0])
+
+
+# Entries at and beyond the ends of the float range, and ordinary ones.
+SIGMA_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def sigma_matrices(draw):
+    """A (d2, m) matrix, d2 and m in 1..3; sometimes one row a multiple of another."""
+    d2, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sig = np.array(draw(st.lists(SIGMA_ENTRIES, min_size=d2 * m, max_size=d2 * m)))
+    sig = sig.reshape(d2, m)
+    if d2 > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(d2)))[:2]
+        with np.errstate(all="ignore"):
+            sig[j] = draw(st.sampled_from([0.0, 1.0, -2.0, 1e-300, 1e300])) * sig[i]
+    return sig
+
+
+def accepted_sigma(sig: np.ndarray) -> bool:
+    """The rule: all zeros, or sigma sigma* invertible with ||sigma||_2 and
+    ||(sigma sigma*)^-1||_2 finite and greater than 0."""
+    if not np.any(sig):
+        return True
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(sig @ sig.T)
+            norms = (np.linalg.norm(sig, 2), np.linalg.norm(inv, 2))
+        except np.linalg.LinAlgError:
+            return False
+    return all(0.0 < v < math.inf for v in norms)
+
+
+class TestSigmaCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(sigma_matrices())
+    @example(np.zeros((2, 3)))
+    @example(np.eye(3))
+    @example(np.array([[1.0], [2.0]]))          # sigma sigma* exactly singular
+    @example(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    @example(np.array([[1e300]]))               # sigma sigma* overflows
+    @example(np.array([[1e-300]]))              # sigma sigma* underflows to 0
+    @example(np.array([[math.nan]]))
+    @example(np.array([[math.inf, 0.0], [0.0, 1.0]]))
+    def test_constant_sigma_zero_or_nondegenerate(self, sig):
+        d2, m = sig.shape
+        build = lambda: build_coefficients(None, None, None, sig, d1=1, d2=d2, m=m)
+        if accepted_sigma(sig):
+            assert np.array_equal(build().sigma, sig, equal_nan=True)
+        else:
+            with pytest.raises(InputError, match="sigma"):
+                build()
+
+    def test_callable_sigma_is_taken_unchecked(self):
+        co = build_coefficients(None, None, None, lambda t, y: np.zeros((y.shape[0], 1, 1)), 1, 1)
+        assert co.apply_sigma(0.0, np.ones((2, 1)), np.ones((2, 1))).shape == (2, 1)
 
 
 class TestLocalizedNorm:
