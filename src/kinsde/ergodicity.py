@@ -96,7 +96,7 @@ def bootstrap_noise_floor(
     """95th percentile of TV between two same-law resamples of the cloud."""
     rng = bootstrap_rng(seed, stream=1)
     n = law.n
-    uniform = np.allclose(law.weights, 1.0 / n)
+    uniform = np.all(law.weights == law.weights[0])
     tvs = np.empty(n_boot)
     for i in range(n_boot):
         if uniform:

@@ -14,7 +14,7 @@ import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -123,115 +123,75 @@ def alive_law(x: np.ndarray, y: np.ndarray, alive: np.ndarray) -> EmpiricalLaw:
 # holds at least _HELPER_MIN_BLOCK normals: the per-step re-key holds the GIL,
 # so at small blocks the hand-offs cost more than the drawing they move off
 # the loop.  Tamed-cubic drift, m = 1, 1000 steps, µs per step without -> with
-# the helper (2-core x86 machine, median of 11): N = 1000 116 -> 140,
-# N = 2000 197 -> 196, N = 3000 250 -> 226, N = 4000 301 -> 258,
-# N = 6000 436 -> 329, N = 10^4 679 -> 489.  The helper won 7 of 11 repeats
-# at N = 3000 and 10 of 11 at N = 4000.  The constant stays above the
-# mean-field runs (N <= 4000, a law per step): with it lowered to 1000, the
-# helper lost on the same machine, in alternating pairs of whole CLI runs,
-# `mkv-picard configs/mkv_picard.cfg` 0.90 s against 0.81 s (medians; faster
-# in 1 of 7 pairs) and `mkv-sweep configs/mkv_sweep.cfg` 4.65 s against
-# 3.88 s (faster in 0 of 5), with host steal time 7-24 % during its runs and
-# 2-9 % without it.
+# the helper (2-core x86 machine, median of 11 alternating pairs): N = 1000
+# 111 -> 123 (helper faster in 0 of 11), N = 2000 142 -> 137 (9 of 11),
+# N = 3000 233 -> 191, N = 4000 296 -> 241, N = 6000 357 -> 279, N = 10^4
+# 655 -> 474 (11 of 11 each).  Whole CLI runs on the same machine, medians of
+# alternating runs, without -> with the helper: `simulate configs/langevin.cfg`
+# (N = 10^4) 6.86 -> 4.93 s (16 runs each, steal time under 1.1 %), and pinned
+# to one core with `taskset -c 0` 6.87 -> 7.07 s (24 each; faster in 9 of 24).
+# With the constant lowered to 1000, `mkv-sweep configs/mkv_sweep.cfg`
+# (N = 4000) went 3.64 -> 3.32 s (faster in 7 of 7) and `mkv-picard
+# configs/mkv_picard.cfg` 0.77 -> 0.78 s (3 of 7) under steal below 2.4 %;
+# the earlier lock-based helper lost both under 7-24 % steal (0.81 -> 0.90 s,
+# 3.88 -> 4.65 s), so the constant stays above the mean-field runs.
 _CHUNK_NORMALS = 40_000
 _HELPER_MIN_BLOCK = 5_000
 _RING_DEPTH = 3
 
 
-class _NoiseRing:
-    """Step k's increments ``sqrt(h) * step_normals(seed, stream, k, n, m)``, k < K,
-    a chunk of B steps at a time, in a ring of reused buffers.
+def _step_noise(seed: int, stream: int, n: int, m: int, h: float, K: int) -> Iterator[np.ndarray]:
+    """Step k's increments ``sqrt(h) * step_normals(seed, stream, k, n, m)`` for k < K,
+    each a view into a reused buffer, drawn a chunk of B steps at a time.
 
-    Chunks are claimed in order: by the helper thread, when there is one, as
-    soon as a buffer is free, and by the loop when the chunk it needs is not
-    ready yet, so the loop fills the next unclaimed chunk instead of idling.
-    Each step's block is keyed by its own k, so its bytes do not depend on the
-    thread that drew it.  Without a helper the ring holds one buffer, which
-    the loop fills as it reaches each chunk.
+    With a helper, a one-thread pool draws the next depth - 1 chunks, each
+    submitted once the loop has left the buffer it reuses; while the helper
+    draws the chunk the loop needs, the loop takes back (``Future.cancel``) the
+    later chunks it has not started and draws them itself.  Each step is keyed
+    by its own k, so the bytes do not depend on the thread.  ``close()`` cancels
+    what the helper has not started and joins it.
     """
+    B = max(1, min(K, -(-_CHUNK_NORMALS // (n * m))))
+    n_chunks = -(-K // B)
+    depth = _RING_DEPTH if n * m >= _HELPER_MIN_BLOCK and n_chunks > 1 else 1
+    bufs = np.empty((depth, B, n, m))
 
-    def __init__(self, seed: int, stream: int, n: int, m: int, h: float, K: int):
-        self.B = max(1, min(K, -(-_CHUNK_NORMALS // (n * m))))
-        self.K = K
-        self.n_chunks = -(-K // self.B)
-        threaded = n * m >= _HELPER_MIN_BLOCK and self.n_chunks > 1
-        self.bufs = np.empty((_RING_DEPTH if threaded else 1, self.B, n, m))
-        self.draw = (seed, stream, n, m, math.sqrt(h))
-        self.cond = threading.Condition()
-        self.claimed = 0      # chunks below this one have been claimed
-        self.at = 0           # the chunk the loop is on; older chunks' buffers are free
-        self.ready: set[int] = set()
-        self.error: BaseException | None = None  # what the helper raised
-        self.closed = False
-        self.helper = threading.Thread(target=self._help, daemon=True) if threaded else None
-        if self.helper is not None:
-            self.helper.start()
-
-    def _block(self, c: int) -> np.ndarray:
-        lo = c * self.B
-        return self.bufs[c % len(self.bufs), :min(self.B, self.K - lo)]
-
-    def _claim(self) -> int | None:
-        """The next chunk, if the ring is open, there is one and its buffer is free.
-        Hold the lock."""
-        c = self.claimed
-        if self.closed or c >= min(self.n_chunks, self.at + len(self.bufs)):
-            return None
-        self.claimed += 1
-        return c
-
-    def _fill(self, c: int) -> None:
-        seed, stream, n, m, sqh = self.draw
-        block = self._block(c)
+    def fill(c: int) -> np.ndarray:
+        block = bufs[c % depth, :min(B, K - c * B)]
         for j, out in enumerate(block):
-            step_normals(seed, stream, c * self.B + j, n, m, out=out)
-        np.multiply(block, sqh, out=block)
+            step_normals(seed, stream, c * B + j, n, m, out=out)
+        np.multiply(block, math.sqrt(h), out=block)
+        return block
 
-    def _help(self) -> None:
-        try:
-            while True:
-                with self.cond:
-                    while (c := self._claim()) is None:
-                        if self.closed or self.claimed == self.n_chunks:
-                            return
-                        self.cond.wait()
-                self._fill(c)
-                with self.cond:
-                    self.ready.add(c)
-                    self.cond.notify_all()
-        except BaseException as exc:
-            with self.cond:
-                self.error = exc
-                self.cond.notify_all()
+    if depth == 1:
+        for c in range(n_chunks):
+            yield from fill(c)
+        return
+    from concurrent.futures import Future, ThreadPoolExecutor
 
-    def chunk(self, c: int) -> np.ndarray:
-        """Chunk c's increments, (steps, n, m); the buffers of earlier chunks become free."""
-        with self.cond:
-            self.at = c
-            self.cond.notify_all()
-            while c not in self.ready:
-                if self.error is not None:
-                    raise self.error
-                own = self._claim()
-                if own is None:
-                    self.cond.wait()
-                    continue
-                self.cond.release()
-                try:
-                    self._fill(own)
-                finally:
-                    self.cond.acquire()
-                self.ready.add(own)
-            self.ready.remove(c)
-        return self._block(c)
+    def drawn(c: int) -> Future:  # chunk c, drawn on the loop thread
+        fut = Future()
+        fut.set_result(fill(c))
+        return fut
 
-    def close(self) -> None:
-        """Stop the helper and wait for it; a chunk it is drawing is finished first."""
-        with self.cond:
-            self.closed = True
-            self.cond.notify_all()
-        if self.helper is not None:
-            self.helper.join()
+    pool = ThreadPoolExecutor(1)
+    try:
+        ahead = [pool.submit(fill, c) for c in range(1, min(depth, n_chunks))]
+        yield from fill(0)
+        for c in range(1, n_chunks):
+            if c + depth - 1 < n_chunks:  # chunk c - 1's buffer is free now
+                ahead.append(pool.submit(fill, c + depth - 1))
+            fut = ahead.pop(0)
+            if fut.cancel():  # the helper never started it
+                fut = drawn(c)
+            for i, later in enumerate(ahead):  # pitch in while the helper draws chunk c
+                if fut.done():
+                    break
+                if later.cancel():
+                    ahead[i] = drawn(c + 1 + i)
+            yield from fut.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -296,9 +256,9 @@ def simulate_ensemble(
     copy it to keep it.
 
     Step k's increments are ``sqrt(h) * step_normals(seed, stream, k, N, m)``,
-    drawn a chunk of steps ahead; when one step's block is large, a helper
-    thread draws them while the loop steps (:class:`_NoiseRing`).  The bytes
-    do not depend on which thread drew them.
+    drawn a chunk of steps ahead by :func:`_step_noise`, on a helper thread
+    too when one step's block is large.  The bytes do not depend on which
+    thread drew them.
     """
     if (cfg.d1, cfg.d2, cfg.m) != (coeffs.d1, coeffs.d2, coeffs.m):
         raise InputError(f"config dims (d1, d2, m) = {(cfg.d1, cfg.d2, cfg.m)} "
@@ -315,15 +275,11 @@ def simulate_ensemble(
     clouds = [alive_law(x, y, alive)] if 0 in rec_set else []
 
     n_alive = n
-    ring = _NoiseRing(cfg.seed, stream, n, cfg.m, h, K)
+    noise = _step_noise(cfg.seed, stream, n, cfg.m, h, K)
     try:
-        for k in range(K):
+        for k, dW in zip(range(K), noise):
             t = k * h
             law_k = law(k, t, x, y, alive) if law is not None else None
-            c, j = divmod(k, ring.B)
-            if j == 0:
-                chunk = ring.chunk(c)
-            dW = chunk[j]
             if observe is not None:
                 observe(k, t, x, y, dW)
 
@@ -346,7 +302,7 @@ def simulate_ensemble(
             if (k + 1) in rec_set:
                 clouds.append(alive_law(x, y, alive))
     finally:
-        ring.close()
+        noise.close()
     if observe is not None:
         observe(K, K * h, x, y, None)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kinsde.cli import _parse_config, _sim_config, main
-from kinsde.integrators import load_snapshot
+from kinsde.integrators import _HELPER_MIN_BLOCK, load_snapshot
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -237,6 +237,21 @@ class TestConfigHandling:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("n, pool", [(None, False), (_HELPER_MIN_BLOCK - 1, False),
+                                         (_HELPER_MIN_BLOCK, True)])
+    def test_thread_pool_imported_only_for_the_noise_helper(self, tmp_path, n, pool):
+        """``import kinsde.cli`` and a run below the helper threshold leave
+        ``concurrent.futures`` unimported; a run at the threshold imports it."""
+        code = "import sys, kinsde.cli\n"
+        if n is not None:
+            cfg = write_cfg(tmp_path, f"N = {n}\ndrift = linear_langevin\n")
+            code += f"assert kinsde.cli.main(['simulate', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        code += "print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == str(pool)
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
     def test_shipped_config_parses(self, path):

@@ -33,6 +33,7 @@ from kinsde.fields import (
     linear_langevin_coefficients,
     scalar_ou_coefficients,
 )
+from kinsde.integrators import bootstrap_rng
 from kinsde.lyapunov import LogRadialSamples, search_constants
 
 SPEC2 = HistogramSpec(-4.0, 4.0, 8, dim=2)
@@ -485,3 +486,20 @@ class TestNoiseFloor:
         small = bootstrap_noise_floor(_law(rng, 500), SPEC2, n_boot=60, seed=1)
         big = bootstrap_noise_floor(_law(rng, 8000), SPEC2, n_boot=60, seed=1)
         assert big < small
+
+    def test_nearly_uniform_weights_are_resampled_by_weight(self):
+        # weights 2e-5 apart (relative) are within np.allclose of 1/n at N = 2000
+        rng = np.random.default_rng(5)
+        n = 2000
+        w = np.where(np.arange(n) % 2 == 0, 1.0, 1.0 + 2e-5)
+        law = EmpiricalLaw(rng.normal(size=(n, 1)), rng.normal(size=(n, 1)), weights=w)
+        assert not np.all(law.weights == law.weights[0])
+        ref = bootstrap_rng(3, stream=1)
+        tvs = []
+        for _ in range(20):
+            ia = ref.choice(n, size=n, p=law.weights)
+            ib = ref.choice(n, size=n, p=law.weights)
+            tvs.append(empirical_var_distance(
+                histogram_law(EmpiricalLaw(law.x[ia], law.y[ia]), SPEC2),
+                histogram_law(EmpiricalLaw(law.x[ib], law.y[ib]), SPEC2)))
+        assert bootstrap_noise_floor(law, SPEC2, n_boot=20, seed=3) == np.percentile(tvs, 95.0)

@@ -5,10 +5,11 @@ import hashlib
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kinsde.cli import main
 from kinsde.core import CloudInit, EmpiricalLaw, SimConfig
@@ -364,4 +365,48 @@ class TestNoiseRing:
 
         assert raised_by(run) is boom
         assert drawn_by and drawn_by[0] is not caller[0]
+        assert threading.active_count() == before
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 3), N=st.integers(1, 200), K=st.integers(1, 40),
+           h=st.floats(1e-4, 1.0), chunk=st.integers(1, 400), helper=st.booleans(),
+           fail=st.none() | st.integers(0, 39))
+    @example(m=1, N=1, K=40, h=0.01, chunk=3, helper=True, fail=None)   # 14 tiny chunks
+    @example(m=2, N=2, K=40, h=0.01, chunk=20, helper=True, fail=None)  # K % B == 0
+    @example(m=1, N=1, K=5, h=0.01, chunk=100, helper=True, fail=None)  # K < B
+    @example(m=1, N=4, K=10, h=0.01, chunk=40, helper=True, fail=None)  # one chunk, K == B
+    @example(m=1, N=1, K=7, h=0.01, chunk=4, helper=True, fail=None)    # two chunks
+    @example(m=1, N=1, K=40, h=0.01, chunk=3, helper=True, fail=31)
+    def test_noise_stream_property(self, m, N, K, h, chunk, helper, fail):
+        """Every chunk layout yields the step noise in order, passes a hook's
+        exception through as the same object and leaves no thread behind."""
+        cfg = SimConfig(T=K * h, h=h, N=N, seed=11, m=m)
+        assert cfg.n_steps == K
+        coeffs = build_coefficients(z1=lambda t, x, y: np.zeros_like(x),
+                                    z2=lambda t, x, y, law: np.zeros_like(y),
+                                    b=None, sigma=1.0, d1=1, d2=1, m=m)
+        init = CloudInit(EmpiricalLaw(np.zeros((N, 1)), np.zeros((N, 1))))
+        fail = None if fail is None else fail % K
+        boom = RuntimeError("observe failed")
+        seen = []
+
+        def observe(k, t, x, y, dW):
+            if dW is not None:
+                want = np.sqrt(h) * step_normals(cfg.seed, 0, k, N, m)
+                seen.append((k, dW.tobytes() == want.tobytes()))
+            if k == fail:
+                raise boom
+
+        before = threading.active_count()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the helper and the loop often
+        try:
+            with mock.patch.object(integrators, "_CHUNK_NORMALS", chunk), \
+                    mock.patch.object(integrators, "_HELPER_MIN_BLOCK",
+                                      1 if helper else N * m + 1):
+                exc = raised_by(lambda: simulate_ensemble(cfg, coeffs, init, observe=observe))
+        finally:
+            sys.setswitchinterval(switch)
+        assert exc is (None if fail is None else boom)
+        assert seen == [(k, True) for k in range(K if fail is None else fail + 1)]
         assert threading.active_count() == before
