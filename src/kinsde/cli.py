@@ -47,15 +47,14 @@ _CORE_KEYS = {"T", "h", "N", "seed", "d1", "d2", "m", "scheme",
 _FIELD_KEYS = {"drift", "c1", "c2", "c3", "delta", "z.scale", "sigma", "rate",
                "riesz.alpha", "riesz.atoms", "riesz.eta",
                "kernel", "kernel.w", "kappa"}
-_RUN_KEYS = {"workers", "out.dir", "store_increments",
-             "init.a", "init.b", "record.start", "record.stop", "record.step",
+_RUN_KEYS = {"out.dir", "init.a", "init.b", "record.start", "record.stop", "record.step",
              "fit.from"}
 _MODULE_KEYS = {
     "lyapunov.theta", "phi.kind", "phi.c0", "phi.beta", "eps.shell",
     "lyap.rmin", "lyap.rmax", "lyap.radii", "lyap.dirs", "lyap.kcap",
     "zvonkin.L", "zvonkin.n", "zvonkin.eps",
     "khasminskii.f", "khasminskii.a", "norm.p", "norm.q", "norm.extent",
-    "picard.lam", "picard.maxiter", "picard.crn",
+    "picard.lam", "picard.maxiter",
     "sweep.kappas",
     "hbound.k", "hbound.lam", "hbound.v0", "hbound.tmax", "hbound.dt",
 }
@@ -118,13 +117,6 @@ def _text(key: str, val) -> str:
     if isinstance(val, str):
         return val
     raise InputError(f"{key} must be a string, got {val!r}")
-
-
-def _flag(key: str, val) -> bool:
-    """``val`` as a bool; only True and False pass (``no`` or 1 is refused)."""
-    if isinstance(val, bool):
-        return val
-    raise InputError(f"{key} must be True or False, got {val!r}")
 
 
 def _reals(key: str, val, read=_real):
@@ -338,7 +330,10 @@ class Manifest:
         return self.data["config_hash"]
 
     def add(self, path: Path):
-        """List a written output and record its sha256."""
+        """List a written output and record its sha256; a name listed already
+        would lose the earlier file, so it is refused."""
+        if path.name in self.data["sha256"]:
+            raise ValueError(f"output {path.name} is already listed")
         self.data["outputs"].append(path.name)
         self.data["sha256"][path.name] = file_hash(path)
 
@@ -361,18 +356,10 @@ class Manifest:
 
 def cmd_simulate(kv, cfg, man):
     coeffs = _build_coefficients(kv, cfg)
-    inc = observe = None
-    if _flag("store_increments", kv.get("store_increments", False)):
-        inc = np.empty((cfg.n_steps, cfg.N, cfg.m))
-
-        def observe(k, t, x, y, dW):
-            if dW is not None:
-                inc[k] = dW
-
-    ens = simulate_ensemble(cfg, coeffs, _build_init(kv, "init.a", cfg), observe=observe)
+    ens = simulate_ensemble(cfg, coeffs, _build_init(kv, "init.a", cfg))
     if ens.unstable:
         raise NumericError(f"run unstable: {ens.n_dead} of {ens.n} particles blew up")
-    for path in save_snapshot(man.out / "snapshot", ens, man.chash, increments=inc):
+    for path in save_snapshot(man.out / "snapshot", ens, man.chash):
         man.add(path)
 
 
@@ -503,18 +490,17 @@ def cmd_khasminskii(kv, cfg, man):
 
 
 def cmd_mkv_picard(kv, cfg, man):
+    lam = _real("picard.lam", kv["picard.lam"]) if "picard.lam" in kv else None
+    if lam is not None and not 0.0 <= lam < math.inf:
+        raise InputError(f"picard.lam must be nonnegative and finite, got {lam!r}")
+    max_iter = _whole("picard.maxiter", kv.get("picard.maxiter", 20), 1)
     kappa = _real("kappa", kv.get("kappa", 0.0))
     coeffs = _build_coefficients(kv, cfg)
-    lam = kv.get("picard.lam")
-    res = picard_fixed_point(
-        cfg, coeffs, _build_init(kv, "init.a", cfg), kappa,
-        lam=None if lam is None else _real("picard.lam", lam),
-        max_iter=_whole("picard.maxiter", kv.get("picard.maxiter", 20)),
-        common_random_numbers=_flag("picard.crn", kv.get("picard.crn", True)),
-    )
+    res = picard_fixed_point(cfg, coeffs, _build_init(kv, "init.a", cfg), kappa,
+                             lam=lam, max_iter=max_iter)
     man.csv("rho.csv", ["iteration", "rho"], list(enumerate(res.state.rho_history, start=1)))
     man.json("picard.json", {
-        "converged": res.converged, "iterations": res.n_iterations,
+        "converged": res.converged, "iterations": res.state.iteration,
         "noise_floor": res.noise_floor, "lambda": res.state.lam,
         "rho_history": res.state.rho_history,
     })
@@ -527,6 +513,9 @@ def cmd_mkv_sweep(kv, cfg, man):
     kappas = [_real("sweep.kappas", k) for k in kappas]
     if not all(0.0 <= k < math.inf for k in kappas):
         raise InputError(f"sweep.kappas must be nonnegative and finite, got {kappas!r}")
+    names = [f"sweep_tv_{k:g}.csv" for k in kappas]
+    if len(set(names)) < len(names):
+        raise InputError(f"sweep.kappas {kappas!r} name an output twice: {names}")
     factory = lambda kap: _build_coefficients(kv, cfg, kappa=kap)
     res = uniform_ergodicity_sweep(
         cfg, factory, kappas,
@@ -534,8 +523,8 @@ def cmd_mkv_sweep(kv, cfg, man):
         _record_times(kv, cfg), fit_from=_real("fit.from", kv.get("fit.from", 1.0)),
     )
     summary = []
-    for e in res.entries:
-        man.csv(f"sweep_tv_{e.kappa:g}.csv", *_series_table(e.series))
+    for name, e in zip(names, res.entries):
+        man.csv(name, *_series_table(e.series))
         summary.append({
             "kappa": e.kappa, "lambda_hat": e.fit.lam, "r2": e.fit.r2,
             "verdict": e.fit.verdict, "noise_floor": e.series.noise_floor,
@@ -572,7 +561,7 @@ def cmd_verify(manifest_path: Path) -> str:
         raise InputError("verify: manifest records no sha256 per output")
     expect, text = man.get("config_hash", ""), man.get("config_text", "")
     outputs = man.get("outputs", [])
-    faults = []
+    faults, seen = [], set()
     if not isinstance(text, str):
         faults.append(f"config_text is not a string: {text!r}")
     elif config_hash(text) != expect:
@@ -584,6 +573,10 @@ def cmd_verify(manifest_path: Path) -> str:
         if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
             faults.append(f"output {name!r} is not a plain file name")
             continue
+        if name in seen:
+            faults.append(f"output {name} is listed twice")
+            continue
+        seen.add(name)
         p = manifest_path.parent / name
         got = file_hash(p) if p.is_file() else None
         if got is None:
@@ -632,8 +625,8 @@ def main(argv: list[str] | None = None) -> int:
         text = _read(args.config, "config")
         kv = _parse_config(text)
         cfg = _sim_config(kv)
-        # checked and then ignored: the step loop is serial
-        _whole("workers", kv.get("workers", 1) if args.workers is None else args.workers, 1)
+        if args.workers is not None:  # checked and then ignored: the step loop is serial
+            _whole("--workers", args.workers, 1)
         out_dir = args.out or Path(_text("out.dir", kv.get("out.dir", ""))
                                    or os.environ.get("KINSDE_OUT", "."))
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,7 @@ UNSTABLE_DEAD_FRACTION = 1e-3
 _PURPOSE_STEP = 0
 _PURPOSE_BOOT = 2
 
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 
 class DegenerateReweightingError(NumericError):
@@ -357,7 +357,6 @@ def girsanov_weighted_law(
     coeffs: CoefficientSet,
     xi: Callable,
     init,
-    stream: int = 0,
 ) -> GirsanovResult:
     """Importance-sampling estimate of the drift-shifted law.
 
@@ -368,7 +367,7 @@ def girsanov_weighted_law(
     bound sqrt(2 E[R log R]) between the weighted and unweighted laws.
     """
     acc = GirsanovAccumulator(xi, cfg.N, cfg.h)
-    ens = simulate_ensemble(cfg, coeffs, init, stream=stream, observe=acc)
+    ens = simulate_ensemble(cfg, coeffs, init, observe=acc)
     logw = acc.log_r
     ok = ens.alive
     w = np.exp(logw[ok])
@@ -414,7 +413,7 @@ def drift_difference_xi(coeffs: CoefficientSet, delta_z2: Callable) -> Callable:
         sig = coeffs.sigma(t, y)
         a = np.einsum("nij,nkj->nik", sig, sig)
         proj = np.einsum("nji,njk->nik", sig, np.linalg.inv(a))
-        return np.einsum("nik,ni->nk", proj, delta_z2(t, x, y))
+        return np.einsum("nki,ni->nk", proj, delta_z2(t, x, y))
 
     return xi_cb
 
@@ -434,7 +433,6 @@ def khasminskii_estimate(
     coeffs: CoefficientSet,
     f: Callable,
     init,
-    stream: int = 0,
 ) -> KhasminskiiResult:
     """Monte Carlo estimate of E[exp(int_0^T |f_t(Y_t)|^2 dt)] with bootstrap CI.
 
@@ -451,14 +449,14 @@ def khasminskii_estimate(
             np.add(acc, 0.5 * cfg.h * (prev["g"] + g), out=acc)
         prev["g"] = g
 
-    ens = simulate_ensemble(cfg, coeffs, init, stream=stream, observe=on_state)
+    ens = simulate_ensemble(cfg, coeffs, init, observe=on_state)
     with np.errstate(over="ignore"):
         vals = np.exp(acc[ens.alive])
     est = float(np.mean(vals))
     diverged = not np.isfinite(est)
     if diverged:
         return KhasminskiiResult(math.inf, math.nan, math.inf, True)
-    rng = bootstrap_rng(cfg.seed, stream)
+    rng = bootstrap_rng(cfg.seed)
     n_boot = 400
     boots = np.empty(n_boot)
     for i in range(n_boot):
@@ -470,26 +468,18 @@ def khasminskii_estimate(
 
 # --- snapshot persistence ---------------------------------------------------------
 
-def save_snapshot(
-    base: str | Path,
-    ens: Ensemble,
-    config_hash: str = "",
-    increments: np.ndarray | None = None,
-) -> tuple[Path, Path]:
+def save_snapshot(base: str | Path, ens: Ensemble, config_hash: str = "") -> tuple[Path, Path]:
     """Write a binary columnar snapshot plus a JSON sidecar.
 
-    Layout: little-endian float64 x block (n*d1), y block (n*d2), weights (n),
-    then, when given, the run's (K, n, m) increments block.
+    Layout: little-endian float64 x block (n*d1), y block (n*d2), weights (n).
+    Step k's increments are not stored: they are
+    ``sqrt(h) * step_normals(seed, stream, k, N, m)``.
     """
     base = Path(base)
     law = ens.law()
-    blocks = [law.x, law.y, law.weights]
-    has_inc = increments is not None
-    if has_inc:
-        blocks.append(increments)
     bin_path = base.with_suffix(".bin")
     with open(bin_path, "wb") as fh:
-        for blk in blocks:
+        for blk in (law.x, law.y, law.weights):
             fh.write(np.ascontiguousarray(blk, dtype="<f8").tobytes())
     sidecar = {
         "format": SNAPSHOT_FORMAT,
@@ -502,8 +492,6 @@ def save_snapshot(
         "d2": law.y.shape[1],
         "n_dead": ens.n_dead,
         "unstable": ens.unstable,
-        "has_increments": has_inc,
-        "increments_shape": list(increments.shape) if has_inc else None,
     }
     json_path = base.with_suffix(".json")
     json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
@@ -515,12 +503,7 @@ def load_snapshot(base: str | Path) -> tuple[EmpiricalLaw, dict]:
     meta = json.loads(base.with_suffix(".json").read_text())
     raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
     n, d1, d2 = meta["n"], meta["d1"], meta["d2"]
-    ofs = 0
-    x = raw[ofs:ofs + n * d1].reshape(n, d1).copy(); ofs += n * d1
-    y = raw[ofs:ofs + n * d2].reshape(n, d2).copy(); ofs += n * d2
-    w = raw[ofs:ofs + n].copy(); ofs += n
-    law = EmpiricalLaw(x, y, w)
-    if meta.get("has_increments"):
-        shape = tuple(meta["increments_shape"])
-        meta["increments"] = raw[ofs:ofs + int(np.prod(shape))].reshape(shape).copy()
-    return law, meta
+    x = raw[:n * d1].reshape(n, d1).copy()
+    y = raw[n * d1:n * (d1 + d2)].reshape(n, d2).copy()
+    w = raw[n * (d1 + d2):n * (d1 + d2 + 1)].copy()
+    return EmpiricalLaw(x, y, w), meta

@@ -3,8 +3,8 @@
 The law-flow map sends a candidate flow of measures to the law flow of the
 decoupled dynamics with that flow frozen into the drift; its fixed point is
 the mean-field law, approximated directly by the interacting particle
-system.  Iterations reuse common random numbers by default so the measure
-argument's effect is isolated from Monte Carlo noise.
+system.  Iterations reuse common random numbers so the measure argument's
+effect is isolated from Monte Carlo noise.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ def rho_lambda(a: MeasureFlow, b: MeasureFlow, lam: float, spec, V=None) -> floa
     The slice distance is plain total variation, or its V-weighted variant
     when a Lyapunov weight is supplied.
     """
-    if not lam >= 0:
-        raise InputError("lam must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise InputError(f"lam must be nonnegative and finite, got {lam!r}")
     if not np.array_equal(a.times, b.times):
         raise ValueError("flows live on different grids")
     dist = law_distances(a.clouds, b.clouds, spec, V)
@@ -81,35 +81,22 @@ class PicardState:
     flow: MeasureFlow
     rho_history: list[float]
     lam: float
-    common_random_numbers: bool
-    base_stream: int
 
 
-def picard_start(
-    cfg: SimConfig,
-    init,
-    lam: float,
-    common_random_numbers: bool = True,
-    stream: int = 0,
-) -> PicardState:
+def picard_start(cfg: SimConfig, init, lam: float) -> PicardState:
     """Iteration zero: the flow frozen at the initial law for all times."""
     x0, y0 = init.sample(cfg.N)
     flow = constant_flow(EmpiricalLaw(x0, y0), cfg.times())
-    return PicardState(0, flow, [], lam, common_random_numbers, stream)
+    return PicardState(0, flow, [], lam)
 
 
 def picard_iterate(state: PicardState, cfg: SimConfig, coeffs: CoefficientSet,
                    init) -> PicardState:
-    """One application of the law-flow map with the current flow frozen in."""
-    stream = state.base_stream if state.common_random_numbers \
-        else state.base_stream + state.iteration + 1
-    ens = simulate_ensemble(cfg, coeffs, init, law=frozen(state.flow), stream=stream,
-                            record_times=cfg.times())
+    """One application of the law-flow map with the current flow frozen in;
+    every iterate runs on stream 0, so successive iterates share their noise."""
+    ens = simulate_ensemble(cfg, coeffs, init, law=frozen(state.flow), record_times=cfg.times())
     rho = rho_lambda(ens.flow, state.flow, state.lam, cfg.hist)
-    return PicardState(
-        state.iteration + 1, ens.flow, state.rho_history + [rho],
-        state.lam, state.common_random_numbers, state.base_stream,
-    )
+    return PicardState(state.iteration + 1, ens.flow, state.rho_history + [rho], state.lam)
 
 
 @dataclass(frozen=True)
@@ -117,7 +104,6 @@ class PicardResult:
     state: PicardState
     converged: bool
     noise_floor: float
-    n_iterations: int
 
 
 def picard_fixed_point(
@@ -127,8 +113,6 @@ def picard_fixed_point(
     kappa: float,
     lam: float | None = None,
     max_iter: int = 20,
-    common_random_numbers: bool = True,
-    stream: int = 0,
 ) -> PicardResult:
     """Iterate the law-flow map until successive flows agree at noise level.
 
@@ -138,7 +122,7 @@ def picard_fixed_point(
     """
     if lam is None:
         lam = 4.0 * max(kappa, 0.25) * max(1.0, cfg.T)
-    state = picard_start(cfg, init, lam, common_random_numbers, stream)
+    state = picard_start(cfg, init, lam)
     state = picard_iterate(state, cfg, coeffs, init)
     floor = bootstrap_noise_floor(state.flow.clouds[-1], cfg.hist, seed=cfg.seed)
     converged = False
@@ -147,7 +131,7 @@ def picard_fixed_point(
         if state.rho_history[-1] < 2.0 * floor:
             converged = True
             break
-    return PicardResult(state, converged, floor, state.iteration)
+    return PicardResult(state, converged, floor)
 
 
 # --- Girsanov comparison of two frozen flows -----------------------------------------

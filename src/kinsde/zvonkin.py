@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, InputError, MeasureFlow, NumericError, SimConfig
+from kinsde.core import (CloudInit, CoefficientSet, EmpiricalLaw, InputError, MeasureFlow,
+                         NumericError, SimConfig)
 from kinsde.ergodicity import compare_flows
 from kinsde.integrators import alive_law, simulate_ensemble
 
@@ -325,16 +326,6 @@ def transform_coefficients(
                           growth=coeffs.growth)
 
 
-class _TransformedInit:
-    def __init__(self, init, sol: ZvonkinSolution):
-        self.init = init
-        self.sol = sol
-
-    def sample(self, n):
-        x0, y0 = self.init.sample(n)
-        return x0, self.sol.theta(y0[:, 0])[:, None]
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     tv: float
@@ -351,7 +342,6 @@ def equivalence_experiment(
     eps_target: float = 0.1,
     L: float = 12.0,
     n_grid: int = 4001,
-    stream: int = 0,
 ) -> EquivalenceReport:
     """Simulate the original and the transformed systems and compare laws.
 
@@ -375,8 +365,10 @@ def equivalence_experiment(
     hits: list = []
     transformed = transform_coefficients(sol, coeffs, clamp=True, out_hits=hits)
 
-    ens_a = simulate_ensemble(cfg, coeffs, init, stream=stream, record_times=[cfg.T])
-    ens_b = simulate_ensemble(cfg, transformed, _TransformedInit(init, sol), stream=stream)
+    ens_a = simulate_ensemble(cfg, coeffs, init, record_times=[cfg.T])
+    x0, y0 = init.sample(cfg.N)
+    init_b = CloudInit(EmpiricalLaw(x0, sol.theta(y0[:, 0])[:, None]))  # init mapped by Theta
+    ens_b = simulate_ensemble(cfg, transformed, init_b)
 
     y_back = sol.theta_inv(ens_b.y[:, 0], clamp=True, hits=hits)[:, None]
     out_frac = float(sum(hits)) / max(1, cfg.N * cfg.n_steps)

@@ -268,7 +268,7 @@ class TestCriterion7:
         res = picard_fixed_point(cfg, co, init, kappa=0.2)
         above = [r for r in res.state.rho_history if r > res.noise_floor]
         ratios_ok = all(b < a for a, b in zip(above, above[1:]))
-        converged = res.converged and res.n_iterations <= 20
+        converged = res.converged and res.state.iteration <= 20
 
         flow_i, _ = particle_system_run(cfg, co, init, record_times=[1.0], stream=77)
         tv = empirical_var_distance(
@@ -286,7 +286,7 @@ class TestCriterion7:
 
         ok = ratios_ok and converged and match and frozen
         report(7, ok, f"Picard contraction (rho {['%.4f' % r for r in res.state.rho_history]}), "
-                      f"{res.n_iterations} iterations; fixed point matches interacting law "
+                      f"{res.state.iteration} iterations; fixed point matches interacting law "
                       f"(TV {tv:.4f} < 3 x {floor:.4f}); kappa=0 exactly stationary")
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinsde.cli import _parse_config, _sim_config, main
+from kinsde.cli import KNOWN_KEYS, Manifest, _parse_config, _sim_config, main
 from kinsde.integrators import _HELPER_MIN_BLOCK, load_snapshot
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,8 +100,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "command, extra, key",
-        [("simulate", "drift = zero\nworkers = 1.5\n", "workers"),
-         ("lyapunov-check", "lyap.radii = 6.9\nlyap.dirs = 4\n", "lyap.radii"),
+        [("lyapunov-check", "lyap.radii = 6.9\nlyap.dirs = 4\n", "lyap.radii"),
          ("lyapunov-check", "lyap.radii = 6\nlyap.dirs = 4.5\n", "lyap.dirs"),
          ("zvonkin", "zvonkin.n = 400.5\n", "zvonkin.n"),
          ("mkv-picard", "picard.maxiter = 2.5\n", "picard.maxiter")],
@@ -124,11 +124,7 @@ class TestConfigHandling:
         assert f"{key} must be a number" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
-    @pytest.mark.parametrize(
-        "extra, argv",
-        [("", ["--workers", "-3"]), ("", ["--workers", "0"]),
-         ("workers = 0\n", []), ("workers = -3\n", []), ("workers = 4\n", ["--workers", "-1"])],
-    )
+    @pytest.mark.parametrize("extra, argv", [("", ["--workers", "-3"]), ("", ["--workers", "0"])])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, extra, argv):
         cfg = write_cfg(tmp_path, "drift = zero\n" + extra)
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")] + argv) == 2
@@ -179,11 +175,24 @@ class TestConfigHandling:
          # a nonzero sigma is refused unless it is nondegenerate
          ("simulate", "drift = zero\nd2 = 2\nsigma = [[1.0], [2.0]]\n",
           "sigma sigma* is singular for sigma = [[1.0], [2.0]]"),
-         ("simulate", "drift = zero\nsigma = 1e300\n", "sigma is degenerate")],
+         ("simulate", "drift = zero\nsigma = 1e300\n", "sigma is degenerate"),
+         # picard.lam = inf once ran 20 iterates of NaN rho, -1 was refused only after
+         # the first iterate without naming the key, and maxiter 0 or -3 ran one iterate
+         ("mkv-picard", "picard.lam = inf\n", "picard.lam must be nonnegative and finite, got inf"),
+         ("mkv-picard", "picard.lam = nan\n", "picard.lam must be nonnegative and finite, got nan"),
+         ("mkv-picard", "picard.lam = -1\n", "picard.lam must be nonnegative and finite, got -1.0"),
+         ("mkv-picard", "picard.maxiter = 0\n", "picard.maxiter must be at least 1, got 0"),
+         ("mkv-picard", "picard.maxiter = -3\n", "picard.maxiter must be at least 1, got -3"),
+         # two couplings with one output name once wrote the second series over the first
+         ("mkv-sweep", "sweep.kappas = [0.1234567, 0.1234568]\n",
+          "sweep.kappas [0.1234567, 0.1234568] name an output twice")],
     )
     def test_bad_run_value_exit_2_naming_key(self, tmp_path, monkeypatch, capsys,
                                              command, extra, message):
         monkeypatch.chdir(tmp_path)
+        # every refusal here comes before the run: calling either would raise
+        monkeypatch.setattr("kinsde.cli.picard_fixed_point", None)
+        monkeypatch.setattr("kinsde.cli.uniform_ergodicity_sweep", None)
         cfg = write_cfg(tmp_path, extra)
         argv = [command, str(cfg)] + ([] if "out.dir" in extra else ["--out", str(tmp_path)])
         assert main(argv) == 2
@@ -192,21 +201,27 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "command, line",
-        [("simulate", "store_increments = no"), ("simulate", "store_increments = 1"),
-         ("simulate", "store_increments = 'True'"), ("mkv-picard", "picard.crn = yes"),
-         ("mkv-picard", "picard.crn = 0")],
+        [("simulate", "workers = 2"), ("simulate", "store_increments = True"),
+         ("mkv-picard", "picard.crn = False")],
     )
-    def test_non_boolean_flag_exit_2(self, tmp_path, capsys, command, line):
+    def test_deleted_switch_is_an_unknown_key(self, tmp_path, capsys, command, line):
         cfg = write_cfg(tmp_path, f"drift = scalar_ou\n{line}\n")
         assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
-        key = line.split(" =")[0]
-        assert f"{key} must be True or False" in capsys.readouterr().err
+        assert f"unknown key in config: {line}" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
-    def test_store_increments_false_writes_none(self, tmp_path):
-        cfg = write_cfg(tmp_path, "drift = scalar_ou\nstore_increments = False\n")
-        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
-        assert not load_snapshot(tmp_path / "snapshot")[1]["has_increments"]
+    def test_every_known_key_is_read(self):
+        """A registry key that no code outside the registry names is parsed and never read."""
+        tree = ast.parse((SRC / "kinsde" / "cli.py").read_text(encoding="utf-8"))
+        registry = {"_CORE_KEYS", "_FIELD_KEYS", "_RUN_KEYS", "_MODULE_KEYS", "KNOWN_KEYS"}
+        named = set()
+        for node in tree.body:
+            targets = {getattr(t, "id", None) for t in getattr(node, "targets", [])}
+            if isinstance(node, ast.Assign) and targets & registry:
+                continue
+            named |= {c.value for c in ast.walk(node)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+        assert sorted(KNOWN_KEYS - named) == []
 
     @pytest.mark.parametrize(
         "command, atoms",
@@ -621,13 +636,6 @@ class TestOtherSubcommands:
         assert {name: file_sha256(tmp_path / name) for name in self.SWEEP_SHA256} == \
             self.SWEEP_SHA256
 
-    def test_store_increments_in_snapshot(self, tmp_path):
-        cfg = write_cfg(tmp_path, "drift = scalar_ou\nstore_increments = True\n")
-        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
-        law, meta = load_snapshot(tmp_path / "snapshot")
-        assert meta["has_increments"]
-        assert meta["increments"].shape == (50, 200, 1)
-
     def test_zvonkin_smallness_failure_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "hard.cfg"
         cfg.write_text(
@@ -715,8 +723,11 @@ class TestVerify:
          # once hashed outside the run directory, and passed
          ("outputs", ["../run.cfg"], "output '../run.cfg' is not a plain file name"),
          # a path separator on Windows
-         ("outputs", ["..\\run.cfg"], "output '..\\\\run.cfg' is not a plain file name")],
-        ids=["int", "list", "string", "null", "config_text", "dots", "parent", "backslash"],
+         ("outputs", ["..\\run.cfg"], "output '..\\\\run.cfg' is not a plain file name"),
+         # a name listed twice once passed, though the second write had replaced the first
+         ("outputs", ["envelope.csv", "envelope.csv"], "output envelope.csv is listed twice")],
+        ids=["int", "list", "string", "null", "config_text", "dots", "parent", "backslash",
+             "twice"],
     )
     def test_verify_refuses_malformed_manifest(self, tmp_path, capsys, key, value, fault):
         cfg = write_cfg(tmp_path, "")
@@ -730,3 +741,10 @@ class TestVerify:
         assert main(["verify", str(man)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: verify: ") and fault in err
+
+    def test_manifest_refuses_a_name_listed_twice(self, tmp_path):
+        man = Manifest(tmp_path, "h-bound", "", 0, 0)
+        man.csv("envelope.csv", ["t"], [(0.0,)])
+        with pytest.raises(ValueError, match="output envelope.csv is already listed"):
+            man.csv("envelope.csv", ["t"], [(1.0,)])
+        assert man.data["outputs"] == ["envelope.csv"]

@@ -1,5 +1,7 @@
 import hashlib
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from kinsde.fields import (
 )
 from kinsde.integrators import (
     DegenerateReweightingError,
+    Ensemble,
     constant_shift_xi,
+    drift_difference_xi,
     girsanov_weighted_law,
     khasminskii_estimate,
     load_snapshot,
@@ -282,6 +286,23 @@ class TestGirsanov:
             self._reweight(c, n=200, seed=8, h=0.01)
         assert err.value.ess == 0.0 and err.value.n == 200
 
+    # the callable path once applied the transposed projection: a wrong xi for a
+    # non-symmetric sigma and a shape error for d2 != m
+    @pytest.mark.parametrize("sigma", [[[1.3, 0.4], [0.1, 0.9]],
+                                       [[1.3, 0.4, -0.2], [0.1, 0.9, 0.7]]],
+                             ids=["non-symmetric", "d2-below-m"])
+    def test_callable_sigma_xi_matches_constant(self, sigma):
+        S = np.array(sigma)
+        co = lambda s: build_coefficients(z1=lambda t, x, y: x, z2=lambda t, x, y, law: y,
+                                          b=None, sigma=s, d1=2, d2=2, m=S.shape[1])
+        x, y = np.random.default_rng(3).standard_normal((2, 64, 2))
+        dz = lambda t, x, y: np.sin(x) + y
+        xa = drift_difference_xi(co(S), dz)(0.0, x, y)
+        xb = drift_difference_xi(co(lambda t, y: np.tile(S, (y.shape[0], 1, 1))), dz)(0.0, x, y)
+        # the paths invert sigma sigma* apart and sum in another order: a few ulps
+        assert np.max(np.abs(xb - xa)) <= 64 * np.finfo(float).eps * np.max(np.abs(xa))
+        assert np.allclose(xb @ S.T, dz(0.0, x, y), rtol=0, atol=1e-13)  # sigma xi = delta
+
 
 class TestKhasminskii:
     def test_constant_integrand_exact(self):
@@ -326,13 +347,31 @@ class TestKhasminskii:
 class TestSnapshots:
     def test_roundtrip(self, tmp_path):
         cfg = SimConfig(T=0.3, h=0.1, N=50, seed=14)
-        ens, seen = observed_run(cfg, linear_langevin_coefficients())
-        inc = np.stack([dW for _, _, dW in seen[:-1]])
+        ens = simulate_ensemble(cfg, linear_langevin_coefficients(), ORIGIN)
         base = tmp_path / "snap"
-        save_snapshot(base, ens, config_hash="abc123", increments=inc)
+        save_snapshot(base, ens, config_hash="abc123")
         law, meta = load_snapshot(base)
         assert meta["config_hash"] == "abc123"
         assert np.array_equal(law.x, ens.law().x)
         assert np.array_equal(law.y, ens.law().y)
-        assert meta["increments"].shape == (3, 50, 1)
-        assert np.array_equal(meta["increments"], inc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), d1=st.integers(1, 3), d2=st.integers(1, 3),
+           dead=st.lists(st.booleans(), min_size=40, max_size=40), seed=st.integers(0, 2**32 - 1))
+    def test_format_2_roundtrip(self, n, d1, d2, dead, seed):
+        alive = ~np.array(dead[:n])
+        alive[seed % n] = True  # a law needs one alive particle
+        rng = np.random.default_rng(seed)
+        ens = Ensemble(seed=seed, stream=0, times=np.array([0.0, 0.5]),
+                       x=rng.standard_normal((n, d1)), y=rng.standard_normal((n, d2)), alive=alive)
+        want = ens.law()
+        with tempfile.TemporaryDirectory() as tmp:
+            bin_path, _ = save_snapshot(Path(tmp) / "snap", ens, config_hash="abc")
+            law, meta = load_snapshot(Path(tmp) / "snap")
+            size = bin_path.stat().st_size
+        assert size == 8 * want.n * (d1 + d2 + 1)
+        for got, ref in ((law.x, want.x), (law.y, want.y), (law.weights, want.weights)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert set(meta) == {"format", "config_hash", "seed", "stream", "time", "n", "d1", "d2",
+                             "n_dead", "unstable"}
+        assert meta["format"] == 2 and meta["n_dead"] == n - want.n

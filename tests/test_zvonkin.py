@@ -9,7 +9,7 @@ import kinsde.zvonkin as zvonkin
 from kinsde.cli import main
 from kinsde.core import DiracInit, HistogramSpec, NumericError, PhaseState, SimConfig
 from kinsde.fields import ConfiningDrift, RieszDrift, build_coefficients
-from kinsde.integrators import step_arrays
+from kinsde.integrators import drift_difference_xi, step_arrays
 from kinsde.zvonkin import (
     ZvonkinSolution,
     _KnotTables,
@@ -318,3 +318,42 @@ class TestEquivalence:
         sol = lambda_sweep(1.0, 1.0, 0.1, 12.0, 2001)
         assert rep.solution.lam == sol.lam
         assert np.array_equal(rep.solution.u, sol.u)
+
+
+class TestCallableSigma:
+    """One sigma given twice: as the constant matrix and as a callable returning
+    it for each particle.  For d2 = m = 1 both paths do the same arithmetic, so
+    xi, the transformed step and the whole equivalence report agree bit for bit."""
+
+    S = np.array([[1.3]])
+
+    def _coeffs(self, sigma):
+        drift = ConfiningDrift(c1=1.0, c2=0.5, c3=1.0, delta=0.0)
+        rz = RieszDrift([(0.0, 1.0)], alpha=0.5, eta_sing=1e-4)
+        return build_coefficients(z1=lambda t, x, y: drift.z1(x, y),
+                                  z2=lambda t, x, y, law: drift.z2(x, y),
+                                  b=lambda t, y: rz(y), sigma=sigma, d1=1, d2=1)
+
+    def test_constant_and_callable_sigma_agree(self):
+        const = self._coeffs(self.S)
+        call = self._coeffs(lambda t, y: np.tile(self.S, (y.shape[0], 1, 1)))
+        assert isinstance(const.sigma, np.ndarray) and callable(call.sigma)
+        x, y, dw = np.random.default_rng(3).standard_normal((3, 64, 1))
+        dz = lambda t, x, y: np.sin(x) + y
+        assert np.array_equal(drift_difference_xi(call, dz)(0.0, x, y),
+                              drift_difference_xi(const, dz)(0.0, x, y))
+
+        sol = lambda_sweep(riesz_scalar(), float(self.S[0, 0]), 0.1, 12.0, 2001)
+        steps = [step_arrays(transform_coefficients(sol, co), 0.0, 0.01, x, y, None, dw, False)
+                 for co in (const, call)]
+        assert all(np.array_equal(a, b) for a, b in zip(*steps))
+
+        cfg = SimConfig(T=0.25, h=0.005, N=1000, seed=17,
+                        hist=HistogramSpec(-6.0, 6.0, 12, dim=2))
+        init = DiracInit(PhaseState([0.0], [0.0]))
+        ra, rb = (equivalence_experiment(co, cfg, init, L=12.0, n_grid=2001)
+                  for co in (const, call))
+        assert (rb.tv, rb.noise_floor, rb.out_of_domain_fraction, rb.verdict) == \
+            (ra.tv, ra.noise_floor, ra.out_of_domain_fraction, ra.verdict)
+        assert rb.solution.lam == ra.solution.lam
+        assert np.array_equal(rb.solution.u, ra.solution.u)
