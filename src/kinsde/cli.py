@@ -94,7 +94,7 @@ def _whole(key: str, val, least: int = -2**53) -> int:
     return int(val)
 
 
-def _real(key: str, val) -> float:
+def _number(key: str, val) -> float:
     """``val`` as a float; numbers (and inf or nan spelt out) pass, anything else is refused."""
     if isinstance(val, (int, float, str)) and not isinstance(val, bool):
         try:
@@ -104,11 +104,19 @@ def _real(key: str, val) -> float:
     raise InputError(f"{key} must be a number, got {val!r}")
 
 
+def _real(key: str, val) -> float:
+    """``val`` as a finite float; keys that take inf or range-check it read :func:`_number`."""
+    x = _number(key, val)
+    if not math.isfinite(x):
+        raise InputError(f"{key} must be finite, got {x!r}")
+    return x
+
+
 def _positive(key: str, val) -> float:
     """``val`` as a finite float greater than 0."""
     x = _real(key, val)
-    if not 0.0 < x < math.inf:
-        raise InputError(f"{key} must be greater than 0 and finite, got {val!r}")
+    if not x > 0.0:
+        raise InputError(f"{key} must be greater than 0, got {val!r}")
     return x
 
 
@@ -189,14 +197,10 @@ def _build_riesz(kv: dict) -> RieszDrift | None:
 def _sigma(val, d2: int, m: int):
     """``val`` as a finite number, or as the finite noise matrix: d2 rows of m numbers."""
     if not isinstance(val, (list, tuple)):
-        sig = _real("sigma", val)
-    elif len(val) == d2 and all(isinstance(r, (list, tuple)) and len(r) == m for r in val):
-        sig = np.array([[_real("sigma", v) for v in r] for r in val])
-    else:
-        raise InputError(f"sigma must be a number or a {d2} x {m} matrix, got {val!r}")
-    if not np.all(np.isfinite(sig)):
-        raise InputError(f"sigma must be finite, got {val!r}")
-    return sig
+        return _real("sigma", val)
+    if len(val) == d2 and all(isinstance(r, (list, tuple)) and len(r) == m for r in val):
+        return np.array([[_real("sigma", v) for v in r] for r in val])
+    raise InputError(f"sigma must be a number or a {d2} x {m} matrix, got {val!r}")
 
 
 def _build_coefficients(kv: dict, cfg: SimConfig, kappa: float | None = None):
@@ -228,8 +232,8 @@ def _build_coefficients(kv: dict, cfg: SimConfig, kappa: float | None = None):
 def _build_init(kv: dict, key: str, cfg: SimConfig) -> DiracInit:
     d = cfg.d1 + cfg.d2
     pt = _reals(key, kv.get(key, [0.0] * d))
-    if not (isinstance(pt, list) and len(pt) == d and all(map(math.isfinite, pt))):
-        raise InputError(f"{key} needs {d} finite coordinates, got {kv.get(key)!r}")
+    if not (isinstance(pt, list) and len(pt) == d):
+        raise InputError(f"{key} needs {d} coordinates, got {kv.get(key)!r}")
     return DiracInit(PhaseState(pt[:cfg.d1], pt[cfg.d1:]))
 
 
@@ -239,7 +243,7 @@ def _record_times(kv: dict, cfg: SimConfig) -> np.ndarray:
     h = cfg.h
     start = _real("record.start", kv.get("record.start", 0.0))
     stop = _real("record.stop", kv.get("record.stop", cfg.T))
-    if not (math.isfinite(start) and stop >= start):
+    if stop < start:
         raise InputError(f"record.start = {start:g} and record.stop = {stop:g} "
                          f"give no record time in [0, T = {cfg.T:g}]")
     span = min(stop - start, cfg.T)  # never inf; a longer span fails below anyway
@@ -364,6 +368,7 @@ def cmd_simulate(kv, cfg, man):
 
 
 def cmd_ergodicity(kv, cfg, man, replay: Path | None = None):
+    fit_from = _real("fit.from", kv.get("fit.from", 0.0))
     if replay is not None:
         series = _read_replay(replay)
     else:
@@ -372,7 +377,7 @@ def cmd_ergodicity(kv, cfg, man, replay: Path | None = None):
             cfg, coeffs, _build_init(kv, "init.a", cfg), _build_init(kv, "init.b", cfg),
             _record_times(kv, cfg),
         )
-    fit = series.fit(_real("fit.from", kv.get("fit.from", 0.0)))
+    fit = series.fit(fit_from)
     man.csv("distances.csv", *_series_table(series))
     man.json("fit.json", {
         "lambda_hat": fit.lam, "prefactor": fit.prefactor, "r2": fit.r2, "verdict": fit.verdict,
@@ -414,17 +419,18 @@ def cmd_lyapunov_check(kv, cfg, man):
     eps = _real("eps.shell", kv.get("eps.shell", 0.1))
     kind = kv.get("phi.kind", "linear")
     beta = _real("phi.beta", kv["phi.beta"]) if "phi.beta" in kv else None
-    kcap = _real("lyap.kcap", kv.get("lyap.kcap", 50.0))
     payload: dict = {}
     if "phi.c0" in kv:
         phi = _keyed("phi.kind, phi.c0, phi.beta", PhiFamily, kind,
-                     _real("phi.c0", kv["phi.c0"]), beta)
+                     _number("phi.c0", kv["phi.c0"]), beta)
+        kcap = _real("lyap.kcap", kv.get("lyap.kcap", 50.0))  # inf would pass every point
         report = _keyed("eps.shell", check_drift_condition, coeffs, V, phi, kcap, eps, samples)
         payload.update({"mode": "check", "c0": phi.c0, "K": kcap})
     else:
         try:
-            res = _keyed("eps.shell, phi.kind, phi.beta", search_constants, coeffs, V, kind, eps,
-                         samples, beta=beta, k_cap=kcap)
+            res = _keyed("eps.shell, phi.kind, phi.beta, lyap.kcap", search_constants, coeffs, V,
+                         kind, eps, samples, beta=beta,
+                         k_cap=_number("lyap.kcap", kv.get("lyap.kcap", 50.0)))  # inf: no cap
             report = res.report
             payload.update({"mode": "search", "c0": res.c0, "K": res.K})
         except CertificationError as exc:
@@ -446,6 +452,8 @@ def cmd_lyapunov_check(kv, cfg, man):
 def cmd_zvonkin(kv, cfg, man):
     coeffs = _build_coefficients(kv, cfg)
     L = _positive("zvonkin.L", kv.get("zvonkin.L", 12.0))
+    if not L < 2.0**1023:  # else the grid [-L, L] is wider than the float range
+        raise InputError(f"zvonkin.L must be below 2^1023, got {L!r}")
     n = _whole("zvonkin.n", kv.get("zvonkin.n", 4001), 5)
     eps = _real("zvonkin.eps", kv.get("zvonkin.eps", 0.1))
     if not 0.0 < eps < 1.0:
@@ -476,8 +484,8 @@ def cmd_khasminskii(kv, cfg, man):
         f = lambda t, y: _row_norm(rz(y))
     else:
         raise InputError(f"unknown khasminskii.f {kind!r}")
-    p = _real("norm.p", kv.get("norm.p", 4.0))
-    q = _real("norm.q", kv.get("norm.q", 4.0))
+    p = _number("norm.p", kv.get("norm.p", 4.0))  # inf: the L^inf norm
+    q = _number("norm.q", kv.get("norm.q", 4.0))
     pair = _keyed("norm.p, norm.q", AdmissiblePair, p, q, cfg.d2)
     extent = _real("norm.extent", kv.get("norm.extent", 3.0))
     res = khasminskii_estimate(cfg, coeffs, f, _build_init(kv, "init.a", cfg))
@@ -490,19 +498,18 @@ def cmd_khasminskii(kv, cfg, man):
 
 
 def cmd_mkv_picard(kv, cfg, man):
-    lam = _real("picard.lam", kv["picard.lam"]) if "picard.lam" in kv else None
+    lam = _number("picard.lam", kv["picard.lam"]) if "picard.lam" in kv else None
     if lam is not None and not 0.0 <= lam < math.inf:
         raise InputError(f"picard.lam must be nonnegative and finite, got {lam!r}")
     max_iter = _whole("picard.maxiter", kv.get("picard.maxiter", 20), 1)
     kappa = _real("kappa", kv.get("kappa", 0.0))
     coeffs = _build_coefficients(kv, cfg)
-    res = picard_fixed_point(cfg, coeffs, _build_init(kv, "init.a", cfg), kappa,
-                             lam=lam, max_iter=max_iter)
-    man.csv("rho.csv", ["iteration", "rho"], list(enumerate(res.state.rho_history, start=1)))
+    res = _keyed("picard.lam, kappa", picard_fixed_point, cfg, coeffs,
+                 _build_init(kv, "init.a", cfg), kappa, lam=lam, max_iter=max_iter)
+    man.csv("rho.csv", ["iteration", "rho"], list(enumerate(res.rho_history, start=1)))
     man.json("picard.json", {
-        "converged": res.converged, "iterations": res.state.iteration,
-        "noise_floor": res.noise_floor, "lambda": res.state.lam,
-        "rho_history": res.state.rho_history,
+        "converged": res.converged, "iterations": len(res.rho_history),
+        "noise_floor": res.noise_floor, "lambda": res.lam, "rho_history": res.rho_history,
     })
 
 
@@ -511,8 +518,8 @@ def cmd_mkv_sweep(kv, cfg, man):
     if not (isinstance(kappas, (list, tuple)) and kappas):
         raise InputError(f"sweep.kappas must be a non-empty list of numbers, got {kappas!r}")
     kappas = [_real("sweep.kappas", k) for k in kappas]
-    if not all(0.0 <= k < math.inf for k in kappas):
-        raise InputError(f"sweep.kappas must be nonnegative and finite, got {kappas!r}")
+    if not all(k >= 0.0 for k in kappas):
+        raise InputError(f"sweep.kappas must be nonnegative, got {kappas!r}")
     names = [f"sweep_tv_{k:g}.csv" for k in kappas]
     if len(set(names)) < len(names):
         raise InputError(f"sweep.kappas {kappas!r} name an output twice: {names}")
@@ -534,11 +541,12 @@ def cmd_mkv_sweep(kv, cfg, man):
 
 def cmd_h_bound(kv, cfg, man):
     phi = _keyed("phi.kind, phi.c0, phi.beta", PhiFamily, kv.get("phi.kind", "superlinear"),
-                 _real("phi.c0", kv.get("phi.c0", 1.0)), _real("phi.beta", kv.get("phi.beta", 1.0)))
+                 _number("phi.c0", kv.get("phi.c0", 1.0)),
+                 _real("phi.beta", kv.get("phi.beta", 1.0)))
     v0 = _real("hbound.v0", kv.get("hbound.v0", 1.0))
     k = _positive("hbound.k", kv.get("hbound.k", 1.0))
     lam = _positive("hbound.lam", kv.get("hbound.lam", 1.0))
-    tmax = _real("hbound.tmax", kv.get("hbound.tmax", 8.0))
+    tmax = _number("hbound.tmax", kv.get("hbound.tmax", 8.0))
     dt = _positive("hbound.dt", kv.get("hbound.dt", 0.25))
     n = tmax / dt
     if not 0.0 <= n < 2**40 or off_grid(n):

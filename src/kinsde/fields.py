@@ -303,7 +303,7 @@ def interaction_z2(
     """
     if not 0 <= kappa < np.inf:
         raise InputError(f"kappa must be nonnegative and finite, got {kappa!r}")
-    if kernel.bound > 1.0 + 1e-12:
+    if not kernel.bound <= 1.0 + 1e-12:  # a NaN bound fails too
         raise InputError(f"kernel bound {kernel.bound} exceeds 1; construction rejected")
     mags = kernel.sample_magnitudes(256, d1, d2)
     if np.any(mags > kernel.bound * (1.0 + 1e-9) + 1e-12):

@@ -438,18 +438,21 @@ def khasminskii_estimate(
 
     The path integral uses the trapezoid rule accumulated online.  Exponent
     overflow is reported as a +inf estimate (finite-sample divergence
-    evidence), not an exception.
+    evidence), not an exception; a run that no particle survives raises.
     """
     acc = np.zeros(cfg.N)
     prev = {"g": None}
 
     def on_state(k, t, x, y, dW):
-        g = np.asarray(f(t, y), dtype=float) ** 2
-        if prev["g"] is not None:
-            np.add(acc, 0.5 * cfg.h * (prev["g"] + g), out=acc)
+        with np.errstate(over="ignore"):  # an infinite integral is reported as divergence
+            g = np.asarray(f(t, y), dtype=float) ** 2
+            if prev["g"] is not None:
+                np.add(acc, 0.5 * cfg.h * (prev["g"] + g), out=acc)
         prev["g"] = g
 
     ens = simulate_ensemble(cfg, coeffs, init, observe=on_state)
+    if not ens.alive.any():
+        raise NumericError(f"no estimate: all {ens.n} particles blew up")
     with np.errstate(over="ignore"):
         vals = np.exp(acc[ens.alive])
     est = float(np.mean(vals))

@@ -33,11 +33,7 @@ class LogRadialSamples:
 
     def points(self, d1: int, d2: int) -> np.ndarray:
         d = d1 + d2
-        radii = np.geomspace(self.r_min, self.r_max, self.n_radii)
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(self.seed)))
-        dirs = rng.standard_normal((self.n_dirs, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+        pts = _shells(np.geomspace(self.r_min, self.r_max, self.n_radii), self.n_dirs, d, self.seed)
         return np.concatenate([np.zeros((1, d)), pts], axis=0)
 
     def describe(self) -> str:
@@ -52,6 +48,15 @@ class LogRadialSamples:
                                 self.n_radii * 2, self.n_dirs * 2, self.seed)
 
 
+def _shells(radii: np.ndarray, n_dirs: int, d: int, seed: int) -> np.ndarray:
+    """Each radius times the same ``n_dirs`` unit directions of R^d, shell by shell:
+    normalised standard normals from the Philox generator keyed by ``seed``."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    dirs = rng.standard_normal((n_dirs, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+
+
 def shell_offsets(d2: int, eps: float, m_shell: int = 32, seed: int = 1) -> np.ndarray:
     """Probe offsets covering the closed eps-ball around a velocity point.
 
@@ -60,12 +65,7 @@ def shell_offsets(d2: int, eps: float, m_shell: int = 32, seed: int = 1) -> np.n
     """
     if d2 == 1:
         return np.linspace(-eps, eps, m_shell).reshape(-1, 1)
-    n_dirs = max(1, (m_shell - 1) // 3)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    dirs = rng.standard_normal((n_dirs, d2))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.array([eps / 2.0, 0.75 * eps, eps])
-    offs = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d2)
+    offs = _shells(np.array([eps / 2.0, 0.75 * eps, eps]), max(1, (m_shell - 1) // 3), d2, seed)
     return np.concatenate([np.zeros((1, d2)), offs], axis=0)
 
 
@@ -217,6 +217,8 @@ def search_constants(
     """
     if not (0.0 < eps < 1.0):
         raise InputError("eps must lie in (0, 1)")
+    if math.isnan(k_cap):  # it would fail every comparison and certify the bracket floor
+        raise InputError("k_cap must be a number or inf, got nan")
     pts = samples.points(coeffs.d1, coeffs.d2)
     lhs = drift_condition_lhs(coeffs, V, eps, pts)
     with np.errstate(over="ignore"):  # V overflows where lhs is flagged
@@ -271,12 +273,8 @@ def check_growth_ratios(
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be increasing")
-    d = V.d1 + V.d2
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    dirs = rng.standard_normal((n_dirs, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     offs = shell_offsets(V.d2, eps, seed=seed + 1)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    pts = _shells(radii, n_dirs, V.d1 + V.d2, seed)
     _, grad_y, hess_yy = shell_norms(V, pts[:, :V.d1], pts[:, V.d1:], offs)
     num = np.max(grad_y + hess_yy, axis=1).reshape(radii.size, n_dirs)
     v = V.value_points(pts).reshape(radii.size, n_dirs)

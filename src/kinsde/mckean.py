@@ -75,33 +75,20 @@ def particle_system_run(
 
 # --- fixed-point iteration over measure flows ---------------------------------------
 
-@dataclass
-class PicardState:
-    iteration: int
-    flow: MeasureFlow
-    rho_history: list[float]
-    lam: float
-
-
-def picard_start(cfg: SimConfig, init, lam: float) -> PicardState:
-    """Iteration zero: the flow frozen at the initial law for all times."""
-    x0, y0 = init.sample(cfg.N)
-    flow = constant_flow(EmpiricalLaw(x0, y0), cfg.times())
-    return PicardState(0, flow, [], lam)
-
-
-def picard_iterate(state: PicardState, cfg: SimConfig, coeffs: CoefficientSet,
-                   init) -> PicardState:
-    """One application of the law-flow map with the current flow frozen in;
-    every iterate runs on stream 0, so successive iterates share their noise."""
-    ens = simulate_ensemble(cfg, coeffs, init, law=frozen(state.flow), record_times=cfg.times())
-    rho = rho_lambda(ens.flow, state.flow, state.lam, cfg.hist)
-    return PicardState(state.iteration + 1, ens.flow, state.rho_history + [rho], state.lam)
+def picard_iterate(flow: MeasureFlow, cfg: SimConfig, coeffs: CoefficientSet, init,
+                   lam: float) -> tuple[MeasureFlow, float]:
+    """One application of the law-flow map with ``flow`` frozen in: the next
+    flow and its rho_lam distance from ``flow``.  Every iterate runs on
+    stream 0, so successive iterates share their noise."""
+    ens = simulate_ensemble(cfg, coeffs, init, law=frozen(flow), record_times=cfg.times())
+    return ens.flow, rho_lambda(ens.flow, flow, lam, cfg.hist)
 
 
 @dataclass(frozen=True)
 class PicardResult:
-    state: PicardState
+    flow: MeasureFlow
+    rho_history: list[float]  # one entry per iterate
+    lam: float
     converged: bool
     noise_floor: float
 
@@ -114,24 +101,24 @@ def picard_fixed_point(
     lam: float | None = None,
     max_iter: int = 20,
 ) -> PicardResult:
-    """Iterate the law-flow map until successive flows agree at noise level.
-
-    The contraction metric weight defaults to the 4 kappa T heuristic; the
-    stopping rule is rho below twice the bootstrap noise floor or the
-    iteration cap.
-    """
+    """Iterate the law-flow map from the flow frozen at the initial law until rho
+    falls below twice the bootstrap noise floor, or for ``max_iter`` iterates.
+    The metric weight ``lam`` defaults to the 4 kappa T heuristic; a weight that
+    is negative or not finite is refused before any run."""
     if lam is None:
         lam = 4.0 * max(kappa, 0.25) * max(1.0, cfg.T)
-    state = picard_start(cfg, init, lam)
-    state = picard_iterate(state, cfg, coeffs, init)
-    floor = bootstrap_noise_floor(state.flow.clouds[-1], cfg.hist, seed=cfg.seed)
+    if not 0.0 <= lam < math.inf:
+        raise InputError(f"lam must be nonnegative and finite, got {lam!r}")
+    flow = constant_flow(EmpiricalLaw(*init.sample(cfg.N)), cfg.times())
+    flow, rho = picard_iterate(flow, cfg, coeffs, init, lam)
+    rhos = [rho]
+    floor = bootstrap_noise_floor(flow.clouds[-1], cfg.hist, seed=cfg.seed)
     converged = False
-    while state.iteration < max_iter:
-        state = picard_iterate(state, cfg, coeffs, init)
-        if state.rho_history[-1] < 2.0 * floor:
-            converged = True
-            break
-    return PicardResult(state, converged, floor)
+    while len(rhos) < max_iter and not converged:
+        flow, rho = picard_iterate(flow, cfg, coeffs, init, lam)
+        rhos.append(rho)
+        converged = rho < 2.0 * floor
+    return PicardResult(flow, rhos, lam, converged, floor)
 
 
 # --- Girsanov comparison of two frozen flows -----------------------------------------

@@ -194,7 +194,9 @@ def solve_resolvent_1d(
         raise InputError("need at least 5 grid points")
     y = np.linspace(-L, L, n)
     dy = y[1] - y[0]
-    b_vals = np.full(n, float(b)) if np.isscalar(b) else np.asarray(b(y), dtype=float)
+    with np.errstate(over="ignore"):  # |y|^2 or dy^2 past the float range: their terms round to 0
+        b_vals = np.full(n, float(b)) if np.isscalar(b) else np.asarray(b(y), dtype=float)
+        dy2 = dy**2
     s_vals = np.full(n, float(sigma)) if np.isscalar(sigma) else np.asarray(sigma(y), dtype=float)
     if np.any(s_vals**2 <= 0):
         raise NumericError("sigma^2 must be positive on the grid")
@@ -202,9 +204,9 @@ def solve_resolvent_1d(
     half_s2 = 0.5 * s_vals**2
     bi = b_vals[1:-1]
     si = half_s2[1:-1]
-    lower = si / dy**2 - bi / (2.0 * dy)
-    diag = -2.0 * si / dy**2 - lam
-    upper = si / dy**2 + bi / (2.0 * dy)
+    lower = si / dy2 - bi / (2.0 * dy)
+    diag = -2.0 * si / dy2 - lam
+    upper = si / dy2 + bi / (2.0 * dy)
     rhs = -bi
 
     ab = np.zeros((3, n - 2))
@@ -223,7 +225,7 @@ def solve_resolvent_1d(
     u[1:-1] = interior
 
     resid = (
-        si * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dy**2
+        si * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dy2
         + bi * (u[2:] - u[:-2]) / (2.0 * dy)
         - lam * u[1:-1]
         - rhs
@@ -238,7 +240,7 @@ def solve_resolvent_1d(
     du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dy)
     du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dy)
     d2u = np.zeros(n)
-    d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dy**2
+    d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dy2
 
     return ZvonkinSolution(grid=y, u=u, du=du, d2u=d2u, lam=lam, residual=residual)
 

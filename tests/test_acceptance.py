@@ -7,13 +7,16 @@ to see the per-criterion lines.
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
+from kinsde import integrators
 from kinsde.cli import main as cli_main
-from kinsde.core import DiracInit, HistogramSpec, PhaseState, SimConfig
+from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, PhaseState, SimConfig
 from kinsde.ergodicity import (
     HTransform,
     bootstrap_noise_floor,
@@ -48,7 +51,6 @@ from kinsde.mckean import (
     particle_system_run,
     picard_fixed_point,
     picard_iterate,
-    picard_start,
     uniform_ergodicity_sweep,
 )
 
@@ -222,8 +224,6 @@ class TestCriterion5:
 
 
 def histogram_cloud(a: float):
-    from kinsde.core import EmpiricalLaw
-
     return EmpiricalLaw(np.full((1, 1), a), np.full((1, 1), a))
 
 
@@ -266,27 +266,27 @@ class TestCriterion7:
         init = DiracInit(PhaseState([1.0], [1.0]))
 
         res = picard_fixed_point(cfg, co, init, kappa=0.2)
-        above = [r for r in res.state.rho_history if r > res.noise_floor]
+        above = [r for r in res.rho_history if r > res.noise_floor]
         ratios_ok = all(b < a for a, b in zip(above, above[1:]))
-        converged = res.converged and res.state.iteration <= 20
+        converged = res.converged and len(res.rho_history) <= 20
 
         flow_i, _ = particle_system_run(cfg, co, init, record_times=[1.0], stream=77)
         tv = empirical_var_distance(
-            histogram_law(res.state.flow.clouds[-1], self.HIST),
+            histogram_law(res.flow.clouds[-1], self.HIST),
             histogram_law(flow_i.clouds[-1], self.HIST),
         )
         floor = bootstrap_noise_floor(flow_i.clouds[-1], self.HIST, seed=5)
         match = tv < 3.0 * floor
 
         co0 = confining_coefficients(drift, d=1, kernel=kernel, kappa=0.0)
-        st = picard_start(cfg, init, lam=res.state.lam)
-        st = picard_iterate(st, cfg, co0, init)
-        st = picard_iterate(st, cfg, co0, init)
-        frozen = st.rho_history[1] == 0.0
+        flow = constant_flow(EmpiricalLaw(*init.sample(cfg.N)), cfg.times())
+        flow, _ = picard_iterate(flow, cfg, co0, init, res.lam)
+        flow, rho = picard_iterate(flow, cfg, co0, init, res.lam)
+        frozen = rho == 0.0
 
         ok = ratios_ok and converged and match and frozen
-        report(7, ok, f"Picard contraction (rho {['%.4f' % r for r in res.state.rho_history]}), "
-                      f"{res.state.iteration} iterations; fixed point matches interacting law "
+        report(7, ok, f"Picard contraction (rho {['%.4f' % r for r in res.rho_history]}), "
+                      f"{len(res.rho_history)} iterations; fixed point matches interacting law "
                       f"(TV {tv:.4f} < 3 x {floor:.4f}); kappa=0 exactly stationary")
 
 
@@ -357,7 +357,24 @@ class TestCriterion10:
                              "--workers", str(workers)]) == 0
             assert cli_main(["verify", str(out / "manifest.json")]) == 0
             outs.append((out / "snapshot.bin").read_bytes())
-        cli_ok = outs[0] == outs[1]
+        # N = 2000 is below _HELPER_MIN_BLOCK, so both runs above draw their noise on
+        # the loop thread; this one has the helper thread draw it ahead of the loop
+        pools = []
+
+        class CountedPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        out = tmp_path / "helper"
+        with mock.patch.object(integrators, "_HELPER_MIN_BLOCK", 1), \
+                mock.patch("concurrent.futures.ThreadPoolExecutor", CountedPool):
+            assert cli_main(["simulate", str(cfg_file), "--out", str(out)]) == 0
+        sha = [json.loads((tmp_path / d / "manifest.json").read_text())["sha256"]
+               for d in ("out0", "helper")]
+        helper_ok = (len(pools) == 1 and (out / "snapshot.bin").read_bytes() == outs[0]
+                     and sha[0] == sha[1])
+        cli_ok = outs[0] == outs[1] and helper_ok
 
         # library-level reruns: ergodicity series, interacting system, weights
         co = confining_accept_coeffs()
@@ -383,4 +400,5 @@ class TestCriterion10:
 
         ok = cli_ok and series_ok and mkv_ok and weights_ok
         report(10, ok, "CLI manifest rerun and library reruns bit-exact across "
-                       "worker counts (snapshots, TV series, interacting states, weights)")
+                       "worker counts and with the noise helper thread on "
+                       "(snapshots, TV series, interacting states, weights)")

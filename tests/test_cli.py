@@ -181,6 +181,22 @@ class TestConfigHandling:
          ("mkv-picard", "picard.lam = inf\n", "picard.lam must be nonnegative and finite, got inf"),
          ("mkv-picard", "picard.lam = nan\n", "picard.lam must be nonnegative and finite, got nan"),
          ("mkv-picard", "picard.lam = -1\n", "picard.lam must be nonnegative and finite, got -1.0"),
+         # each of these once ran: a nan or an infinity means nothing to these keys
+         ("ergodicity", "fit.from = nan\n", "fit.from must be finite, got nan"),
+         ("mkv-sweep", "fit.from = nan\n", "fit.from must be finite, got nan"),
+         ("khasminskii", "drift = scalar_ou\nrate = inf\n", "rate must be finite, got inf"),
+         ("khasminskii", "drift = scalar_ou\nnorm.extent = -inf\n",
+          "norm.extent must be finite, got -inf"),
+         ("simulate", "drift = confining\nz.scale = nan\n", "z.scale must be finite, got nan"),
+         ("simulate", "drift = confining\nkernel = constant\nkernel.w = nan\n",
+          "kernel.w must be finite, got nan"),
+         ("h-bound", "hbound.v0 = inf\n", "hbound.v0 must be finite, got inf"),
+         # a grid [-L, L] wider than the float range once crashed the resolvent solve
+         ("zvonkin", "zvonkin.L = 1e308\n", "zvonkin.L must be below 2^1023, got 1e+308"),
+         ("lyapunov-check", "lyap.kcap = nan\n",
+          "lyap.kcap: k_cap must be a number or inf, got nan"),
+         ("lyapunov-check", "phi.c0 = 1.0\nlyap.kcap = nan\n", "lyap.kcap must be finite, got nan"),
+         ("lyapunov-check", "phi.c0 = 1.0\nlyap.kcap = inf\n", "lyap.kcap must be finite, got inf"),
          ("mkv-picard", "picard.maxiter = 0\n", "picard.maxiter must be at least 1, got 0"),
          ("mkv-picard", "picard.maxiter = -3\n", "picard.maxiter must be at least 1, got -3"),
          # two couplings with one output name once wrote the second series over the first
@@ -190,9 +206,10 @@ class TestConfigHandling:
     def test_bad_run_value_exit_2_naming_key(self, tmp_path, monkeypatch, capsys,
                                              command, extra, message):
         monkeypatch.chdir(tmp_path)
-        # every refusal here comes before the run: calling either would raise
+        # every refusal here comes before any run: calling any of these would raise
         monkeypatch.setattr("kinsde.cli.picard_fixed_point", None)
         monkeypatch.setattr("kinsde.cli.uniform_ergodicity_sweep", None)
+        monkeypatch.setattr("kinsde.integrators._step_noise", None)
         cfg = write_cfg(tmp_path, extra)
         argv = [command, str(cfg)] + ([] if "out.dir" in extra else ["--out", str(tmp_path)])
         assert main(argv) == 2
@@ -520,6 +537,15 @@ class TestOtherSubcommands:
         rep = json.loads((tmp_path / "picard.json").read_text())
         assert rep["converged"] is True
         assert (tmp_path / "rho.csv").exists()
+
+    def test_overflowing_default_lam_refused_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # 4 kappa T overflows to inf; this once ran the first iterate before refusing
+        monkeypatch.setattr("kinsde.mckean.simulate_ensemble", None)  # calling it would raise
+        cfg = write_cfg(tmp_path, "drift = confining\nkernel = tanh_y\nkappa = 1e308\n")
+        assert main(["mkv-picard", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ("error: picard.lam, kappa: lam must be nonnegative "
+                                           "and finite, got inf\n")
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("kernel", ["mean_attraction", "tanh_y", "tanh_x"])
     def test_coordinatewise_kernel_needs_one_coordinate(self, tmp_path, capsys, kernel):

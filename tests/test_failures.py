@@ -134,8 +134,33 @@ class TestMutatedConfigs:
             if rc:
                 assert err.count("\n") == 1 and err.endswith("\n"), err
                 assert not (out / "manifest.json").exists()
+            else:
+                assert err == ""  # a warning on a run that succeeds hides a fault
+            if how == "nan":
+                assert rc == 2, err  # a nan means nothing to any key
             if rc == 2:
                 assert re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err), err
+
+    # keys no shipped config sets, each once read unchecked into a run
+    @pytest.mark.parametrize("name, lines", [
+        ("ergodicity_riesz", ["z.scale = nan"]),
+        ("mkv_picard", ["z.scale = nan"]),
+        ("lyapunov_confining", ["z.scale = nan"]),
+        ("khasminskii", ["norm.extent = nan"]),
+        ("khasminskii", ["khasminskii.f = 'const'", "khasminskii.a = nan"]),
+        ("mkv_picard", ["kernel = constant", "kernel.w = nan"]),
+    ], ids=["ergodicity-z.scale", "mkv-picard-z.scale", "lyapunov-check-z.scale",
+            "khasminskii-norm.extent", "khasminskii-khasminskii.a", "mkv-picard-kernel.w"])
+    def test_nan_in_an_optional_key_is_refused(self, tmp_path, monkeypatch, name, lines):
+        monkeypatch.setattr("kinsde.integrators._step_noise", None)  # a run would raise
+        keys = [ln.split(" =")[0] for ln in lines]
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text("\n".join([ln for ln in SHRUNK[name] if ln.split(" =")[0] not in keys]
+                                 + lines) + "\n")
+        rc, err = run_main([COMMAND[name], str(cfg), "--out", str(out)])
+        assert rc == 2 and err.count("\n") == 1, err
+        assert re.search(rf"(?<![\w.]){re.escape(keys[-1])}(?!\w)", err), err
+        assert not (out / "manifest.json").exists()
 
 
 class TestConfigFaults:

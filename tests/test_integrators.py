@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinsde.core import DiracInit, PhaseState, SimConfig
+from kinsde.core import DiracInit, NumericError, PhaseState, SimConfig
 from kinsde.fields import (
     build_coefficients,
     linear_langevin_coefficients,
@@ -324,6 +324,14 @@ class TestKhasminskii:
         res = khasminskii_estimate(cfg, scalar_ou_coefficients(1.0),
                                    lambda t, y: np.full(y.shape[0], 40.0), ORIGIN)
         assert res.diverged and np.isinf(res.estimate)
+
+    def test_no_survivor_is_a_numeric_failure(self):
+        # rate h = 3 puts the Euler step outside its stability region, so every particle
+        # blows up; this once averaged an empty slice and reported a divergence
+        cfg = SimConfig(T=1.0, h=1e-3, N=50, seed=21)
+        with pytest.raises(NumericError, match="no estimate: all 50 particles blew up"):
+            khasminskii_estimate(cfg, scalar_ou_coefficients(3000.0),
+                                 lambda t, y: np.zeros(y.shape[0]), ORIGIN)
 
     def test_ci_shrinks_and_overlaps_under_n_doubling(self):
         co = scalar_ou_coefficients(1.0)

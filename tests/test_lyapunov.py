@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinsde.core import InputError
 from kinsde.fields import (
     ConfiningDrift,
     LyapunovV,
@@ -212,6 +215,14 @@ class TestSearchReport:
         with pytest.raises(ValueError, match="eps must lie in"):
             check_drift_condition(confining_good(), V1, PhiFamily("linear", 1.0), 1.0,
                                   eps=eps, samples=SAMPLES)
+
+    def test_nan_cap_raises_before_any_evaluation(self, monkeypatch):
+        # a NaN cap fails every comparison: it once bisected down to the bracket
+        # floor and certified c0 = 1e-6
+        monkeypatch.setattr("kinsde.lyapunov.drift_condition_lhs", None)  # calling it would raise
+        with pytest.raises(InputError, match="k_cap must be a number or inf, got nan"):
+            search_constants(confining_good(), V1, "linear", eps=0.1, samples=SAMPLES,
+                             k_cap=math.nan)
 
 
 class TestDriftLhs:

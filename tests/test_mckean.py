@@ -21,7 +21,6 @@ from kinsde.mckean import (
     particle_system_run,
     picard_fixed_point,
     picard_iterate,
-    picard_start,
     rho_lambda,
     uniform_ergodicity_sweep,
 )
@@ -162,17 +161,17 @@ class TestPicard:
     def test_zero_coupling_stationary_after_one_iteration(self):
         cfg = SimConfig(T=1.0, h=0.02, N=1000, seed=5, hist=HIST)
         co = coeffs_with(0.0)
-        st = picard_start(cfg, INIT, lam=1.0)
-        st = picard_iterate(st, cfg, co, INIT)
-        st = picard_iterate(st, cfg, co, INIT)
-        assert st.rho_history[1] == 0.0
+        flow = constant_flow(EmpiricalLaw(*INIT.sample(cfg.N)), cfg.times())
+        flow, _ = picard_iterate(flow, cfg, co, INIT, lam=1.0)
+        flow, rho = picard_iterate(flow, cfg, co, INIT, lam=1.0)
+        assert rho == 0.0
 
     def test_contraction_with_tanh_kernel(self):
         cfg = SimConfig(T=1.0, h=0.01, N=4000, seed=5, hist=HIST)
         res = picard_fixed_point(cfg, coeffs_with(0.2), INIT, kappa=0.2)
         assert res.converged
-        assert res.state.iteration <= 20
-        rho = res.state.rho_history
+        assert len(res.rho_history) <= 20
+        rho = res.rho_history
         above = [r for r in rho if r > res.noise_floor]
         ratios = [b / a for a, b in zip(above, above[1:])]
         assert all(r < 1.0 for r in ratios)
@@ -185,7 +184,7 @@ class TestPicard:
         from kinsde.ergodicity import bootstrap_noise_floor
 
         tv = empirical_var_distance(
-            histogram_law(res.state.flow.clouds[-1], HIST),
+            histogram_law(res.flow.clouds[-1], HIST),
             histogram_law(flow_i.clouds[-1], HIST),
         )
         floor = bootstrap_noise_floor(flow_i.clouds[-1], HIST, seed=5)
