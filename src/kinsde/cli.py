@@ -7,7 +7,8 @@ outputs bit-exactly on one machine.  All randomness flows from the single
 seed in the config; there are no hidden entropy sources.
 
 Exit codes: 0 success, 2 refused input (``InputError``), 3 numeric failure
-(``NumericError``).  Any other exception is a bug and escapes with its traceback.
+(``NumericError``, or a ``MemoryError`` from a run too large for the machine).
+Any other exception is a bug and escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -647,6 +648,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print(f"numeric failure: out of memory: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -7,6 +7,7 @@ are ``(n, d1)`` arrays, velocity blocks ``(n, d2)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -241,24 +242,41 @@ def off_grid(ratio):
     return np.abs(ratio - np.round(ratio)) > 1e-9 * np.maximum(1.0, ratio)
 
 
+def _particle_block(v) -> np.ndarray:
+    """``v`` as a 2-d float64 array; one already (each step's states) passes as it is."""
+    if type(v) is np.ndarray and v.ndim == 2 and v.dtype == np.float64:
+        return v
+    return np.atleast_2d(np.asarray(v, dtype=float))
+
+
+@functools.lru_cache(maxsize=8)
+def _uniform_weights(n: int) -> np.ndarray:
+    """The weights 1/n of n particles, one read-only array per n: a law per step
+    shares it instead of filling its own."""
+    w = np.full(n, 1.0 / n)
+    w.flags.writeable = False
+    return w
+
+
 @dataclass(frozen=True)
 class EmpiricalLaw:
-    """A weighted particle cloud standing in for a probability law."""
+    """A weighted particle cloud standing in for a probability law.  Its arrays
+    are never written after construction: the cloud's bins and histogram are
+    kept on it (``ergodicity.histogram_law``)."""
 
     x: np.ndarray          # (n, d1)
     y: np.ndarray          # (n, d2)
     weights: np.ndarray    # (n,), nonnegative, summing to 1
 
     def __init__(self, x, y, weights=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
+        x, y = _particle_block(x), _particle_block(y)
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y blocks must hold the same number of particles")
         n = x.shape[0]
         if n < 1:
             raise ValueError("a particle cloud needs at least one particle")
         if weights is None:
-            w = np.full(n, 1.0 / n)
+            w = _uniform_weights(n)
         else:
             w = np.asarray(weights, dtype=float)
             if w.shape != (n,):

@@ -35,16 +35,50 @@ class HistogramLaw:
             raise NumericError(f"histogram mass {total!r} is not 1 within 1e-12")
 
 
-def histogram_law(law: EmpiricalLaw, spec: HistogramSpec) -> HistogramLaw:
-    pts = law.points()
+def _bin_index(pts: np.ndarray, spec: HistogramSpec) -> np.ndarray:
+    """Each point's flat index among ``spec``'s bins padded by one outlier bin per
+    side, found as ``np.histogramdd`` finds it: per axis a right-sided search of
+    the ``linspace`` edges, a point on the last edge moved into the last bin, and
+    the C-order ravel.  A point outside the box or with a NaN coordinate lands in
+    an outlier bin."""
     if pts.shape[1] != spec.dim:
         raise ValueError("law dimension does not match histogram spec")
-    hist, _ = np.histogramdd(
-        pts, bins=spec.bins, range=list(zip(spec.lo, spec.hi)), weights=law.weights
-    )
-    masses = hist.ravel()
-    inbox = math.fsum(masses.tolist())
-    return HistogramLaw(spec, masses, max(0.0, 1.0 - inbox))
+    cols = []
+    for col, edges in zip(pts.T, spec.edges()):
+        c = np.searchsorted(edges, col, side="right")
+        c[col == edges[-1]] -= 1
+        cols.append(c)
+    return np.ravel_multi_index(cols, spec.bins + 2)
+
+
+def _binned(idx: np.ndarray, weights: np.ndarray, spec: HistogramSpec) -> HistogramLaw:
+    """The histogram of points in the padded bins ``idx`` (:func:`_bin_index`)
+    with these weights: the core bins' masses, and the rest of the mass as out."""
+    nbin = spec.bins + 2
+    hist = np.bincount(idx, weights, minlength=int(np.prod(nbin))).reshape(nbin)
+    masses = hist[(slice(1, -1),) * spec.dim].ravel()
+    return HistogramLaw(spec, masses, max(0.0, 1.0 - math.fsum(masses.tolist())))
+
+
+def _binning(law: EmpiricalLaw, spec: HistogramSpec) -> tuple[np.ndarray, HistogramLaw]:
+    """The law's :func:`_bin_index` on ``spec`` and its histogram, kept on the
+    (immutable) law: a cloud is binned once however many flows, comparisons and
+    noise floors read it."""
+    kept = law.__dict__.get("_binning")
+    if kept is None or not (kept[1].spec is spec or kept[1].spec == spec):
+        idx = _bin_index(law.points(), spec)
+        # kept in the narrowest type that holds every padded bin (one byte for 12 x 12)
+        idx = idx.astype(np.min_scalar_type(int(np.prod(spec.bins + 2)) - 1))
+        kept = (idx, _binned(idx, law.weights, spec))
+        kept[1].masses.flags.writeable = False  # every holder of the law shares them
+        object.__setattr__(law, "_binning", kept)
+    return kept
+
+
+def histogram_law(law: EmpiricalLaw, spec: HistogramSpec) -> HistogramLaw:
+    """The law's masses on ``spec``'s bins, equal to ``np.histogramdd``'s, and the
+    mass outside the box; computed once per law and spec (:func:`_binning`)."""
+    return _binning(law, spec)[1]
 
 
 def empirical_var_distance(a: HistogramLaw, b: HistogramLaw) -> float:
@@ -93,10 +127,17 @@ def bootstrap_noise_floor(
     n_boot: int = 100,
     seed: int = 0,
 ) -> float:
-    """95th percentile of TV between two same-law resamples of the cloud."""
+    """95th percentile of TV between two same-law resamples of the cloud.
+
+    A resampled particle sits in the bin of the particle it copies, so each
+    resample's histogram is a count of the cloud's bins (:func:`_binning`) with
+    the uniform weights a resampled cloud carries.
+    """
     rng = bootstrap_rng(seed, stream=1)
     n = law.n
     uniform = np.all(law.weights == law.weights[0])
+    idx = _binning(law, spec)[0]
+    w = np.full(n, 1.0 / n)
     tvs = np.empty(n_boot)
     for i in range(n_boot):
         if uniform:
@@ -105,9 +146,7 @@ def bootstrap_noise_floor(
         else:
             ia = rng.choice(n, size=n, p=law.weights)
             ib = rng.choice(n, size=n, p=law.weights)
-        ha = histogram_law(EmpiricalLaw(law.x[ia], law.y[ia]), spec)
-        hb = histogram_law(EmpiricalLaw(law.x[ib], law.y[ib]), spec)
-        tvs[i] = empirical_var_distance(ha, hb)
+        tvs[i] = empirical_var_distance(_binned(idx[ia], w, spec), _binned(idx[ib], w, spec))
     return float(np.percentile(tvs, 95.0))
 
 
@@ -142,7 +181,9 @@ def fit_exponential_decay(
     r2 = 1.0 if ss_tot < 1e-30 and ss_res < 1e-30 else (1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
     lam = -float(slope)
     verdict = "decay confirmed" if (lam > 0.0 and r2 > 0.9) else "no decay"
-    return DecayFit(used, lam, float(np.exp(intercept)), r2, verdict)
+    with np.errstate(over="ignore"):  # a steep fit through tiny distances: the prefactor is inf
+        prefactor = float(np.exp(intercept))
+    return DecayFit(used, lam, prefactor, r2, verdict)
 
 
 # --- comparing two law series -----------------------------------------------------

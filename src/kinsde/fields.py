@@ -234,13 +234,14 @@ class MeanFieldKernel:
         return MeanFieldKernel("clipped_difference", 1.0, None, None)
 
     def mean_against(self, x: np.ndarray, y: np.ndarray, law: EmpiricalLaw) -> np.ndarray:
-        """integral of W(x, y, ., .) d law, as a weighted particle average."""
+        """integral of W(x, y, ., .) d law, as a weighted particle average: (n, d2),
+        or one (1, d2) row for every particle when W does not read (x, y)
+        (``constant`` and ``target``), which a sum with an (n, d2) block broadcasts."""
         if self.structure == "constant":
-            return np.broadcast_to(self.const_value, (x.shape[0], self.const_value.size))
+            return self.const_value[None, :]
         if self.structure == "target":
             vals = np.atleast_2d(np.asarray(self.func(law.x, law.y), dtype=float))
-            avg = law.weights @ vals
-            return np.broadcast_to(avg, (x.shape[0], avg.size))
+            return (law.weights @ vals)[None, :]
         return np.stack([_clipped_mean(x[:, j], law.x[:, j], law.weights)
                          for j in range(x.shape[1])], axis=1)
 

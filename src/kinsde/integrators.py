@@ -123,20 +123,22 @@ def alive_law(x: np.ndarray, y: np.ndarray, alive: np.ndarray) -> EmpiricalLaw:
 # holds at least _HELPER_MIN_BLOCK normals: the per-step re-key holds the GIL,
 # so at small blocks the hand-offs cost more than the drawing they move off
 # the loop.  Tamed-cubic drift, m = 1, 1000 steps, µs per step without -> with
-# the helper (2-core x86 machine, median of 11 alternating pairs): N = 1000
-# 111 -> 123 (helper faster in 0 of 11), N = 2000 142 -> 137 (9 of 11),
-# N = 3000 233 -> 191, N = 4000 296 -> 241, N = 6000 357 -> 279, N = 10^4
-# 655 -> 474 (11 of 11 each).  Whole CLI runs on the same machine, medians of
-# alternating runs, without -> with the helper: `simulate configs/langevin.cfg`
-# (N = 10^4) 6.86 -> 4.93 s (16 runs each, steal time under 1.1 %), and pinned
-# to one core with `taskset -c 0` 6.87 -> 7.07 s (24 each; faster in 9 of 24).
-# With the constant lowered to 1000, `mkv-sweep configs/mkv_sweep.cfg`
-# (N = 4000) went 3.64 -> 3.32 s (faster in 7 of 7) and `mkv-picard
-# configs/mkv_picard.cfg` 0.77 -> 0.78 s (3 of 7) under steal below 2.4 %;
-# the earlier lock-based helper lost both under 7-24 % steal (0.81 -> 0.90 s,
-# 3.88 -> 4.65 s), so the constant stays above the mean-field runs.
+# the helper (2-core x86 machine, median of 11 alternating pairs, steal under
+# 0.4 %): N = 1000 141 -> 156 (helper faster in 0 of 11), N = 2000 204 -> 195
+# (10 of 11), N = 3000 166 -> 158 (6 of 11), N = 4000 257 -> 222, N = 6000
+# 356 -> 268, N = 10^4 408 -> 292 (11 of 11 each); an earlier set under up to
+# 12 % steal had the helper faster in 4 of 11 at N = 2000 and in 11 of 11 only
+# at N = 10^4.  Whole CLI runs, medians of alternating runs without -> with the
+# helper, steal under 4.3 %: `mkv-sweep configs/mkv_sweep.cfg` (N = 4000)
+# 3.04 -> 2.42 s (faster in 4 of 5), and pinned to one core with `taskset -c 0`
+# 3.04 -> 2.91 s (faster in 2 of 5); `mkv-picard configs/mkv_picard.cfg`
+# (N = 4000, 100 steps an iterate) 0.47 -> 0.47 s (3 of 7), and with the
+# clipped-difference kernel at N = 2000 0.50 -> 0.52 s (5 of 7).  The gain
+# needs the second core, and even then the helper's draws slow the loop's own
+# numpy calls: a separate process drawing normals beside the serial sweep took
+# it from 1.71 to 2.21 s.
 _CHUNK_NORMALS = 40_000
-_HELPER_MIN_BLOCK = 5_000
+_HELPER_MIN_BLOCK = 2_000
 _RING_DEPTH = 3
 
 

@@ -213,7 +213,8 @@ def search_constants(
     and bisection applies.  Without a K cap every c0 is feasible and the
     bracket top is returned with its boundary K.  The report reuses the
     left side computed for the search; points where it is not finite are
-    flagged.
+    flagged.  A left side that is not a number anywhere certifies nothing
+    and raises :class:`CertificationError`.
     """
     if not (0.0 < eps < 1.0):
         raise InputError("eps must lie in (0, 1)")
@@ -230,7 +231,11 @@ def search_constants(
             return float(np.max(lhs + np.asarray(phi(vvals))))
 
     lo, hi = c0_bracket
-    if k_min(lo) > k_cap:
+    k_lo = k_min(lo)
+    if math.isnan(k_lo):  # every K_min is nan then, and would fail every comparison
+        raise CertificationError(f"K_min is nan: the left side is not a number at "
+                                 f"{int(np.count_nonzero(np.isnan(lhs)))} sample points")
+    if k_lo > k_cap:
         raise CertificationError("condition not certifiable on this domain")
     if k_min(hi) <= k_cap:
         best = hi

@@ -357,8 +357,9 @@ class TestCriterion10:
                              "--workers", str(workers)]) == 0
             assert cli_main(["verify", str(out / "manifest.json")]) == 0
             outs.append((out / "snapshot.bin").read_bytes())
-        # N = 2000 is below _HELPER_MIN_BLOCK, so both runs above draw their noise on
-        # the loop thread; this one has the helper thread draw it ahead of the loop
+        # N = 2000 is at least _HELPER_MIN_BLOCK, so the helper thread draws the noise
+        # of both runs above; "helper" forces it on whatever the threshold, and
+        # "serial" forces it off (threshold above N m), which draws on the loop thread
         pools = []
 
         class CountedPool(ThreadPoolExecutor):
@@ -366,14 +367,15 @@ class TestCriterion10:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        out = tmp_path / "helper"
-        with mock.patch.object(integrators, "_HELPER_MIN_BLOCK", 1), \
-                mock.patch("concurrent.futures.ThreadPoolExecutor", CountedPool):
-            assert cli_main(["simulate", str(cfg_file), "--out", str(out)]) == 0
+        for name, threshold in (("helper", 1), ("serial", 2001)):
+            with mock.patch.object(integrators, "_HELPER_MIN_BLOCK", threshold), \
+                    mock.patch("concurrent.futures.ThreadPoolExecutor", CountedPool):
+                assert cli_main(["simulate", str(cfg_file), "--out",
+                                 str(tmp_path / name)]) == 0
         sha = [json.loads((tmp_path / d / "manifest.json").read_text())["sha256"]
-               for d in ("out0", "helper")]
-        helper_ok = (len(pools) == 1 and (out / "snapshot.bin").read_bytes() == outs[0]
-                     and sha[0] == sha[1])
+               for d in ("out0", "helper", "serial")]
+        helper_ok = (len(pools) == 1 and sha[0] == sha[1] == sha[2] and all(
+            (tmp_path / d / "snapshot.bin").read_bytes() == outs[0] for d in ("helper", "serial")))
         cli_ok = outs[0] == outs[1] and helper_ok
 
         # library-level reruns: ergodicity series, interacting system, weights
@@ -400,5 +402,5 @@ class TestCriterion10:
 
         ok = cli_ok and series_ok and mkv_ok and weights_ok
         report(10, ok, "CLI manifest rerun and library reruns bit-exact across "
-                       "worker counts and with the noise helper thread on "
+                       "worker counts and with the noise helper thread on and off "
                        "(snapshots, TV series, interacting states, weights)")

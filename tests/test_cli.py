@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kinsde import cli as cli_module
 from kinsde.cli import KNOWN_KEYS, Manifest, _parse_config, _sim_config, main
 from kinsde.integrators import _HELPER_MIN_BLOCK, load_snapshot
 
@@ -321,6 +322,20 @@ class TestSimulate:
         )
         rc = main(["simulate", str(cfg), "--out", str(tmp_path)])
         assert rc in (0, 3)  # depends on how many particles cross the threshold
+
+    def test_out_of_memory_exit_3(self, tmp_path, monkeypatch, capsys):
+        # as numpy raises it for an N the machine cannot hold; nothing is allocated
+        def too_big(kv, cfg, man):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000000, 1) and data type float64")
+
+        monkeypatch.setitem(cli_module._SUBCOMMANDS, "simulate", too_big)
+        cfg = write_cfg(tmp_path, "drift = zero\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numeric failure: out of memory: Unable to allocate 7.28 TiB for an "
+                       "array with shape (1000000000000, 1) and data type float64\n")
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, "drift = zero\n")

@@ -212,6 +212,18 @@ class TestEmpiricalLaw:
         law = EmpiricalLaw(np.zeros((4, 1)), np.ones((4, 1)))
         assert law.weights.sum() == pytest.approx(1.0)
 
+    def test_step_states_held_as_they_are(self):
+        # a law is built every step from the loop's float64 blocks: no copy, no
+        # conversion, and one shared read-only weight array per cloud size
+        x, y = np.zeros((3, 1)), np.ones((3, 2))
+        law = EmpiricalLaw(x, y)
+        assert law.x is x and law.y is y
+        assert law.weights is EmpiricalLaw(y[:, :1], x).weights
+        assert law.weights.tobytes() == np.full(3, 1.0 / 3).tobytes()
+        assert not law.weights.flags.writeable
+        ints = EmpiricalLaw([[1], [2]], np.array([[3], [4]]))  # converted to float64
+        assert ints.x.dtype == ints.y.dtype == np.float64 and ints.y.tolist() == [[3.0], [4.0]]
+
     def test_weight_normalization(self):
         law = EmpiricalLaw(np.zeros((2, 1)), np.ones((2, 1)), weights=[1.0, 3.0])
         assert np.allclose(law.weights, [0.25, 0.75])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kinsde.core import (DiracInit, EmpiricalLaw, HistogramSpec, MeasureFlow, NumericError,
                          PhaseState, SimConfig)
+from kinsde import ergodicity
 from kinsde.ergodicity import (
     HistogramLaw,
     HTransform,
@@ -64,7 +65,61 @@ def _boxed_cloud(draw):
     return HistogramSpec(lo, hi, bins), EmpiricalLaw(pts[:, :1], pts[:, 1:], weights=w)
 
 
+@st.composite
+def _binned_points(draw):
+    """A box in 1 to 4 dimensions and weighted points on its inner and outer
+    edges, inside it, outside it, or with NaN coordinates."""
+    dim = draw(st.integers(1, 4))
+    lo = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)))
+    hi = lo + np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim)))
+    spec = HistogramSpec(lo, hi, draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim)))
+    n = draw(st.integers(1, 30))
+    pts = np.empty((n, dim))
+    for i in range(n):
+        for j, edges in enumerate(spec.edges()):
+            where = draw(st.sampled_from(["in", "edge", "below", "above", "nan"]))
+            pts[i, j] = {"in": lambda: lo[j] + draw(st.floats(0.0, 1.0)) * (hi[j] - lo[j]),
+                         "edge": lambda: draw(st.sampled_from(edges.tolist())),
+                         "below": lambda: lo[j] - draw(st.floats(1e-9, 10.0)),
+                         "above": lambda: hi[j] + draw(st.floats(1e-9, 10.0)),
+                         "nan": lambda: math.nan}[where]()
+    w = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    return spec, pts, w / math.fsum(w.tolist())
+
+
+def _histogramdd(pts, w, spec):
+    """The masses and out-of-box mass as np.histogramdd bins them."""
+    hist, _ = np.histogramdd(pts, bins=spec.bins, range=list(zip(spec.lo, spec.hi)), weights=w)
+    masses = hist.ravel()
+    return masses, max(0.0, 1.0 - math.fsum(masses.tolist()))
+
+
 class TestHistogramLaw:
+    @settings(max_examples=150, deadline=None)
+    @given(_binned_points())
+    def test_binning_once_is_histogramdd(self, case):
+        spec, pts, w = case
+        masses, out = _histogramdd(pts, w, spec)
+        h = ergodicity._binned(ergodicity._bin_index(pts, spec), w, spec)
+        assert h.masses.tobytes() == masses.tobytes() and h.out_mass == out
+        if spec.dim >= 2:
+            law = EmpiricalLaw(pts[:, :1], pts[:, 1:], weights=w)
+            masses, out = _histogramdd(pts, law.weights, spec)
+            h = histogram_law(law, spec)
+            assert h.masses.tobytes() == masses.tobytes() and h.out_mass == out
+
+    def test_a_law_is_binned_once_per_spec(self, monkeypatch):
+        calls = []
+        bin_index = ergodicity._bin_index
+        monkeypatch.setattr(ergodicity, "_bin_index", lambda *a: calls.append(1) or bin_index(*a))
+        law = _law(np.random.default_rng(1), 50)
+        h = histogram_law(law, SPEC2)
+        assert histogram_law(law, HistogramSpec(-4.0, 4.0, 8, dim=2)) is h  # an equal spec
+        assert len(calls) == 1
+        other = histogram_law(law, HistogramSpec(-4.0, 4.0, 4, dim=2))
+        assert len(calls) == 2 and other.masses.size == 16
+        assert not h.masses.flags.writeable
+
     def test_mass_accounting(self):
         law = EmpiricalLaw(np.array([[0.0], [10.0]]), np.array([[0.0], [0.0]]))
         h = histogram_law(law, SPEC2)
@@ -183,6 +238,17 @@ def _same_fit(a, b):
                           equal_nan=True)
 
 
+@st.composite
+def _fit_case(draw):
+    """Grid times, distances in [0, 2] at them, a floor and a window start."""
+    times = draw(_GRID_TIMES)
+    tv = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=times.size, max_size=times.size)))
+    return times, tv, draw(st.floats(0.0, 0.5)), draw(st.floats(-1.0, 11.0))
+
+
+_FIT_CASE = _fit_case()
+
+
 class TestCompareFlows:
     @settings(max_examples=25, deadline=None)
     @given(_SERIES_PAIR, st.integers(0, 10**6))
@@ -198,13 +264,12 @@ class TestCompareFlows:
         assert weighted.noise_floor == s.noise_floor
 
     @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_fit_is_the_windowed_decay_fit(self, data):
-        times = data.draw(_GRID_TIMES)
-        tv = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=times.size,
-                                         max_size=times.size)))
-        floor = data.draw(st.floats(0.0, 0.5))
-        fit_from = data.draw(st.floats(-1.0, 11.0))
+    @given(_FIT_CASE)
+    @example((np.arange(7) * 0.25, np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0,
+                                              1.7734747294731002e-297]), 0.0, -1.0))
+    def test_fit_is_the_windowed_decay_fit(self, case):
+        # the example's slope is about -820, so the prefactor e^intercept overflows to inf
+        times, tv, floor, fit_from = case
         series = TVDecaySeries(times, tv, floor)
         window = times >= fit_from
         _same_fit(series.fit(fit_from), fit_exponential_decay(times[window], tv[window], floor))
@@ -480,7 +545,34 @@ class TestMomentBound:
         assert rep.verdict == "unbounded"
 
 
+def _resampled_floor(law, spec, n_boot, seed):
+    """The noise floor as it was first written: each resample a new cloud,
+    binned by np.histogramdd."""
+    rng = bootstrap_rng(seed, stream=1)
+    n = law.n
+    uniform = np.all(law.weights == law.weights[0])
+    tvs = []
+    for _ in range(n_boot):
+        if uniform:
+            ia, ib = rng.integers(0, n, n), rng.integers(0, n, n)
+        else:
+            ia, ib = rng.choice(n, size=n, p=law.weights), rng.choice(n, size=n, p=law.weights)
+        (ma, oa), (mb, ob) = (_histogramdd(law.points()[i], np.full(n, 1.0 / n), spec)
+                              for i in (ia, ib))
+        tvs.append(float(np.sum(np.abs(ma - mb)) + abs(oa - ob)))
+    return float(np.percentile(tvs, 95.0))
+
+
 class TestNoiseFloor:
+    @settings(max_examples=40, deadline=None)
+    @given(_boxed_cloud(), st.booleans(), st.integers(0, 2**32))
+    def test_floor_is_the_resampled_clouds_floor(self, spec_law, uniform, seed):
+        spec, law = spec_law
+        if uniform:
+            law = EmpiricalLaw(law.x, law.y)
+        assert bootstrap_noise_floor(law, spec, n_boot=12, seed=seed) == _resampled_floor(
+            law, spec, 12, seed)
+
     def test_floor_scales_with_sample_size(self):
         rng = np.random.default_rng(2)
         small = bootstrap_noise_floor(_law(rng, 500), SPEC2, n_boot=60, seed=1)

@@ -223,6 +223,20 @@ class TestInteractionZ2:
         law = self._law([1.0, -2.0], [0.5, 3.0], w=[0.3, 0.7])
         assert z2(0.0, x, y, law)[0, 0] == pytest.approx(-1.0 + 0.4 * 0.5)
 
+    @pytest.mark.parametrize("kernel", [MeanFieldKernel.constant([0.5]),
+                                        MeanFieldKernel.target(lambda xp, yp: np.tanh(yp), 1.0)],
+                             ids=["constant", "target"])
+    def test_x_free_kernel_average_is_one_broadcast_row(self, kernel):
+        # one (1, d2) row for every particle; z2 adds it with the bits of the (n, d2) block
+        rng = np.random.default_rng(2)
+        x, y = rng.normal(size=(5, 1)), rng.normal(size=(5, 1))
+        law = EmpiricalLaw(rng.normal(size=(7, 1)), rng.normal(size=(7, 1)), rng.uniform(size=7))
+        avg = kernel.mean_against(x, y, law)
+        assert avg.shape == (1, 1)
+        z2 = interaction_z2(lambda t, x, y: -y, kernel, kappa=0.3)
+        block = np.broadcast_to(avg, y.shape)
+        assert z2(0.0, x, y, law).tobytes() == (-y + 0.3 * block).tobytes()
+
     def test_odd_target_kernel_cancels_on_symmetric_law(self):
         kern = MeanFieldKernel.target(lambda xp, yp: np.tanh(xp), 1.0)
         z2 = interaction_z2(self._base(), kern, kappa=0.9)

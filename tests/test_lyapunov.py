@@ -179,11 +179,14 @@ class TestSearchReport:
 
         z1 = lambda t, x, y: np.where(np.abs(x) > 10.0, np.nan, -x)
         co = build_coefficients(z1, lambda t, x, y, law: -y, None, 1.0, 1, 1)
-        res = search_constants(co, V1, "linear", eps=0.1, samples=SAMPLES, k_cap=50.0)
-        rep = check_drift_condition(co, V1, PhiFamily("linear", res.c0), res.K,
+        # a nan left side makes every K_min nan: the search certifies nothing
+        # (it once bisected to the bracket floor and returned K = nan)
+        for k_cap in (50.0, math.inf):
+            with pytest.raises(CertificationError, match="K_min is nan"):
+                search_constants(co, V1, "linear", eps=0.1, samples=SAMPLES, k_cap=k_cap)
+        rep = check_drift_condition(co, V1, PhiFamily("linear", 1.0), 50.0,
                                     eps=0.1, samples=SAMPLES)
-        assert res.report.flagged and res.report.flagged == rep.flagged
-        assert res.report.verdict == "fails"
+        assert rep.flagged and rep.verdict == "fails"
 
     def test_overflowing_v_flagged_alike_in_both_modes(self):
         # lyapunov_confining.cfg's domain at theta = 200: V leaves the float range

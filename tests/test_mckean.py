@@ -1,8 +1,14 @@
 import hashlib
+import json
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kinsde import ergodicity, integrators
+from kinsde.cli import main as cli_main
 from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, PhaseState, SimConfig
 from kinsde.ergodicity import empirical_var_distance, histogram_law
 from kinsde.fields import (
@@ -33,6 +39,10 @@ INIT = DiracInit(PhaseState([1.0], [1.0]))
 
 def coeffs_with(kappa, kernel=TANH_Y):
     return confining_coefficients(DRIFT, d=1, kernel=kernel, kappa=kappa)
+
+
+def chunk_steps(cfg: SimConfig) -> int:
+    return -(-integrators._CHUNK_NORMALS // (cfg.N * cfg.m))
 
 
 def atom_flow(x, y, times):
@@ -141,6 +151,28 @@ class TestParticleSystem:
         plain = simulate_ensemble(cfg, shifted, INIT, stream=2)
         assert np.array_equal(ens.x, plain.x) and np.array_equal(ens.y, plain.y)
 
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_helper_thread_leaves_the_state_bytes(self, n):
+        # mean-field sizes draw their noise on the helper thread; forced onto the
+        # loop thread (threshold above N m), the run must give the same states
+        cfg = SimConfig(T=0.3, h=0.01, N=n, seed=8, hist=HIST)
+        assert n * cfg.m >= integrators._HELPER_MIN_BLOCK and cfg.n_steps > chunk_steps(cfg)
+        co = coeffs_with(0.2)
+        pools = []
+
+        class CountedPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        with mock.patch("concurrent.futures.ThreadPoolExecutor", CountedPool):
+            _, helper = particle_system_run(cfg, co, INIT, record_times=[0.3], stream=3)
+        with mock.patch.object(integrators, "_HELPER_MIN_BLOCK", n * cfg.m + 1):
+            _, serial = particle_system_run(cfg, co, INIT, record_times=[0.3], stream=3)
+        assert len(pools) == 1
+        assert helper.x.tobytes() == serial.x.tobytes()
+        assert helper.y.tobytes() == serial.y.tobytes()
+
     def test_propagation_of_chaos_n_doubling(self):
         co = coeffs_with(0.2)
         fa, _ = particle_system_run(
@@ -189,6 +221,16 @@ class TestPicard:
         )
         floor = bootstrap_noise_floor(flow_i.clouds[-1], HIST, seed=5)
         assert tv < 3.0 * floor
+
+    def test_shipped_iterates_bin_each_cloud_once(self, tmp_path):
+        # configs/mkv_picard.cfg stops after two iterates of 101 clouds each: the
+        # first rho bins its flow and the initial cloud, the noise floor reuses the
+        # last cloud's bins, and the second rho bins only the new flow
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "mkv_picard.cfg"
+        with mock.patch.object(ergodicity, "_bin_index", wraps=ergodicity._bin_index) as spy:
+            assert cli_main(["mkv-picard", str(cfg), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "picard.json").read_text())["iterations"] == 2
+        assert spy.call_count == 203
 
 
 class TestFlowBound:
