@@ -638,7 +638,10 @@ def main(argv: list[str] | None = None) -> int:
             _whole("--workers", args.workers, 1)
         out_dir = args.out or Path(_text("out.dir", kv.get("out.dir", ""))
                                    or os.environ.get("KINSDE_OUT", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
         man = Manifest(out_dir, args.command, text, cfg.seed, cfg.n_steps)
         extra = {"replay": args.replay} if args.command == "ergodicity" else {}
         _SUBCOMMANDS[args.command](kv, cfg, man, **extra)

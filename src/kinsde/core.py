@@ -426,7 +426,8 @@ def ball_lp_seminorm(
 
     Midpoint rule on a product grid intersected with the ball; deterministic,
     error controlled by refinement.  ``p = 1`` recovers the plain integral,
-    which is how the quadrature is validated against closed forms.
+    which is how the quadrature is validated against closed forms; ``p = inf``
+    is the max of |f_t| over the grid's points in the ball.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     d = center.size
@@ -440,6 +441,8 @@ def ball_lp_seminorm(
     inside = np.sum(offs * offs, axis=1) <= 1.0
     pts = center[None, :] + offs[inside]
     mags = _field_magnitude(f, t, pts)
+    if p == math.inf:
+        return float(np.max(mags))
     return float(np.sum(mags**p) * cell) ** (1.0 / p)
 
 
@@ -456,8 +459,8 @@ def localized_lpq_norm(
     ``centers`` should cover the region where the norm may be attained (a
     lattice plus any declared singular atoms of ``f``); the sup over all of
     space is unattainable numerically, so this is grid-resolution evidence
-    only.  Raises :class:`NormDivergedError` if quadrature is non-finite at
-    some center.
+    only.  At ``q = inf`` the time norm is the max over the time grid.  Raises
+    :class:`NormDivergedError` if quadrature is non-finite at some center.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     t_grid = np.linspace(0.0, T, n_time)
@@ -465,7 +468,8 @@ def localized_lpq_norm(
     for c in centers:
         with np.errstate(over="ignore"):  # an overflow is reported as the divergence below
             g = np.array([ball_lp_seminorm(f, t, c, pair.p, n_ball) for t in t_grid])
-            val = float(np.trapezoid(g**pair.q, t_grid)) ** (1.0 / pair.q)
+            val = (float(np.max(g)) if pair.q == math.inf
+                   else float(np.trapezoid(g**pair.q, t_grid)) ** (1.0 / pair.q))
         if not np.isfinite(val):
             raise NormDivergedError(c)
         best = max(best, val)

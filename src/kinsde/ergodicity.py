@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from kinsde.core import (CoefficientSet, EmpiricalLaw, HistogramSpec, InputError, MeasureFlow,
-                         NumericError, SimConfig)
+from kinsde.core import (EmpiricalLaw, HistogramSpec, InputError, MeasureFlow, NumericError,
+                         SimConfig)
 from kinsde.fields import LyapunovV, PhiFamily
 from kinsde.integrators import bootstrap_rng, simulate_ensemble
 
@@ -88,35 +88,23 @@ def empirical_var_distance(a: HistogramLaw, b: HistogramLaw) -> float:
     return float(np.sum(np.abs(a.masses - b.masses)) + abs(a.out_mass - b.out_mass))
 
 
-def empirical_v_distance(a: HistogramLaw, b: HistogramLaw, V: LyapunovV | None) -> float:
-    """Weighted variation distance, test functions bounded by V at bin centers.
-
-    ``V = None`` means the constant weight 1 (the theta -> 0 limit) and then
-    this is exactly :func:`empirical_var_distance`.  Out-of-box mass gets the
-    weight at the farthest box corner, a conservative overestimate.
-    """
-    if V is None or a.spec != b.spec:
-        return empirical_var_distance(a, b)  # raises on mismatched binning
+def empirical_v_distance(a: HistogramLaw, b: HistogramLaw, V: LyapunovV) -> float:
+    """Weighted variation distance, test functions bounded by V at bin centers; the
+    out-of-box mass is weighted by V at the farthest box corner, an overestimate."""
+    if a.spec != b.spec:
+        raise ValueError("binning mismatch between histogram laws")
     w = V.value_points(a.spec.centers())
     w_out = float(V.value_points(a.spec.corner()[None, :])[0])
     return float(np.sum(w * np.abs(a.masses - b.masses)) + w_out * abs(a.out_mass - b.out_mass))
 
 
-def law_distances(
-    laws_a: Sequence[EmpiricalLaw],
-    laws_b: Sequence[EmpiricalLaw],
-    spec: HistogramSpec,
-    V: LyapunovV | None = None,
-) -> np.ndarray:
-    """Slice-by-slice distance between two law series binned on ``spec``.
-
-    Total variation, or the V-weighted variation when a Lyapunov weight is
-    supplied (see :func:`empirical_v_distance`).
-    """
+def law_distances(laws_a: Sequence[EmpiricalLaw], laws_b: Sequence[EmpiricalLaw],
+                  spec: HistogramSpec) -> np.ndarray:
+    """Slice-by-slice total variation between two law series binned on ``spec``."""
     if len(laws_a) != len(laws_b):
         raise ValueError("law series differ in length")
     return np.array([
-        empirical_v_distance(histogram_law(la, spec), histogram_law(lb, spec), V)
+        empirical_var_distance(histogram_law(la, spec), histogram_law(lb, spec))
         for la, lb in zip(laws_a, laws_b)
     ])
 
@@ -200,11 +188,11 @@ class TVDecaySeries:
         return fit_exponential_decay(self.times[window], self.tv[window], self.noise_floor)
 
 
-def compare_flows(a: MeasureFlow, b: MeasureFlow, spec: HistogramSpec, floor_seed: int,
-                  V: LyapunovV | None = None) -> TVDecaySeries:
+def compare_flows(a: MeasureFlow, b: MeasureFlow, spec: HistogramSpec,
+                  floor_seed: int) -> TVDecaySeries:
     """:func:`law_distances` of two flows recorded at the same times, read against
     the bootstrap noise floor of ``a``'s last cloud at ``floor_seed``."""
-    tv = law_distances(a.clouds, b.clouds, spec, V)
+    tv = law_distances(a.clouds, b.clouds, spec)
     return TVDecaySeries(a.times, tv, bootstrap_noise_floor(a.clouds[-1], spec, seed=floor_seed))
 
 
@@ -405,41 +393,3 @@ def fit_h_envelope(
     lam = lam0 * 0.25
     return HEnvelopeFit(1e9, lam, h_envelope(phi, v0, 1e9, lam, times), False)
 
-
-# --- moment bound check -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class MomentBoundReport:
-    ratios: np.ndarray           # E[sup_t V] / V(X_0, Y_0) per run
-    n_dead: np.ndarray
-    verdict: str                 # bounded | unbounded
-
-
-def moment_bound_check(cfg: SimConfig, coeffs: CoefficientSet, V: LyapunovV,
-                       inits: Sequence) -> MomentBoundReport:
-    """Ratio E[sup_t V(X_t, Y_t)] / V(X_0, Y_0), one run per initial law.
-
-    The sup over grid times is kept while each run steps.  Verdict is
-    "bounded" when the ratios across runs stay within a common factor-2
-    band and nothing blew up; dead particles are excluded from the
-    expectation, counted in the report, and themselves evidence of an
-    unbounded system.
-    """
-    ratios, dead = [], []
-    for init in inits:
-        seen = {}
-
-        def running_sup(k, t, x, y, dW):
-            vals = V.value_points(np.concatenate([x, y], axis=1))
-            if k == 0:
-                seen["v0"], seen["sup"] = float(np.mean(vals)), vals
-            else:
-                seen["sup"] = np.maximum(seen["sup"], vals)
-
-        ens = simulate_ensemble(cfg, coeffs, init, observe=running_sup)
-        ratios.append(float(np.mean(seen["sup"][ens.alive])) / seen["v0"])
-        dead.append(ens.n_dead)
-    ratios = np.asarray(ratios)
-    dead = np.asarray(dead)
-    ok = ratios.max() <= 2.0 * ratios.min() and not np.any(dead)
-    return MomentBoundReport(ratios, dead, "bounded" if ok else "unbounded")

@@ -252,43 +252,3 @@ def search_constants(
     report = _drift_report(V, PhiFamily(phi_kind, best, beta), K, samples, pts, lhs)
     return ConstantSearchResult(c0=best, K=K, report=report)
 
-
-@dataclass(frozen=True)
-class GrowthRatioReport:
-    radii: np.ndarray
-    ratio_max: np.ndarray
-    v_min: np.ndarray
-    verdict: str  # vanishing trend | no trend
-
-
-def check_growth_ratios(
-    V: LyapunovV,
-    phi: PhiFamily | None,
-    radii,
-    eps: float = 0.25,
-    n_dirs: int = 16,
-    seed: int = 0,
-) -> GrowthRatioReport:
-    """Shell maxima of (|d_y V| + ||d_y^2 V||) / (V and Phi(V) minimum).
-
-    Evidence for the growth limit conditions: the verdict is a vanishing
-    trend when the shell maximum decreases monotonically over the top half
-    of the radii.  ``phi = None`` uses the plain V denominator.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be increasing")
-    offs = shell_offsets(V.d2, eps, seed=seed + 1)
-    pts = _shells(radii, n_dirs, V.d1 + V.d2, seed)
-    _, grad_y, hess_yy = shell_norms(V, pts[:, :V.d1], pts[:, V.d1:], offs)
-    num = np.max(grad_y + hess_yy, axis=1).reshape(radii.size, n_dirs)
-    v = V.value_points(pts).reshape(radii.size, n_dirs)
-    denom = v if phi is None else np.minimum(v, np.asarray(phi(v)))
-    ratio_max = np.max(num / denom, axis=1)
-    v_min = np.min(v, axis=1)
-    top = ratio_max[radii.size // 2:]
-    vanishing = bool(np.all(np.diff(top) < 0.0))
-    return GrowthRatioReport(
-        radii=radii, ratio_max=ratio_max, v_min=v_min,
-        verdict="vanishing trend" if vanishing else "no trend",
-    )

@@ -38,17 +38,13 @@ def frozen(flow: MeasureFlow) -> Callable:
     return lambda k, t, *_: flow.law_at(t)
 
 
-def rho_lambda(a: MeasureFlow, b: MeasureFlow, lam: float, spec, V=None) -> float:
-    """sup over grid times of e^(-lam t) times the slice distance.
-
-    The slice distance is plain total variation, or its V-weighted variant
-    when a Lyapunov weight is supplied.
-    """
+def rho_lambda(a: MeasureFlow, b: MeasureFlow, lam: float, spec) -> float:
+    """sup over grid times of e^(-lam t) times the slice total variation."""
     if not 0.0 <= lam < math.inf:
         raise InputError(f"lam must be nonnegative and finite, got {lam!r}")
     if not np.array_equal(a.times, b.times):
         raise ValueError("flows live on different grids")
-    dist = law_distances(a.clouds, b.clouds, spec, V)
+    dist = law_distances(a.clouds, b.clouds, spec)
     return float(max((math.exp(-lam * t) * d for t, d in zip(a.times, dist)), default=0.0))
 
 
@@ -141,16 +137,14 @@ def girsanov_flow_bound(
     record_times: Sequence[float],
     init=None,
     streams: tuple[int, int] = (21, 22),
-    V=None,
 ) -> FlowBoundReport:
     """Empirical TV between the two decoupled laws against its Girsanov bound.
 
     The reference run freezes ``flow_nu``; reweighting it by the exponential
     martingale of the drift-shift field reproduces the ``flow_mu`` dynamics,
-    so twice the weighted relative entropy bounds the squared TV.  The
-    running shift-integral bound is accumulated alongside for the chart.
-    Passing a Lyapunov weight V swaps in the weighted variation distance on
-    the empirical side of the comparison.
+    so twice the weighted relative entropy bounds the squared TV.  Alongside,
+    sqrt(E int_0^t R_s |xi_s|^2 ds) is accumulated: it equals that bound in
+    expectation, and the tests cross-check the Pinsker bound against it.
     """
 
     def delta_z2(t, x, y):
@@ -179,7 +173,7 @@ def girsanov_flow_bound(
                                 record_times=record_times, observe=observe)
     ens_tgt = simulate_ensemble(cfg, coeffs, init, law=frozen(flow_mu), stream=streams[1],
                                 record_times=record_times)
-    series = compare_flows(ens_ref.flow, ens_tgt.flow, cfg.hist, cfg.seed, V)
+    series = compare_flows(ens_ref.flow, ens_tgt.flow, cfg.hist, cfg.seed)
     pinsker = np.array([math.sqrt(max(0.0, 2.0 * float(np.mean(np.exp(lw) * lw))))
                         for lw, _ in snapshots])
     xi_bound = np.array([math.sqrt(max(0.0, float(np.mean(a)))) for _, a in snapshots])

@@ -144,12 +144,6 @@ class ZvonkinSolution:
         y = np.asarray(y, dtype=float)
         return y + self._on_grid(y)[0]
 
-    def theta_prime(self, y) -> np.ndarray:
-        return 1.0 + self._on_grid(y)[1]
-
-    def u_at(self, y) -> np.ndarray:
-        return self._on_grid(y)[0]
-
     def theta_inv(self, ty, clamp: bool = False, hits: list | None = None) -> np.ndarray:
         """Monotone piecewise-linear inverse; refuses extrapolation.
 

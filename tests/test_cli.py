@@ -343,6 +343,23 @@ class TestSimulate:
         assert main(["simulate", str(cfg)]) == 0
         assert (tmp_path / "envout" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("name", ["file", "file/sub"])
+    def test_out_dir_that_cannot_be_made_exit_2(self, tmp_path, monkeypatch, capsys, via, name):
+        # an existing file, or a directory below one
+        cfg = write_cfg(tmp_path, "drift = zero\n")
+        (tmp_path / "file").write_text("")
+        out = tmp_path / name
+        if via == "flag":
+            argv = ["simulate", str(cfg), "--out", str(out)]
+        else:
+            monkeypatch.setenv("KINSDE_OUT", str(out))
+            argv = ["simulate", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot make output directory {out}: ")
+        assert err.count("\n") == 1
+
 
 class TestErgodicity:
     def test_replay_exact_exponential(self, tmp_path):

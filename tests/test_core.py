@@ -352,6 +352,30 @@ class TestLocalizedNorm:
         val = localized_lpq_norm(f, pair, T=1.0, centers=np.array([[0.0]]), n_time=9, n_ball=100)
         assert val == pytest.approx(2.0 ** 0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    def test_infinite_p_is_the_max_over_the_ball(self, a):
+        # (int_0^1 ||a||_inf^4 dt)^(1/4) = a; and p = q = inf gives a too
+        f = lambda t, pts: np.full(pts.shape[0], a)
+        kw = dict(T=1.0, centers=np.array([[0.0], [1.5]]), n_time=9, n_ball=100)
+        assert localized_lpq_norm(f, AdmissiblePair(math.inf, 4.0, 1), **kw) == pytest.approx(
+            a, rel=1e-12)
+        assert localized_lpq_norm(f, AdmissiblePair(math.inf, math.inf, 1), **kw) == a
+        bump = lambda t, pts: 1.0 - np.abs(pts[:, 0])
+        top = ball_lp_seminorm(bump, 0.0, np.array([0.0]), math.inf, n_per_axis=10)
+        assert top == pytest.approx(0.9, rel=1e-12)  # the midpoints nearest 0 sit at +-0.1
+
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    def test_infinite_q_is_the_max_over_time(self, a):
+        # the ball L^4 norm of a on [-1, 1] is a 2^(1/4), whatever T is
+        f = lambda t, pts: np.full(pts.shape[0], a)
+        val = localized_lpq_norm(f, AdmissiblePair(4.0, math.inf, 1), T=2.0,
+                                 centers=np.array([[0.0]]), n_time=9, n_ball=100)
+        assert val == pytest.approx(a * 2.0 ** 0.25, rel=1e-12)
+        grow = lambda t, pts: np.full(pts.shape[0], a * (1.0 + t))
+        val = localized_lpq_norm(grow, AdmissiblePair(math.inf, math.inf, 1), T=2.0,
+                                 centers=np.array([[0.0]]), n_time=9, n_ball=100)
+        assert val == pytest.approx(3.0 * a, rel=1e-12)
+
     def test_divergence_reported_with_center(self):
         pair = AdmissiblePair(4.0, 4.0, 1)
         f = lambda t, pts: np.full(pts.shape[0], np.inf)

@@ -17,7 +17,6 @@ from kinsde.lyapunov import (
     CertificationError,
     LogRadialSamples,
     check_drift_condition,
-    check_growth_ratios,
     drift_condition_lhs,
     search_constants,
     shell_norms,
@@ -297,46 +296,3 @@ class TestDriftLhs:
         scale = np.maximum(1.0, np.abs(ref))
         assert np.max(np.abs(drift_condition_lhs(co, V, 0.1, pts) - ref) / scale) < 1e-12
 
-
-class TestGrowthRatios:
-    def test_theta_one_linear_phi_vanishing(self):
-        radii = np.array([1.0, 3.0, 10.0, 30.0, 100.0])
-        rep = check_growth_ratios(V1, PhiFamily("linear", 1.0), radii, eps=0.25)
-        assert rep.verdict == "vanishing trend"
-        assert rep.ratio_max[-1] < 0.05
-        assert rep.v_min[-1] > rep.v_min[0]
-
-    def test_small_theta_with_plain_v_denominator(self):
-        V = LyapunovV(0.4, 1, 1)
-        radii = np.array([1.0, 3.0, 10.0, 30.0, 100.0])
-        rep = check_growth_ratios(V, None, radii, eps=0.25)
-        assert rep.verdict == "vanishing trend"
-
-    def test_interior_point_is_finite(self):
-        radii = np.array([0.01, 0.1, 1.0, 10.0])
-        rep = check_growth_ratios(V1, PhiFamily("linear", 1.0), radii, eps=0.25)
-        assert np.all(np.isfinite(rep.ratio_max))
-
-    def test_radii_must_increase(self):
-        with pytest.raises(ValueError):
-            check_growth_ratios(V1, None, [1.0, 0.5, 2.0])
-
-    @pytest.mark.parametrize("d2", [1, 2])
-    def test_matches_per_offset_svd_reference(self, d2):
-        V = LyapunovV(0.6, 1, d2)
-        phi = PhiFamily("superlinear", 0.5, 0.5)
-        radii = np.array([0.5, 2.0, 8.0])
-        rep = check_growth_ratios(V, phi, radii, eps=0.25, n_dirs=5, seed=4)
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(4)))
-        dirs = rng.standard_normal((5, 1 + d2))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        offs = shell_offsets(d2, 0.25, 32, 5)
-        for j, r in enumerate(radii):
-            ratios = []
-            for u in dirs:
-                x, y = r * u[:1], r * u[1:]
-                v = V.value(x, y)
-                num = max(np.linalg.norm(b.grad_y) + np.linalg.norm(b.hess_yy, 2)
-                          for b in (V.blocks(x, y + off) for off in offs))
-                ratios.append(num / min(v, phi(v)))
-            assert rep.ratio_max[j] == pytest.approx(max(ratios), rel=1e-12)

@@ -95,13 +95,6 @@ class TestMeasureFlowAndRho:
             rho_lambda(a, b, 1.0, HIST) + rho_lambda(b, c, 1.0, HIST) + 1e-15
         )
 
-    def test_v_weighted_variant_dominates(self):
-        from kinsde.fields import LyapunovV
-
-        a, b = self._flow_pair(1)
-        V = LyapunovV(1.0, 1, 1)
-        assert rho_lambda(a, b, 0.5, HIST, V=V) >= rho_lambda(a, b, 0.5, HIST)
-
     def test_grid_mismatch_rejected(self):
         base = EmpiricalLaw(np.zeros((1, 1)), np.zeros((1, 1)))
         a = MeasureFlow(np.array([0.0, 1.0]), [base, base])
