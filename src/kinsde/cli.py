@@ -456,6 +456,10 @@ def cmd_zvonkin(kv, cfg, man):
     if not L < 2.0**1023:  # else the grid [-L, L] is wider than the float range
         raise InputError(f"zvonkin.L must be below 2^1023, got {L!r}")
     n = _whole("zvonkin.n", kv.get("zvonkin.n", 4001), 5)
+    dy = 2.0 * L / (n - 1)
+    if dy * dy < sys.float_info.min:  # else the solve divides by dy^2 = 0
+        raise InputError(f"zvonkin.L, zvonkin.n: the grid step 2L/(n - 1) = {dy!r} is too small,"
+                         " its square underflows")
     eps = _real("zvonkin.eps", kv.get("zvonkin.eps", 0.1))
     if not 0.0 < eps < 1.0:
         raise InputError(f"zvonkin.eps must lie in (0, 1), got {eps!r}")

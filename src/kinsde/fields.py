@@ -7,6 +7,7 @@ the package ever divides by zero.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -21,7 +22,8 @@ class RieszDrift:
 
     b(x) = sum_j w_j (x - y_j) / max(|x - y_j|, eta_sing)^(alpha + 1)
 
-    The floor ``eta_sing`` keeps evaluation total; away from the atoms the
+    The floor ``eta_sing`` keeps evaluation total, so a floor whose power
+    ``eta_sing^(alpha + 1)`` underflows is refused; away from the atoms the
     value does not depend on it.
     """
 
@@ -41,6 +43,9 @@ class RieszDrift:
             raise InputError("atom weights must be positive")
         if not eta_sing > 0:
             raise InputError("eta_sing must be positive")
+        if eta_sing < 1.0 and eta_sing ** (alpha + 1.0) < sys.float_info.min:
+            # else the value at an atom is 0 / 0 and next to one x / 0
+            raise InputError(f"eta_sing^(alpha + 1) underflows at eta_sing = {eta_sing!r}")
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "alpha", float(alpha))

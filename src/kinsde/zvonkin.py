@@ -15,6 +15,7 @@ table for Theta^{-1}, then one shared grid index for Theta' and u.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -168,6 +169,48 @@ class ZvonkinSolution:
         return ty + self._on_theta(ty)[0]
 
 
+def _solve_tridiagonal(dl: list, d: list, du: list, b: list) -> list:
+    """x with A x = b for the tridiagonal A with sub-, main and super-diagonals
+    ``dl``, ``d`` and ``du``, by LAPACK ``dgtsv``'s steps in its order.
+
+    Gaussian elimination swaps rows i and i + 1 when |dl[i]| > |d[i]|, and
+    back substitution keeps the second super-diagonal that a swap fills in,
+    so on Python floats the result equals ``dgtsv``'s (and
+    ``scipy.linalg.solve_banded((1, 1), ...)``'s) bit for bit.  The lists are
+    overwritten.  A zero pivot raises ``NumericError``, where ``dgtsv`` returns
+    NaN or fails.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise NumericError(f"tridiagonal solve: zero pivot in row {i + 1}")
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:  # row interchange; dl[i] becomes the fill-in above du[i + 1]
+            if dl[i] == 0.0:  # d[i] is NaN: dgtsv pivots on this 0 and returns NaN
+                raise NumericError(f"tridiagonal solve: zero pivot in row {i + 1}")
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise NumericError(f"tridiagonal solve: zero pivot in row {n}")
+    b[n - 1] /= d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
 def solve_resolvent_1d(
     b: Callable | float,
     sigma: Callable | float,
@@ -178,9 +221,10 @@ def solve_resolvent_1d(
     """Second-order central finite differences with Dirichlet u(+-L) = 0.
 
     ``b`` and ``sigma`` are scalar fields on R (callables on 1-D arrays or
-    constants).  The discrete residual must come back below 1e-8 of the
-    right-hand-side scale, which a direct tridiagonal solve guarantees
-    unless the system is near singular.
+    constants).  The tridiagonal system is solved by ``_solve_tridiagonal``,
+    an exact port of LAPACK ``dgtsv``.  The discrete residual must come back
+    below 1e-8 of the right-hand-side scale, which a direct tridiagonal solve
+    guarantees unless the system is near singular.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -191,6 +235,8 @@ def solve_resolvent_1d(
     with np.errstate(over="ignore"):  # |y|^2 or dy^2 past the float range: their terms round to 0
         b_vals = np.full(n, float(b)) if np.isscalar(b) else np.asarray(b(y), dtype=float)
         dy2 = dy**2
+    if dy2 < sys.float_info.min:
+        raise InputError(f"grid step {dy!r} too small: its square underflows; widen L or lower n")
     s_vals = np.full(n, float(sigma)) if np.isscalar(sigma) else np.asarray(sigma(y), dtype=float)
     if np.any(s_vals**2 <= 0):
         raise NumericError("sigma^2 must be positive on the grid")
@@ -203,15 +249,8 @@ def solve_resolvent_1d(
     upper = si / dy2 + bi / (2.0 * dy)
     rhs = -bi
 
-    ab = np.zeros((3, n - 2))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    from scipy.linalg import solve_banded  # here, so that importing the CLI skips scipy
-    try:
-        interior = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely here
-        raise NumericError(str(exc)) from exc
+    interior = np.array(_solve_tridiagonal(lower[1:].tolist(), diag.tolist(),
+                                           upper[:-1].tolist(), rhs.tolist()))
     if not np.all(np.isfinite(interior)):
         raise NumericError("tridiagonal solve produced non-finite values")
 

@@ -194,6 +194,16 @@ class TestConfigHandling:
          ("h-bound", "hbound.v0 = inf\n", "hbound.v0 must be finite, got inf"),
          # a grid [-L, L] wider than the float range once crashed the resolvent solve
          ("zvonkin", "zvonkin.L = 1e308\n", "zvonkin.L must be below 2^1023, got 1e+308"),
+         # a grid step whose square underflows, or a Riesz floor whose power does, once
+         # crashed the resolvent solve (and made the Riesz drift NaN at its atom)
+         ("zvonkin", "zvonkin.L = 1e-160\n", "zvonkin.L, zvonkin.n: the grid step"),
+         ("zvonkin", "zvonkin.L = 1e-300\n", "zvonkin.L, zvonkin.n: the grid step"),
+         ("zvonkin", "drift = confining\nriesz.atoms = [(0.0, 1.0)]\nriesz.eta = 1e-300\n",
+          "riesz.atoms, riesz.alpha, riesz.eta: eta_sing^(alpha + 1) underflows"),
+         ("simulate", "drift = confining\nriesz.atoms = [(0.0, 1.0)]\nriesz.eta = 1e-300\n",
+          "riesz.atoms, riesz.alpha, riesz.eta: eta_sing^(alpha + 1) underflows"),
+         ("khasminskii", "drift = scalar_ou\nkhasminskii.f = riesz\nriesz.atoms = [(0.0, 0.5)]\n"
+          "riesz.eta = 1e-300\n", "riesz.eta: eta_sing^(alpha + 1) underflows"),
          ("lyapunov-check", "lyap.kcap = nan\n",
           "lyap.kcap: k_cap must be a number or inf, got nan"),
          ("lyapunov-check", "phi.c0 = 1.0\nlyap.kcap = nan\n", "lyap.kcap must be finite, got nan"),
@@ -638,6 +648,39 @@ class TestOtherSubcommands:
         transformed = ensembles[1]
         digests["transformed"] = hashlib.sha256(b"".join(
             a.tobytes() for a in (transformed.x, transformed.y, transformed.alive))).hexdigest()
+        assert digests == self.ZVONKIN_SHA256
+
+    def test_zvonkin_bytes_without_scipy(self, tmp_path):
+        """The same run in a process that cannot import scipy."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((ROOT / "configs" / "zvonkin_riesz.cfg").read_text()
+                       .replace("N = 10000", "N = 2000").replace("T = 1.0", "T = 0.2"))
+        code = f"""
+import hashlib, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{{name}} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+import kinsde.zvonkin as zvonkin
+from kinsde.cli import main
+
+ensembles = []
+simulate = zvonkin.simulate_ensemble
+zvonkin.simulate_ensemble = lambda *a, **k: ensembles.append(simulate(*a, **k)) or ensembles[-1]
+assert main(["zvonkin", {str(cfg)!r}, "--out", {str(tmp_path)!r}]) == 0
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+t = ensembles[1]
+print(hashlib.sha256(b"".join(a.tobytes() for a in (t.x, t.y, t.alive))).hexdigest())
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True)
+        assert out.returncode == 0, out.stderr
+        digests = {name: file_sha256(tmp_path / name) for name in ("zvonkin.json", "solution.csv")}
+        digests["transformed"] = out.stdout.strip()
         assert digests == self.ZVONKIN_SHA256
 
     # configs/ergodicity_riesz.cfg (confining pair plus the floored Riesz drift)

@@ -74,7 +74,7 @@ def shrunk(path: Path) -> list[str]:
 
 
 SHRUNK = {p.stem: shrunk(p) for p in sorted((ROOT / "configs").glob("*.cfg"))}
-MUTATIONS = ["wrong type", "0", "-1", "nan", "inf", "1e300", "deleted", "repeated"]
+MUTATIONS = ["wrong type", "0", "-1", "nan", "inf", "1e300", "1e-300", "deleted", "repeated"]
 
 
 def mutated(lines: list[str], key: str, how: str) -> str:

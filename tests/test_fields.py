@@ -59,6 +59,17 @@ class TestRieszDrift:
         rz = RieszDrift([(0.0, 1.0)], alpha=0.5, eta_sing=1e-6)
         assert np.all(np.isfinite(rz(np.array([[0.0], [1e-12]]))))
 
+    @pytest.mark.parametrize("alpha, eta", [(0.5, 1e-205), (0.01, 1e-300), (0.99, 1e-154)])
+    def test_finite_at_atom_for_the_smallest_accepted_floors(self, alpha, eta):
+        rz = RieszDrift([(0.0, 1.0)], alpha=alpha, eta_sing=eta)
+        assert np.all(np.isfinite(rz(np.array([[0.0], [-0.0], [1e-12], [1e-250]]))))
+
+    @pytest.mark.parametrize("alpha, eta", [(0.5, 1e-300), (0.5, 1e-206), (0.99, 1e-155)])
+    def test_floor_whose_power_underflows_rejected(self, alpha, eta):
+        # eta^(alpha + 1) below the smallest normal float: 0 / 0 at the atom
+        with pytest.raises(InputError, match="underflows"):
+            RieszDrift([(0.0, 1.0)], alpha=alpha, eta_sing=eta)
+
     def test_2d_atoms(self):
         rz = RieszDrift([((1.0, 0.0), 2.0)], alpha=0.5)
         v = rz(np.array([[0.0, 0.0]]))[0]

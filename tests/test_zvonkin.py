@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import solve_banded
 
 import kinsde.zvonkin as zvonkin
 from kinsde.cli import main
-from kinsde.core import DiracInit, HistogramSpec, NumericError, PhaseState, SimConfig
+from kinsde.core import DiracInit, HistogramSpec, InputError, NumericError, PhaseState, SimConfig
 from kinsde.fields import ConfiningDrift, RieszDrift, build_coefficients
 from kinsde.integrators import drift_difference_xi, step_arrays
 from kinsde.zvonkin import (
     ZvonkinSolution,
     _KnotTables,
+    _solve_tridiagonal,
     equivalence_experiment,
     lambda_sweep,
     solve_resolvent_1d,
@@ -99,6 +102,46 @@ class TestKnotTables:
                 _KnotTables(np.array(x))
 
 
+@st.composite
+def tridiagonal_systems(draw):
+    """(dl, d, du, b) of size 2-300.  Each row's pivot is drawn either diagonally
+    dominant (no interchange) or below |dl| (an interchange), or left as drawn."""
+    n = draw(st.integers(2, 300))
+    vals = st.floats(-1e3, 1e3, allow_subnormal=False)
+    dl, du = (draw(hnp.arrays(float, n - 1, elements=vals)) for _ in range(2))
+    d, b = (draw(hnp.arrays(float, n, elements=vals)) for _ in range(2))
+    kind = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 2)))
+    off = np.abs(np.append(dl, 0.0)) + np.abs(np.append(0.0, du))
+    d = np.where(kind == 1, np.copysign(off + 1.0, d), d)
+    d = np.where(kind == 2, 1e-3 * np.append(dl, 1.0), d)
+    return dl, d, du, b
+
+
+class TestTridiagonalSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(tridiagonal_systems())
+    def test_equals_lapack_gtsv(self, system):
+        dl, d, du, b = system
+        ab = np.zeros((3, d.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        try:
+            ref = solve_banded((1, 1), ab, b)
+        except np.linalg.LinAlgError:
+            with pytest.raises(NumericError, match="zero pivot"):
+                _solve_tridiagonal(dl.tolist(), d.tolist(), du.tolist(), b.tolist())
+            return
+        got = np.array(_solve_tridiagonal(dl.tolist(), d.tolist(), du.tolist(), b.tolist()))
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dl, d, du", [([0.0], [0.0, 1.0], [1.0]),   # first pivot
+                                           ([1.0], [1.0, 1.0], [1.0]),   # last pivot
+                                           ([0.0, 0.0], [1.0, 0.0, 1.0], [2.0, 3.0]),
+                                           ([0.0], [np.nan, 1.0], [1.0])])  # NaN over 0
+    def test_zero_pivot_raises(self, dl, d, du):
+        with pytest.raises(NumericError, match="zero pivot"):
+            _solve_tridiagonal(dl, d, du, [1.0] * len(d))
+
+
 class TestResolventSolve:
     def test_zero_rhs_gives_exact_zero(self):
         sol = solve_resolvent_1d(0.0, 1.0, lam=1.0, L=5.0, n=201)
@@ -155,6 +198,16 @@ class TestResolventSolve:
     def test_degenerate_sigma_rejected(self):
         with pytest.raises(NumericError):
             solve_resolvent_1d(1.0, 0.0, lam=1.0, L=5.0, n=101)
+
+    def test_drift_not_finite_on_the_grid_is_numeric(self):
+        # NaN at y = -0.5 and a zero sub-diagonal next to it: a NaN over 0 in the solve
+        with pytest.raises(NumericError):
+            solve_resolvent_1d(lambda y: np.where(y == -0.5, np.nan, 2.0), 1.0, 1.0, 1.0, 5)
+
+    @pytest.mark.parametrize("L", [1e-160, 1e-300])
+    def test_grid_step_whose_square_underflows_rejected(self, L):
+        with pytest.raises(InputError, match="its square underflows"):
+            solve_resolvent_1d(1.0, 1.0, lam=1.0, L=L, n=4001)
 
 
 class TestLambdaSweep:
