@@ -58,6 +58,28 @@ def _row_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
+def _percentiles(a, qs) -> list[float]:
+    """``np.percentile(a, qs)`` of a 1-d float sample, by numpy's own steps for its
+    default linear method, so the bytes are numpy's: one partition at the same
+    indices, the floor index (the last element from q = 100 on), and ``_lerp``
+    with its ``t >= 0.5`` branch; a NaN in ``a`` makes every value that NaN.
+    ``np.percentile`` calls ``np.unique``, which imports numpy.ma (1.2 MB)."""
+    arr = np.array(a, dtype=float).ravel()
+    n = arr.size
+    at = [(n - 1) * (q / 100) for q in qs]
+    lo = [-1 if v >= n - 1 else math.floor(v) for v in at]
+    hi = [i if i == -1 else i + 1 for i in lo]
+    arr.partition(np.array(sorted({0, -1, *lo, *hi})))
+    if math.isnan(arr[-1]):
+        return [float(arr[-1])] * len(at)
+    out = []
+    for v, i, j in zip(at, lo, hi):
+        a_i, a_j, t = float(arr[i]), float(arr[j]), v - i
+        diff = a_j - a_i
+        out.append(a_j - diff * (1 - t) if t >= 0.5 else a_i + diff * t)
+    return out
+
+
 @dataclass(frozen=True)
 class PhaseState:
     """A point (x, y) in phase space; x carries no noise, y does."""
@@ -234,7 +256,8 @@ class SimConfig:
                 raise InputError(f"record time {t:.12g} " + (
                     f"is off the step grid h = {self.h!r}" if off
                     else f"lies outside [0, T = {self.T!r}]"))
-        return np.unique(steps.astype(int))
+        # np.unique would import numpy.ma (1.2 MB) into every run
+        return np.array(sorted(set(steps.astype(int).tolist())), dtype=int)
 
 
 def off_grid(ratio):

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from kinsde.core import (EmpiricalLaw, HistogramSpec, InputError, MeasureFlow, NumericError,
-                         SimConfig)
+                         SimConfig, _percentiles)
 from kinsde.fields import LyapunovV, PhiFamily
 from kinsde.integrators import bootstrap_rng, simulate_ensemble
 
@@ -135,7 +135,7 @@ def bootstrap_noise_floor(
             ia = rng.choice(n, size=n, p=law.weights)
             ib = rng.choice(n, size=n, p=law.weights)
         tvs[i] = empirical_var_distance(_binned(idx[ia], w, spec), _binned(idx[ib], w, spec))
-    return float(np.percentile(tvs, 95.0))
+    return _percentiles(tvs, [95.0])[0]
 
 
 # --- exponential decay fits -------------------------------------------------------

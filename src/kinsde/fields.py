@@ -384,7 +384,7 @@ def linear_langevin_coefficients(d: int = 1, sigma=None) -> CoefficientSet:
     if sigma is None:
         sigma = np.sqrt(2.0)
     return build_coefficients(
-        z1=lambda t, x, y: y.copy(),
+        z1=lambda t, x, y: y,  # nothing writes into a drift block
         z2=lambda t, x, y, law: -x - y,
         b=None,
         sigma=sigma,

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from kinsde.core import (CoefficientSet, EmpiricalLaw, InputError, MeasureFlow, NumericError,
-                         SimConfig, _row_norm)
+                         SimConfig, _percentiles, _row_norm)
 
 BLOWUP_THRESHOLD = 1e12
 UNSTABLE_DEAD_FRACTION = 1e-3
@@ -467,8 +467,8 @@ def khasminskii_estimate(
     for i in range(n_boot):
         idx = rng.integers(0, vals.size, vals.size)
         boots[i] = np.mean(vals[idx])
-    lo, hi = np.percentile(boots, [2.5, 97.5])
-    return KhasminskiiResult(est, float(lo), float(hi), False)
+    lo, hi = _percentiles(boots, [2.5, 97.5])
+    return KhasminskiiResult(est, lo, hi, False)
 
 
 # --- snapshot persistence ---------------------------------------------------------

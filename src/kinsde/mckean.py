@@ -15,9 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from kinsde.core import CloudInit, CoefficientSet, EmpiricalLaw, InputError, MeasureFlow, SimConfig
-from kinsde.ergodicity import (DecayFit, TVDecaySeries, bootstrap_noise_floor, compare_flows,
-                               law_distances)
+from kinsde.core import (CloudInit, CoefficientSet, EmpiricalLaw, HistogramSpec, InputError,
+                         MeasureFlow, SimConfig)
+from kinsde.ergodicity import (DecayFit, HistogramLaw, TVDecaySeries, bootstrap_noise_floor,
+                               compare_flows, empirical_var_distance, histogram_law)
 from kinsde.integrators import (
     Ensemble,
     GirsanovAccumulator,
@@ -38,13 +39,42 @@ def frozen(flow: MeasureFlow) -> Callable:
     return lambda k, t, *_: flow.law_at(t)
 
 
+class _ReadOnceFlow(MeasureFlow):
+    """A flow that only the Picard loop holds, frozen into its next iterate.
+
+    Step j reads cloud j once, and from then on rho_lam needs only the cloud's
+    histogram, which ``hists`` keeps: :meth:`law_at` drops the cloud, so an
+    iterate holds one flow and a slice, not two flows.  It takes over
+    ``flow``'s list of clouds, so ``flow`` must be one that nothing else holds."""
+
+    def __init__(self, flow: MeasureFlow, spec: HistogramSpec):
+        super().__init__(flow.times, flow.clouds)
+        # the previous iterate's rho_lam binned these clouds already (histogram_law memo)
+        object.__setattr__(self, "hists", [histogram_law(law, spec) for law in flow.clouds])
+
+    def law_at(self, t: float) -> EmpiricalLaw:
+        law = super().law_at(t)
+        if law is None:
+            raise ValueError(f"the frozen law at t = {t!r} was read already")
+        self.clouds[self._index[t]] = None
+        return law
+
+
+def _histograms(flow: MeasureFlow, spec: HistogramSpec) -> list[HistogramLaw]:
+    """The flow's slice histograms on ``spec``; a :class:`_ReadOnceFlow` gives the
+    ones it kept (binned on the spec it was built with)."""
+    if isinstance(flow, _ReadOnceFlow):
+        return flow.hists
+    return [histogram_law(law, spec) for law in flow.clouds]
+
+
 def rho_lambda(a: MeasureFlow, b: MeasureFlow, lam: float, spec) -> float:
     """sup over grid times of e^(-lam t) times the slice total variation."""
     if not 0.0 <= lam < math.inf:
         raise InputError(f"lam must be nonnegative and finite, got {lam!r}")
     if not np.array_equal(a.times, b.times):
         raise ValueError("flows live on different grids")
-    dist = law_distances(a.clouds, b.clouds, spec)
+    dist = map(empirical_var_distance, _histograms(a, spec), _histograms(b, spec))
     return float(max((math.exp(-lam * t) * d for t, d in zip(a.times, dist)), default=0.0))
 
 
@@ -75,7 +105,8 @@ def picard_iterate(flow: MeasureFlow, cfg: SimConfig, coeffs: CoefficientSet, in
                    lam: float) -> tuple[MeasureFlow, float]:
     """One application of the law-flow map with ``flow`` frozen in: the next
     flow and its rho_lam distance from ``flow``.  Every iterate runs on
-    stream 0, so successive iterates share their noise."""
+    stream 0, so successive iterates share their noise.  ``flow`` is left as it
+    is, unless it is the Picard loop's own :class:`_ReadOnceFlow`."""
     ens = simulate_ensemble(cfg, coeffs, init, law=frozen(flow), record_times=cfg.times())
     return ens.flow, rho_lambda(ens.flow, flow, lam, cfg.hist)
 
@@ -100,18 +131,23 @@ def picard_fixed_point(
     """Iterate the law-flow map from the flow frozen at the initial law until rho
     falls below twice the bootstrap noise floor, or for ``max_iter`` iterates.
     The metric weight ``lam`` defaults to the 4 kappa T heuristic; a weight that
-    is negative or not finite is refused before any run."""
+    is negative or not finite, or ``max_iter`` below 1, is refused before any run.
+
+    Each iterate reads a flow that the loop alone holds (:class:`_ReadOnceFlow`),
+    so the loop holds one flow and a slice at a time, not two flows."""
     if lam is None:
         lam = 4.0 * max(kappa, 0.25) * max(1.0, cfg.T)
     if not 0.0 <= lam < math.inf:
         raise InputError(f"lam must be nonnegative and finite, got {lam!r}")
+    if max_iter < 1:
+        raise InputError(f"max_iter must be at least 1, got {max_iter!r}")
     flow = constant_flow(EmpiricalLaw(*init.sample(cfg.N)), cfg.times())
-    flow, rho = picard_iterate(flow, cfg, coeffs, init, lam)
+    flow, rho = picard_iterate(_ReadOnceFlow(flow, cfg.hist), cfg, coeffs, init, lam)
     rhos = [rho]
     floor = bootstrap_noise_floor(flow.clouds[-1], cfg.hist, seed=cfg.seed)
     converged = False
     while len(rhos) < max_iter and not converged:
-        flow, rho = picard_iterate(flow, cfg, coeffs, init, lam)
+        flow, rho = picard_iterate(_ReadOnceFlow(flow, cfg.hist), cfg, coeffs, init, lam)
         rhos.append(rho)
         converged = rho < 2.0 * floor
     return PicardResult(flow, rhos, lam, converged, floor)

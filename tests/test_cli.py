@@ -683,6 +683,31 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in (t.x, t.y, t.alive))).hexdige
         digests["transformed"] = out.stdout.strip()
         assert digests == self.ZVONKIN_SHA256
 
+    def test_no_subcommand_imports_numpy_ma(self, tmp_path):
+        """Every subcommand, on its shrunk shipped config, and ``verify`` run in
+        one process that never imports numpy.ma (1.2 MB of every run's memory)."""
+        from test_failures import COMMAND, SHRUNK
+
+        runs = []
+        for name, lines in sorted(SHRUNK.items()):
+            (tmp_path / f"{name}.cfg").write_text("\n".join(lines) + "\n")
+            runs.append([COMMAND[name], str(tmp_path / f"{name}.cfg"), "--out",
+                         str(tmp_path / name)])
+        runs.append(["verify", str(tmp_path / "langevin" / "manifest.json")])
+        code = f"""
+import sys
+from kinsde.cli import main
+
+for argv in {runs!r}:
+    assert main(argv) == 0, argv
+    if "numpy.ma" in sys.modules:
+        sys.exit(f"{{argv[0]}} imported numpy.ma")
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True)
+        assert out.returncode == 0, out.stderr
+
     # configs/ergodicity_riesz.cfg (confining pair plus the floored Riesz drift)
     # at N = 2000 and T = 1.0, and the sha256 of its outputs and of both final
     # ensembles' x, y and alive bytes, captured before the particle fields

@@ -17,6 +17,7 @@ from kinsde.core import (
     NormDivergedError,
     PhaseState,
     SimConfig,
+    _percentiles,
     ball_lp_seminorm,
     localized_lpq_norm,
 )
@@ -186,6 +187,43 @@ class TestRecordSteps:
                 SimConfig(T=t, h=0.01, N=1, seed=0)
             with pytest.raises(InputError, match="off the step grid"):
                 cfg.record_steps([t])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-3, 0.5), st.integers(0, 60), st.data())
+    def test_equal_to_numpy_unique(self, h, K, data):
+        # the steps np.unique gave, in its dtype and bytes, empty input included
+        steps = np.array(data.draw(st.lists(st.integers(0, K), max_size=20)), dtype=float)
+        cfg = SimConfig(T=K * h if K else h, h=h, N=1, seed=0)
+        got = cfg.record_steps(steps * h)
+        want = np.unique(np.round(steps * h / h).astype(int))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ties, signed zeros, infinities and NaN, next to ordinary values
+SAMPLE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                          st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestPercentiles:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(SAMPLE_VALUES, min_size=1, max_size=500),
+           st.lists(st.floats(0.0, 100.0), min_size=1, max_size=3))
+    @example([0.0, -0.0, 0.0, -0.0], [95.0])
+    @example([1.0, math.inf], [100.0, 97.5])
+    @example([-math.inf, math.inf, 2.0], [50.0])
+    @example([3.0, math.nan, 1.0], [2.5, 97.5])
+    def test_equal_to_numpy_by_bytes(self, values, qs):
+        a = np.array(values)
+        with np.errstate(all="ignore"):
+            want = np.percentile(a, qs)  # a list of q: numpy's array path
+            want_one = np.percentile(a, qs[0])  # a float q: numpy's scalar path
+        assert np.array(_percentiles(a, qs)).tobytes() == want.tobytes()
+        assert np.float64(_percentiles(a, qs[:1])[0]).tobytes() == np.float64(want_one).tobytes()
+
+    def test_input_left_as_it_is(self):
+        a = np.array([3.0, 1.0, 2.0])
+        assert _percentiles(a, [50.0]) == [2.0]
+        assert a.tolist() == [3.0, 1.0, 2.0]
 
 
 class TestMeasureFlow:

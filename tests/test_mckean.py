@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -7,9 +8,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kinsde import ergodicity, integrators
+from kinsde import ergodicity, integrators, mckean
 from kinsde.cli import main as cli_main
-from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, PhaseState, SimConfig
+from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, InputError, PhaseState, SimConfig
 from kinsde.ergodicity import empirical_var_distance, histogram_law
 from kinsde.fields import (
     ConfiningDrift,
@@ -224,6 +225,68 @@ class TestPicard:
             assert cli_main(["mkv-picard", str(cfg), "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "picard.json").read_text())["iterations"] == 2
         assert spy.call_count == 203
+
+    def test_shipped_second_iterate_drops_each_cloud_once_read(self, tmp_path, monkeypatch):
+        # configs/mkv_picard.cfg: while step k of the second iterate reads its law,
+        # the first iterate's clouds 0 .. k - 2 are gone (cloud k - 1 is still
+        # the law of step k - 1), so the loop holds one flow and a slice
+        iterate, law_at = mckean.picard_iterate, mckean._ReadOnceFlow.law_at
+        refs, dead_at_step = [], []
+
+        def spy_iterate(flow, *args):
+            if spy_iterate.calls == 1:
+                refs.extend(weakref.ref(law) for law in flow.clouds)
+            spy_iterate.calls += 1
+            return iterate(flow, *args)
+
+        def spy_law_at(self, t):
+            if refs:
+                dead_at_step.append([r() is None for r in refs])
+            return law_at(self, t)
+
+        spy_iterate.calls = 0
+        monkeypatch.setattr(mckean, "picard_iterate", spy_iterate)
+        monkeypatch.setattr(mckean._ReadOnceFlow, "law_at", spy_law_at)
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "mkv_picard.cfg"
+        assert cli_main(["mkv-picard", str(cfg), "--out", str(tmp_path)]) == 0
+        assert spy_iterate.calls == 2 and len(refs) == 101
+        assert dead_at_step == [[j < k - 1 for j in range(101)] for k in range(100)]
+        assert all(r() is None for r in refs)
+
+    def test_loop_equals_iterates_and_leaves_caller_flows_intact(self):
+        cfg = SimConfig(T=0.3, h=0.01, N=300, seed=5, hist=HIST)
+        co = coeffs_with(0.2)
+        res = picard_fixed_point(cfg, co, INIT, kappa=0.2, lam=1.0, max_iter=3)
+        flows = [constant_flow(EmpiricalLaw(*INIT.sample(cfg.N)), cfg.times())]
+        rhos = []
+        assert len(res.rho_history) >= 2
+        for _ in res.rho_history:
+            held = list(flows[-1].clouds)
+            data = [(law.x.tobytes(), law.y.tobytes(), law.weights.tobytes()) for law in held]
+            flow, rho = picard_iterate(flows[-1], cfg, co, INIT, lam=1.0)
+            assert len(flows[-1].clouds) == len(held)
+            assert all(a is b for a, b in zip(flows[-1].clouds, held))
+            assert [(law.x.tobytes(), law.y.tobytes(), law.weights.tobytes())
+                    for law in held] == data
+            flows.append(flow)
+            rhos.append(rho)
+        assert res.rho_history == rhos
+        assert [law.x.tobytes() + law.y.tobytes() for law in res.flow.clouds] == [
+            law.x.tobytes() + law.y.tobytes() for law in flows[-1].clouds]
+
+    def test_read_once_flow_refuses_a_second_read(self):
+        law = EmpiricalLaw(*INIT.sample(8))
+        flow = mckean._ReadOnceFlow(constant_flow(law, np.array([0.0, 0.01])), HIST)
+        assert flow.law_at(0.01) is law
+        with pytest.raises(ValueError, match="read already"):
+            flow.law_at(0.01)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_refused_before_any_run(self, monkeypatch, max_iter):
+        monkeypatch.setattr(mckean, "picard_iterate", None)
+        cfg = SimConfig(T=0.1, h=0.01, N=8, seed=5, hist=HIST)
+        with pytest.raises(InputError, match="max_iter must be at least 1, got " + str(max_iter)):
+            picard_fixed_point(cfg, coeffs_with(0.2), INIT, kappa=0.2, max_iter=max_iter)
 
 
 class TestFlowBound:
