@@ -397,6 +397,14 @@ class CoefficientSet:
             out = out + self.b(t, y)
         return out
 
+    def sigma_at(self, t: float, y: np.ndarray) -> np.ndarray:
+        """sigma at (t, y): the constant (d2, m) matrix, or the callable's (n, d2, m)
+        block.  Either broadcasts against a per-particle (n, ...) block, so no
+        caller asks which form sigma has."""
+        if isinstance(self.sigma, np.ndarray):
+            return self.sigma
+        return self.sigma(t, y)
+
     def apply_sigma(self, t: float, y: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """sigma(t, y) @ dw per particle; dw is (n, m)."""
         if isinstance(self.sigma, np.ndarray):

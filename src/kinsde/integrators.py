@@ -402,22 +402,13 @@ def constant_shift_xi(c) -> Callable:
 
 def drift_difference_xi(coeffs: CoefficientSet, delta_z2: Callable) -> Callable:
     """xi = sigma* (sigma sigma*)^-1 (y) applied to a z2 difference field."""
-    if isinstance(coeffs.sigma, np.ndarray):
-        mat = coeffs.sigma
-        proj = mat.T @ np.linalg.inv(mat @ mat.T)
 
-        def xi(t, x, y):
-            return delta_z2(t, x, y) @ proj.T
+    def xi(t, x, y):
+        sig_t = np.swapaxes(coeffs.sigma_at(t, y), -1, -2)  # (m, d2) or (n, m, d2)
+        proj = sig_t @ np.linalg.inv(np.swapaxes(sig_t, -1, -2) @ sig_t)
+        return np.einsum("...ki,...i->...k", proj, delta_z2(t, x, y))
 
-        return xi
-
-    def xi_cb(t, x, y):
-        sig = coeffs.sigma(t, y)
-        a = np.einsum("nij,nkj->nik", sig, sig)
-        proj = np.einsum("nji,njk->nik", sig, np.linalg.inv(a))
-        return np.einsum("nki,ni->nk", proj, delta_z2(t, x, y))
-
-    return xi_cb
+    return xi
 
 
 # --- Khasminskii-type exponential moment estimate ---------------------------------
@@ -464,10 +455,13 @@ def khasminskii_estimate(
     rng = bootstrap_rng(cfg.seed)
     n_boot = 400
     boots = np.empty(n_boot)
-    for i in range(n_boot):
-        idx = rng.integers(0, vals.size, vals.size)
-        boots[i] = np.mean(vals[idx])
+    with np.errstate(over="ignore"):  # a resample may repeat a huge value: its mean is inf
+        for i in range(n_boot):
+            idx = rng.integers(0, vals.size, vals.size)
+            boots[i] = np.mean(vals[idx])
     lo, hi = _percentiles(boots, [2.5, 97.5])
+    # no boot is NaN, so a NaN point interpolates next to an inf one (inf - inf): it is inf
+    lo, hi = (math.inf if math.isnan(v) else v for v in (lo, hi))
     return KhasminskiiResult(est, lo, hi, False)
 
 

@@ -1,6 +1,6 @@
 """One-dimensional Zvonkin change of variables for the noisy block.
 
-Solves the resolvent equation (1/2) sigma^2 u'' + b u' - lam u = -b on a
+Solves the resolvent equation (1/2) sigma sigma* u'' + b u' - lam u = -b on a
 truncated interval with zero boundary values, builds the strictly
 increasing map Theta(y) = y + u(y), and rewrites the system so that the
 (possibly singular) drift b disappears from the transformed coefficients.
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from kinsde.core import (CloudInit, CoefficientSet, EmpiricalLaw, InputError, MeasureFlow,
-                         NumericError, SimConfig)
+                         NumericError, SimConfig, _row_norm)
 from kinsde.ergodicity import compare_flows
 from kinsde.integrators import alive_law, simulate_ensemble
 
@@ -145,11 +145,12 @@ class ZvonkinSolution:
         y = np.asarray(y, dtype=float)
         return y + self._on_grid(y)[0]
 
-    def theta_inv(self, ty, clamp: bool = False, hits: list | None = None) -> np.ndarray:
+    def theta_inv(self, ty, hits: list | None = None) -> np.ndarray:
         """Monotone piecewise-linear inverse; refuses extrapolation.
 
-        With ``clamp=True`` out-of-table queries are clamped to the edge and
-        counted through ``hits`` instead of raising.
+        Given a ``hits`` list, out-of-table queries are clamped to the edge
+        and their count is appended to it instead of raising: nothing is
+        clamped uncounted.
         """
         if not self.invertible:
             raise NumericError(
@@ -159,12 +160,11 @@ class ZvonkinSolution:
         tv = self.theta_values
         out = (ty < tv[0]) | (ty > tv[-1])
         if np.any(out):
-            if not clamp:
+            if hits is None:
                 raise NumericError(
                     "out of transform domain: y outside Theta([-L, L])"
                 )
-            if hits is not None:
-                hits.append(np.count_nonzero(out))
+            hits.append(np.count_nonzero(out))
             ty = np.clip(ty, tv[0], tv[-1])
         return ty + self._on_theta(ty)[0]
 
@@ -302,15 +302,14 @@ def lambda_sweep(
 def transform_coefficients(
     sol: ZvonkinSolution,
     coeffs: CoefficientSet,
-    clamp: bool = False,
-    out_hits: list | None = None,
+    hits: list | None = None,
 ) -> CoefficientSet:
     """Coefficients of the transformed system in the new coordinate.
 
     The singular drift b is absorbed by the change of variables: the
     transformed system carries none.  Evaluation outside Theta([-L, L])
-    refuses to extrapolate unless clamping is requested (the caller then
-    accounts for the clamp hits).
+    refuses to extrapolate unless a ``hits`` list is given, which then counts
+    the clamps (``ZvonkinSolution.theta_inv``).
     """
     if coeffs.d2 != 1:
         raise InputError("transform requires d2 = 1")
@@ -334,7 +333,7 @@ def transform_coefficients(
     def back(ty):
         """(yb, Theta'(yb), u(yb)) for yb = Theta^{-1}(ty), as columns."""
         if last[0] is not ty:
-            yb = sol.theta_inv(ty[:, 0], clamp=clamp, hits=out_hits)
+            yb = sol.theta_inv(ty[:, 0], hits=hits)
             u, du = sol._on_grid(yb)
             last[:] = ty, (yb[:, None], 1.0 + du, u[:, None])
         return last[1]
@@ -346,16 +345,9 @@ def transform_coefficients(
         yb, grad, u = back(ty)
         return grad[:, None] * coeffs.z2(t, x, yb, law) + lam * u
 
-    if isinstance(coeffs.sigma, np.ndarray):
-        base_sigma = coeffs.sigma
-
-        def sigt(t, ty):
-            grad = back(ty)[1]
-            return grad[:, None, None] * base_sigma[None, :, :]
-    else:
-        def sigt(t, ty):
-            yb, grad, _ = back(ty)
-            return grad[:, None, None] * coeffs.sigma(t, yb)
+    def sigt(t, ty):
+        yb, grad, _ = back(ty)
+        return grad[:, None, None] * coeffs.sigma_at(t, yb)
 
     return CoefficientSet(d1=coeffs.d1, d2=1, m=coeffs.m, z1=z1t, z2=z2t, b=None, sigma=sigt,
                           growth=coeffs.growth)
@@ -391,21 +383,21 @@ def equivalence_experiment(
         b_scalar: Callable | float = 0.0
     else:
         b_scalar = lambda yy: np.asarray(coeffs.b(0.0, yy[:, None]))[:, 0]
-    if isinstance(coeffs.sigma, np.ndarray):
-        sigma_scalar: Callable | float = float(coeffs.sigma[0, 0])
-    else:
-        sigma_scalar = lambda yy: np.asarray(coeffs.sigma(0.0, yy[:, None]))[:, 0, 0]
+    # the resolvent's second-order coefficient is (1/2) sigma sigma*, so its
+    # scalar sigma is the row norm sqrt(sigma sigma*); for m = 1 that is |sigma|
+    sigma_scalar = lambda yy: np.broadcast_to(
+        _row_norm(coeffs.sigma_at(0.0, yy[:, None]))[..., 0], yy.shape)
 
     sol = lambda_sweep(b_scalar, sigma_scalar, eps_target, L, n_grid)
     hits: list = []
-    transformed = transform_coefficients(sol, coeffs, clamp=True, out_hits=hits)
+    transformed = transform_coefficients(sol, coeffs, hits=hits)
 
     ens_a = simulate_ensemble(cfg, coeffs, init, record_times=[cfg.T])
     x0, y0 = init.sample(cfg.N)
     init_b = CloudInit(EmpiricalLaw(x0, sol.theta(y0[:, 0])[:, None]))  # init mapped by Theta
     ens_b = simulate_ensemble(cfg, transformed, init_b)
 
-    y_back = sol.theta_inv(ens_b.y[:, 0], clamp=True, hits=hits)[:, None]
+    y_back = sol.theta_inv(ens_b.y[:, 0], hits=hits)[:, None]
     out_frac = float(sum(hits)) / max(1, cfg.N * cfg.n_steps)
     if out_frac > 1e-3:
         raise NumericError(

@@ -1,14 +1,15 @@
 import hashlib
+import math
 import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kinsde.core import DiracInit, NumericError, PhaseState, SimConfig
+from kinsde.core import CloudInit, DiracInit, EmpiricalLaw, NumericError, PhaseState, SimConfig
 from kinsde.fields import (
     build_coefficients,
     linear_langevin_coefficients,
@@ -299,9 +300,30 @@ class TestGirsanov:
         dz = lambda t, x, y: np.sin(x) + y
         xa = drift_difference_xi(co(S), dz)(0.0, x, y)
         xb = drift_difference_xi(co(lambda t, y: np.tile(S, (y.shape[0], 1, 1))), dz)(0.0, x, y)
-        # the paths invert sigma sigma* apart and sum in another order: a few ulps
-        assert np.max(np.abs(xb - xa)) <= 64 * np.finfo(float).eps * np.max(np.abs(xa))
+        # both forms take the one path through CoefficientSet.sigma_at: equal bits
+        assert np.array_equal(xa, xb)
         assert np.allclose(xb @ S.T, dz(0.0, x, y), rtol=0, atol=1e-13)  # sigma xi = delta
+
+    @settings(max_examples=60, deadline=None)
+    @given(d2=st.integers(1, 3), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+           callable_sigma=st.booleans())
+    def test_sigma_times_xi_is_the_drift_difference(self, d2, extra, seed, callable_sigma):
+        m = min(d2 + extra, 3)
+        rng = np.random.default_rng(seed)
+        S = rng.uniform(-2.0, 2.0, (d2, m))
+        assume(np.linalg.cond(S @ S.T) < 1e4)
+        scale = lambda y: 1.0 + y[:, :1, None] ** 2  # a sigma that varies per particle
+        sigma = (lambda t, y: scale(y) * S) if callable_sigma else S
+        co = build_coefficients(z1=lambda t, x, y: x, z2=lambda t, x, y, law: y, b=None,
+                                sigma=sigma, d1=1, d2=d2, m=m)
+        x, y = rng.standard_normal((32, 1)), rng.standard_normal((32, d2))
+        dz = lambda t, x, y: np.cos(x) * y + 0.5
+        xi = drift_difference_xi(co, dz)(0.0, x, y)
+        sig = scale(y) * S if callable_sigma else np.broadcast_to(S, (32, d2, m))
+        want = dz(0.0, x, y)
+        got = np.einsum("nij,nj->ni", sig, xi)
+        assert xi.shape == (32, m)
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
 class TestKhasminskii:
@@ -324,6 +346,19 @@ class TestKhasminskii:
         res = khasminskii_estimate(cfg, scalar_ou_coefficients(1.0),
                                    lambda t, y: np.full(y.shape[0], 40.0), ORIGIN)
         assert res.diverged and np.isinf(res.estimate)
+
+    def test_overflowed_bootstrap_mean_gives_infinite_ci_hi(self):
+        # y stays put, so one particle's exp(int |f|^2) is about 8e307 while the
+        # mean over 50 stays finite; a resample that draws that particle three
+        # times overflows, and about 8 % of them do, more than the 2.5 % above
+        # the interval: its upper end is inf, where inf - inf once made it NaN
+        y0 = np.zeros((50, 1))
+        y0[0] = 1.0
+        res = khasminskii_estimate(SimConfig(T=1.0, h=0.1, N=50, seed=3), zero_coefficients(),
+                                   lambda t, y: math.sqrt(709.0) * y[:, 0],
+                                   CloudInit(EmpiricalLaw(np.zeros((50, 1)), y0)))
+        assert not res.diverged and math.isfinite(res.estimate)
+        assert res.ci_lo <= res.estimate and res.ci_hi == math.inf
 
     def test_no_survivor_is_a_numeric_failure(self):
         # rate h = 3 puts the Euler step outside its stability region, so every particle

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,7 @@ class TestKnotTables:
         assert same_bits(u, np.interp(q, sol.grid, sol.u))
         assert same_bits(du, np.interp(q, sol.grid, sol.du))
         tq = np.clip(q, tv[0], tv[-1])
-        assert same_bits(sol.theta_inv(q, clamp=True), tq + np.interp(tq, tv, -sol.u))
+        assert same_bits(sol.theta_inv(q, hits=[]), tq + np.interp(tq, tv, -sol.u))
         rt = np.max(np.abs(sol.theta_inv(sol.theta(sol.grid)) - sol.grid))
         assert rt <= 1e-12 * max(1.0, np.max(np.abs(sol.grid)))
 
@@ -312,7 +313,7 @@ class TestTransform:
     def test_clamp_hits_counted_once_per_particle_step(self):
         sol = solve_resolvent_1d(1.0, 1.0, lam=20.0, L=4.0, n=401)
         hits: list = []
-        tc = transform_coefficients(sol, self._coeffs(), clamp=True, out_hits=hits)
+        tc = transform_coefficients(sol, self._coeffs(), hits=hits)
         y = np.zeros((8, 1))
         y[:5] = 100.0
         step_arrays(tc, 0.0, 0.01, np.zeros((8, 1)), y, None, np.full((8, 1), 0.1), False)
@@ -373,11 +374,32 @@ class TestEquivalence:
         assert rep.solution.lam == sol.lam
         assert np.array_equal(rep.solution.u, sol.u)
 
+    def test_resolvent_reads_sigma_sigma_star(self):
+        # sigma = [[1, 1]] drives y with two noises, so sigma sigma* = 2 and the
+        # resolvent is the one of the scalar sqrt(2); it once read sigma[0, 0] = 1
+        # and swept to lambda = 16384 instead of 8192
+        drift = ConfiningDrift(c1=1.0, c2=0.5, c3=1.0, delta=0.0)
+        rz = RieszDrift([(0.0, 1.0)], alpha=0.5, eta_sing=1e-4)
+        S = np.array([[1.0, 1.0]])
+        cfg = SimConfig(T=0.05, h=0.005, N=200, m=2, seed=17,
+                        hist=HistogramSpec(-6.0, 6.0, 12, dim=2))
+        want = lambda_sweep(riesz_scalar(), math.sqrt(2.0), 0.1, 12.0, 4001)
+        assert want.lam == 8192.0
+        for sigma in (S, lambda t, y: np.tile(S, (y.shape[0], 1, 1))):
+            co = build_coefficients(z1=lambda t, x, y: drift.z1(x, y),
+                                    z2=lambda t, x, y, law: drift.z2(x, y),
+                                    b=lambda t, y: rz(y), sigma=sigma, d1=1, d2=1, m=2)
+            rep = equivalence_experiment(co, cfg, DiracInit(PhaseState([0.0], [0.0])),
+                                         L=12.0, n_grid=4001)
+            assert rep.solution.lam == want.lam
+            assert rep.solution.u.tobytes() == want.u.tobytes()
+
 
 class TestCallableSigma:
     """One sigma given twice: as the constant matrix and as a callable returning
-    it for each particle.  For d2 = m = 1 both paths do the same arithmetic, so
-    xi, the transformed step and the whole equivalence report agree bit for bit."""
+    it for each particle.  Both forms take one path through
+    ``CoefficientSet.sigma_at``, so xi, the transformed step and the whole
+    equivalence report agree bit for bit."""
 
     S = np.array([[1.3]])
 

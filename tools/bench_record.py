@@ -2,8 +2,9 @@
 
 Runs ``perfbench/run.py --trace 0`` 5 times per workload and writes,
 for each end-to-end metric, the median and quartiles over the runs, with each
-run's seed, result and CPU steal read from ``/proc/stat``, and the git HEAD
-with a digest of the measured sources.  Run it from anywhere:
+run's seed, result and CPU steal read from ``/proc/stat``, the git HEAD
+with a digest of the measured sources, and ``src_lines``, the line count of
+``src/kinsde/*.py`` (as ``wc -l`` counts it).  Run it from anywhere:
 
     python3 tools/bench_record.py --pr N
 
@@ -52,6 +53,11 @@ def git_head() -> dict:
             "sources_digest": sources_digest(ROOT)}
 
 
+def src_lines() -> int:
+    """Lines of ``src/kinsde/*.py``, counted as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "kinsde").glob("*.py"))
+
+
 def run_once(workload: str, seed: int) -> dict:
     steal0, total0 = cpu_ticks()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -97,6 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "pr": args.pr,
         "head": head,
+        "src_lines": src_lines(),
         "command": f"perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "workloads": {w: {"metrics": summary(rs), "runs": rs} for w, rs in runs.items()},
     }
