@@ -17,9 +17,9 @@ and empirical ergodicity measurements.
 from kinsde.core import (
     AdmissiblePair,
     CoefficientSet,
+    DiracInit,
     EmpiricalLaw,
     HistogramSpec,
-    PhaseState,
     SimConfig,
     localized_lpq_norm,
 )
@@ -31,13 +31,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissiblePair",
     "CoefficientSet",
+    "DiracInit",
     "EmpiricalLaw",
     "Ensemble",
     "ConfiningDrift",
     "HistogramSpec",
     "LyapunovV",
     "MeanFieldKernel",
-    "PhaseState",
     "PhiFamily",
     "RieszDrift",
     "SimConfig",

@@ -28,7 +28,7 @@ import numpy as np
 
 from kinsde import __version__
 from kinsde.core import (AdmissiblePair, DiracInit, HistogramSpec, InputError, NumericError,
-                         PhaseState, SimConfig, _row_norm, localized_lpq_norm, off_grid)
+                         SimConfig, _row_norm, localized_lpq_norm, off_grid)
 from kinsde.ergodicity import TVDecaySeries, h_envelope, tv_decay_experiment
 from kinsde.fields import (ConfiningDrift, LyapunovV, MeanFieldKernel, PhiFamily, RieszDrift,
                            bounded_sine_perturbation, confining_coefficients,
@@ -235,7 +235,7 @@ def _build_init(kv: dict, key: str, cfg: SimConfig) -> DiracInit:
     pt = _reals(key, kv.get(key, [0.0] * d))
     if not (isinstance(pt, list) and len(pt) == d):
         raise InputError(f"{key} needs {d} coordinates, got {kv.get(key)!r}")
-    return DiracInit(PhaseState(pt[:cfg.d1], pt[cfg.d1:]))
+    return DiracInit(pt[:cfg.d1], pt[cfg.d1:])
 
 
 def _record_times(kv: dict, cfg: SimConfig) -> np.ndarray:
@@ -290,8 +290,9 @@ def _fmt_cell(v) -> str:
 def write_json(path: Path, payload: dict, chash: str):
     payload = dict(payload)
     payload["config_hash"] = chash
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    # allow_nan=False: a bare NaN or Infinity token is not JSON; _jsonable spells them out
+    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+                    + "\n", encoding="utf-8")
 
 
 def _jsonable(obj):
@@ -299,10 +300,10 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, np.ndarray):  # a 0-d array's tolist() is a scalar
+        return _jsonable(obj.tolist())
+    if isinstance(obj, np.generic):
+        return _jsonable(obj.item())
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     if isinstance(obj, float) and math.isnan(obj):
@@ -486,7 +487,7 @@ def cmd_khasminskii(kv, cfg, man):
         rz = _build_riesz(kv)
         if rz is None:
             raise InputError("khasminskii.f = riesz needs riesz.atoms")
-        f = lambda t, y: _row_norm(rz(y))
+        f = lambda t, y: _row_norm(rz(t, y))
     else:
         raise InputError(f"unknown khasminskii.f {kind!r}")
     p = _number("norm.p", kv.get("norm.p", 4.0))  # inf: the L^inf norm

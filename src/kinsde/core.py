@@ -35,13 +35,6 @@ class NormDivergedError(NumericError):
         super().__init__(f"norm diverged at reported center {self.center.tolist()}")
 
 
-def _as_vector(v, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a flat vector, got shape {arr.shape}")
-    return arr
-
-
 def _row_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Euclidean norm of each row of a particle array, over its last axis.
 
@@ -78,28 +71,6 @@ def _percentiles(a, qs) -> list[float]:
         diff = a_j - a_i
         out.append(a_j - diff * (1 - t) if t >= 0.5 else a_i + diff * t)
     return out
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """A point (x, y) in phase space; x carries no noise, y does."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __init__(self, x, y):
-        object.__setattr__(self, "x", _as_vector(x, "x"))
-        object.__setattr__(self, "y", _as_vector(y, "y"))
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise InputError("PhaseState coordinates must be finite")
-
-    @property
-    def d1(self) -> int:
-        return self.x.size
-
-    @property
-    def d2(self) -> int:
-        return self.y.size
 
 
 @dataclass(frozen=True)
@@ -418,12 +389,22 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class DiracInit:
-    """All particles start at one phase point."""
+    """All particles start at one phase point (x, y); x carries no noise, y does."""
 
-    state: PhaseState
+    x: np.ndarray
+    y: np.ndarray
+
+    def __init__(self, x, y):
+        for name, v in (("x", x), ("y", y)):
+            arr = np.atleast_1d(np.asarray(v, dtype=float))
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be a flat vector, got shape {arr.shape}")
+            object.__setattr__(self, name, arr)
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
+            raise InputError("DiracInit coordinates must be finite")
 
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return (np.tile(self.state.x, (n, 1)), np.tile(self.state.y, (n, 1)))
+        return (np.tile(self.x, (n, 1)), np.tile(self.y, (n, 1)))
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,8 @@ def compare_flows(a: MeasureFlow, b: MeasureFlow, spec: HistogramSpec,
                   floor_seed: int) -> TVDecaySeries:
     """:func:`law_distances` of two flows recorded at the same times, read against
     the bootstrap noise floor of ``a``'s last cloud at ``floor_seed``."""
+    if not np.array_equal(a.times, b.times):
+        raise ValueError("flows live on different grids")
     tv = law_distances(a.clouds, b.clouds, spec)
     return TVDecaySeries(a.times, tv, bootstrap_noise_floor(a.clouds[-1], spec, seed=floor_seed))
 

@@ -18,9 +18,9 @@ from kinsde.core import CoefficientSet, EmpiricalLaw, InputError, _row_norm
 
 @dataclass(frozen=True)
 class RieszDrift:
-    """Superposition of Riesz-type kernels around finitely many atoms.
+    """Singular drift b(t, y): Riesz-type kernels around finitely many atoms.
 
-    b(x) = sum_j w_j (x - y_j) / max(|x - y_j|, eta_sing)^(alpha + 1)
+    b(t, y) = sum_j w_j (y - a_j) / max(|y - a_j|, eta_sing)^(alpha + 1)
 
     The floor ``eta_sing`` keeps evaluation total, so a floor whose power
     ``eta_sing^(alpha + 1)`` underflows is refused; away from the atoms the
@@ -55,13 +55,13 @@ class RieszDrift:
     def d(self) -> int:
         return self.locations.shape[1]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at points x of shape (n, d); always finite."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.d:
+    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        """b(t, y) at points y of shape (n, d), the same at every t; always finite."""
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        if y.shape[1] != self.d:
             raise InputError(f"Riesz drift atoms have {self.d} coordinates, "
-                             f"the points have {x.shape[1]}")
-        diff = x[:, None, :] - self.locations[None, :, :]          # (n, k, d)
+                             f"the points have {y.shape[1]}")
+        diff = y[:, None, :] - self.locations[None, :, :]          # (n, k, d)
         r = _row_norm(diff, keepdims=True)                         # (n, k, 1)
         np.maximum(r, self.eta_sing, out=r)
         np.power(r, self.alpha + 1.0, out=r)
@@ -73,10 +73,11 @@ class RieszDrift:
 
 @dataclass(frozen=True)
 class ConfiningDrift:
-    """Polynomially confining drift pair with an optional perturbation.
+    """Polynomially confining drift fields, with an optional perturbation Z(x, y),
+    that read neither t nor the law.
 
-    z1(x, y) = -c1 (1 + |x|)^delta x + c2 y
-    z2(x, y) = Z(x, y) - c3 (1 + |y|)^delta y
+    z1(t, x, y)      = -c1 (1 + |x|)^delta x + c2 y
+    z2(t, x, y, law) = Z(x, y) - c3 (1 + |y|)^delta y
 
     ``delta = 0`` keeps both drifts globally Lipschitz; ``delta > 0`` makes
     them superlinear, which the integrators must handle with taming.
@@ -107,10 +108,10 @@ class ConfiningDrift:
             return -c * v
         return -c * (1.0 + _row_norm(v, keepdims=True)) ** self.delta * v
 
-    def z1(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def z1(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._confine(self.c1, x) + self.c2 * y
 
-    def z2(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def z2(self, t: float, x: np.ndarray, y: np.ndarray, law: EmpiricalLaw | None) -> np.ndarray:
         out = self._confine(self.c3, y)
         if self.perturbation is not None:
             out = out + self.perturbation(x, y)
@@ -280,7 +281,9 @@ def _clipped_mean(q: np.ndarray, xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     order = np.argsort(xp, kind="stable")
     s, ws = xp[order], w[order]
     cw = np.concatenate(([0.0], np.cumsum(ws)))
-    cm = np.concatenate(([0.0], np.cumsum(ws * (s - 4.0 * np.floor(0.25 * s)))))
+    cell = 4.0 * np.floor(0.25 * s)
+    cell[s < cell] -= 4.0      # 0.25 s rounds a negative subnormal s to -0, the cell above
+    cm = np.concatenate(([0.0], np.cumsum(ws * (s - cell))))
     left = q - 1.0
     edge = 4.0 * np.floor(0.25 * left) + 4.0      # the cell boundary inside the window
     lo = np.searchsorted(s, left, side="left")
@@ -298,7 +301,7 @@ def interaction_z2(
     d1: int = 1,
     d2: int = 1,
 ) -> Callable:
-    """Build Z2(x, y, mu) = base(x, y) + kappa * integral of W d mu.
+    """Build the z2 field Z2(t, x, y, mu) = base(t, x, y, mu) + kappa * integral of W d mu.
 
     The declared kernel bound must be <= 1 and is spot-checked at 256 samples;
     a violated bound rejects the construction.  With ``mu = None`` the
@@ -320,7 +323,7 @@ def interaction_z2(
     origin = EmpiricalLaw(np.zeros((1, d1)), np.zeros((1, d2)))
 
     def z2(t, x, y, law):
-        out = base(t, x, y)
+        out = base(t, x, y, law)
         if kappa == 0.0:
             return out
         mu = law if law is not None else origin
@@ -335,7 +338,10 @@ def _const_sigma(value, d2: int, m: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         return float(arr) * np.eye(d2, m)
-    return arr.reshape(d2, m)
+    if arr.shape != (d2, m):
+        raise InputError(f"a constant sigma must be a number or a ({d2}, {m}) matrix, "
+                         f"got shape {arr.shape}")
+    return arr
 
 
 def build_coefficients(
@@ -367,16 +373,10 @@ def confining_coefficients(
     ``kernel``/``kappa`` add a mean-field term to z2; ``b`` attaches the
     singular (floored) drift to the noisy block.
     """
-    def z1(t, x, y):
-        return drift.z1(x, y)
-
-    base = lambda t, x, y: drift.z2(x, y)
+    z2 = drift.z2
     if kernel is not None and kappa != 0.0:
-        z2 = interaction_z2(base, kernel, kappa, d1=d, d2=d)
-    else:
-        z2 = lambda t, x, y, law: base(t, x, y)
-    b_field = None if b is None else (lambda t, y: b(y))
-    return build_coefficients(z1, z2, b_field, sigma, d1=d, d2=d, m=d, growth=drift.growth)
+        z2 = interaction_z2(z2, kernel, kappa, d1=d, d2=d)
+    return build_coefficients(drift.z1, z2, b, sigma, d1=d, d2=d, m=d, growth=drift.growth)
 
 
 def linear_langevin_coefficients(d: int = 1, sigma=None) -> CoefficientSet:

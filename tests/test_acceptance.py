@@ -16,7 +16,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from kinsde import integrators
 from kinsde.cli import main as cli_main
-from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, PhaseState, SimConfig
+from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, SimConfig
 from kinsde.ergodicity import (
     HTransform,
     bootstrap_noise_floor,
@@ -54,7 +54,7 @@ from kinsde.mckean import (
     uniform_ergodicity_sweep,
 )
 
-ORIGIN = DiracInit(PhaseState([0.0], [0.0]))
+ORIGIN = DiracInit([0.0], [0.0])
 
 
 def report(num: int, ok: bool, detail: str):
@@ -104,7 +104,7 @@ class TestCriterion2:
         cfg = SimConfig(T=8.0, h=1e-3, N=10_000, seed=123, hist=self.H)
         series = tv_decay_experiment(
             cfg, confining_accept_coeffs(),
-            DiracInit(PhaseState([2.0], [2.0])), DiracInit(PhaseState([-2.0], [-2.0])),
+            DiracInit([2.0], [2.0]), DiracInit([-2.0], [-2.0]),
             record_times=np.arange(1.0, 8.01, 0.5),
         )
         fit = fit_exponential_decay(series.times, series.tv, noise_floor=series.noise_floor)
@@ -114,7 +114,7 @@ class TestCriterion2:
 
     def test_null_identical_laws(self):
         cfg = SimConfig(T=4.0, h=1e-3, N=10_000, seed=123, hist=self.H)
-        same = DiracInit(PhaseState([2.0], [2.0]))
+        same = DiracInit([2.0], [2.0])
         series = tv_decay_experiment(cfg, confining_accept_coeffs(), same, same,
                                      record_times=np.arange(1.0, 4.01, 0.5))
         ok = bool(np.all(series.tv <= 1.5 * series.noise_floor))
@@ -158,7 +158,7 @@ class TestCriterion4:
         # smallness for constant b = 1 and for the floored Riesz drift
         s_const = lambda_sweep(1.0, 1.0, eps_target=0.1, L=12.0, n=4001)
         rz = RieszDrift([(0.0, 1.0)], alpha=0.5, eta_sing=1e-4)
-        b_r = lambda yy: rz(yy[:, None])[:, 0]
+        b_r = lambda yy: rz(0.0, yy[:, None])[:, 0]
         s_riesz = lambda_sweep(b_r, 1.0, eps_target=0.1, L=12.0, n=4001)
         small = s_const.sup_bound < 0.1 and s_riesz.sup_bound < 0.1
 
@@ -214,7 +214,7 @@ class TestCriterion5:
             histogram_cloud(-1.5), cfg2.times())
         rep = girsanov_flow_bound(cfg2, co_k, flow_mu, flow_nu,
                                   record_times=np.arange(0.0, 1.01, 0.1),
-                                  init=DiracInit(PhaseState([1.0], [1.0])))
+                                  init=DiracInit([1.0], [1.0]))
         pinsker_ok = rep.verdict == "bound respected"
 
         ok = martingale and lognormal and law_match and pinsker_ok
@@ -238,7 +238,7 @@ class TestCriterion6:
 
         def riesz_f(eta):
             rz = RieszDrift([(0.0, 0.5)], alpha=0.3, eta_sing=eta)
-            return lambda t, y: np.sqrt(np.sum(rz(y) ** 2, axis=1))
+            return lambda t, y: np.sqrt(np.sum(rz(t, y) ** 2, axis=1))
 
         r1 = khasminskii_estimate(cfg, co, riesz_f(1e-6), ORIGIN)
         r2 = khasminskii_estimate(SimConfig(T=1.0, h=1e-3, N=20_000, seed=22),
@@ -263,7 +263,7 @@ class TestCriterion7:
         kernel = MeanFieldKernel.target(lambda xp, yp: np.tanh(yp), 1.0)
         drift = ConfiningDrift(c1=1.0, c2=1.0, c3=1.0, delta=0.0)
         co = confining_coefficients(drift, d=1, kernel=kernel, kappa=0.2)
-        init = DiracInit(PhaseState([1.0], [1.0]))
+        init = DiracInit([1.0], [1.0])
 
         res = picard_fixed_point(cfg, co, init, kappa=0.2)
         above = [r for r in res.rho_history if r > res.noise_floor]
@@ -299,7 +299,7 @@ class TestCriterion8:
         factory = lambda kap: confining_coefficients(drift, d=1, kernel=kernel, kappa=kap)
         res = uniform_ergodicity_sweep(
             cfg, factory, [0.0, 0.1, 0.2, 5.0],
-            DiracInit(PhaseState([2.0], [2.0])), DiracInit(PhaseState([-2.0], [-2.0])),
+            DiracInit([2.0], [2.0]), DiracInit([-2.0], [-2.0]),
             record_times=np.arange(0.0, 8.01, 0.5),
         )
         small_ok = all(res.entry(k).fit.verdict == "decay confirmed" for k in (0.0, 0.1, 0.2))
@@ -329,7 +329,7 @@ class TestCriterion9:
         ref = simulate_ensemble(cfg, co, ORIGIN, stream=9)
         h_mu = histogram_law(ref.law(), cfg.hist)
         rec = np.arange(0.25, 5.01, 0.25)
-        ens = simulate_ensemble(cfg, co, DiracInit(PhaseState([3.0], [3.0])),
+        ens = simulate_ensemble(cfg, co, DiracInit([3.0], [3.0]),
                                 stream=4, record_times=rec)
         curve = np.array([
             empirical_v_distance(histogram_law(cl, cfg.hist), h_mu, V) for cl in ens.flow.clouds
@@ -382,8 +382,8 @@ class TestCriterion10:
         co = confining_accept_coeffs()
         hist = HistogramSpec(-6.0, 6.0, 8, dim=2)
         cfg = SimConfig(T=2.0, h=0.01, N=2000, seed=55, hist=hist)
-        a = DiracInit(PhaseState([2.0], [2.0]))
-        b = DiracInit(PhaseState([-2.0], [-2.0]))
+        a = DiracInit([2.0], [2.0])
+        b = DiracInit([-2.0], [-2.0])
         s1 = tv_decay_experiment(cfg, co, a, b, np.arange(0.5, 2.01, 0.5))
         s2 = tv_decay_experiment(cfg, co, a, b, np.arange(0.5, 2.01, 0.5))
         series_ok = np.array_equal(s1.tv, s2.tv) and s1.noise_floor == s2.noise_floor

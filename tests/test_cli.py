@@ -165,6 +165,11 @@ class TestConfigHandling:
          ("simulate", "kernel = constant\nkernel.w = 'x'\n", "kernel.w must be a number"),
          ("ergodicity", "init.a = ('a', 1)\n", "init.a must be a number, got 'a'"),
          ("zvonkin", "zvonkin.L = 0.0\n", "zvonkin.L must be greater than 0"),
+         ("zvonkin", "zvonkin.eps = 1.0\n", "zvonkin.eps must lie in (0, 1), got 1.0"),
+         ("zvonkin", "zvonkin.eps = -0.1\n", "zvonkin.eps must lie in (0, 1), got -0.1"),
+         ("khasminskii", "drift = scalar_ou\nkhasminskii.f = riesz\n",
+          "khasminskii.f = riesz needs riesz.atoms"),
+         ("simulate", "drift = confining\nkernel = nope\nkappa = 0.5\n", "unknown kernel 'nope'"),
          ("lyapunov-check", "lyap.rmin = 0\n", "lyap.rmin must be greater than 0"),
          # a negative coupling once ran silently as no coupling
          ("mkv-sweep", "sweep.kappas = [0.0, -0.1]\n", "sweep.kappas must be nonnegative"),
@@ -332,6 +337,14 @@ class TestSimulate:
         )
         rc = main(["simulate", str(cfg), "--out", str(tmp_path)])
         assert rc in (0, 3)  # depends on how many particles cross the threshold
+
+    def test_run_with_deaths_exit_3(self, tmp_path, capsys):
+        # c3 h = 3: each Euler step multiplies y by -2, so every particle passes 1e12
+        cfg = write_cfg(tmp_path, "drift = confining\nc3 = 300.0\ninit.a = (1.0, 1.0)\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("numeric failure: run unstable: "
+                                           "200 of 200 particles blew up\n")
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_out_of_memory_exit_3(self, tmp_path, monkeypatch, capsys):
         # as numpy raises it for an N the machine cannot hold; nothing is allocated
@@ -598,6 +611,11 @@ class TestOtherSubcommands:
         assert f"kernel = {kernel}" in err and "sqrt(2) > 1" in err and "needs d1 = 1" in err
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_tanh_x_kernel_runs_at_one_coordinate(self, tmp_path):
+        cfg = write_cfg(tmp_path, "N = 50\ndrift = confining\nkernel = tanh_x\nkappa = 0.5\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "manifest.json").exists()
+
     # configs/mkv_picard.cfg with the clipped-difference kernel at N = 300, and
     # the sha256 of its outputs, captured when the kernel was still evaluated
     # by broadcasting over every (particle, cloud point) pair
@@ -773,6 +791,15 @@ for argv in {runs!r}:
         assert rc == 3
         assert "smallness not achieved" in capsys.readouterr().err
 
+    def test_zvonkin_out_of_domain_aborts_exit_3(self, tmp_path, capsys):
+        # [-L, L] = [-0.5, 0.5] holds a small share of the transformed cloud
+        cfg = write_cfg(tmp_path, "drift = confining\nriesz.atoms = [(0.0, 1.0)]\n"
+                                  "riesz.eta = 1e-4\nzvonkin.L = 0.5\nzvonkin.n = 101\n")
+        assert main(["zvonkin", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: experiment aborted: ") and "enlarge L" in err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_zvonkin_subcommand(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -851,9 +878,11 @@ class TestVerify:
          # a path separator on Windows
          ("outputs", ["..\\run.cfg"], "output '..\\\\run.cfg' is not a plain file name"),
          # a name listed twice once passed, though the second write had replaced the first
-         ("outputs", ["envelope.csv", "envelope.csv"], "output envelope.csv is listed twice")],
+         ("outputs", ["envelope.csv", "envelope.csv"], "output envelope.csv is listed twice"),
+         # the config a run records is part of the artifact
+         ("config_text", "T = 0.5\nh = 0.02\n", "manifest hash mismatch: ")],
         ids=["int", "list", "string", "null", "config_text", "dots", "parent", "backslash",
-             "twice"],
+             "twice", "edited_config"],
     )
     def test_verify_refuses_malformed_manifest(self, tmp_path, capsys, key, value, fault):
         cfg = write_cfg(tmp_path, "")
@@ -868,9 +897,31 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: verify: ") and fault in err
 
+    def test_verify_refuses_a_manifest_that_is_not_json(self, tmp_path, capsys):
+        man = self._run_simulate(tmp_path)
+        man.write_text(man.read_text()[:-3])
+        assert main(["verify", str(man)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: verify: cannot read manifest: ")
+
     def test_manifest_refuses_a_name_listed_twice(self, tmp_path):
         man = Manifest(tmp_path, "h-bound", "", 0, 0)
         man.csv("envelope.csv", ["t"], [(0.0,)])
         with pytest.raises(ValueError, match="output envelope.csv is already listed"):
             man.csv("envelope.csv", ["t"], [(1.0,)])
         assert man.data["outputs"] == ["envelope.csv"]
+
+    def test_json_output_spells_out_every_inf_and_nan(self, tmp_path):
+        # a numpy inf was once written as a bare Infinity, which is not JSON, and a
+        # 0-d array or a numpy bool raised TypeError
+        def refuse(token):
+            raise ValueError(f"bare {token} in a JSON output")
+
+        cli_module.write_json(tmp_path / "a.json", {
+            "inf": np.float64("inf"), "ninf": np.float32("-inf"), "nan": np.float64("nan"),
+            "list": [np.float64(1.5), float("inf")], "int": np.int64(3),
+            "zero_d": np.array(-np.inf), "array": np.array([[np.nan, 2.0]]),
+            "flag": np.bool_(True)}, "h")
+        assert json.loads((tmp_path / "a.json").read_text(), parse_constant=refuse) == {
+            "inf": "inf", "ninf": "-inf", "nan": "nan", "list": [1.5, "inf"], "int": 3,
+            "zero_d": "-inf", "array": [["nan", 2.0]], "flag": True, "config_hash": "h"}

@@ -15,7 +15,6 @@ from kinsde.core import (
     InputError,
     MeasureFlow,
     NormDivergedError,
-    PhaseState,
     SimConfig,
     _percentiles,
     ball_lp_seminorm,
@@ -24,20 +23,29 @@ from kinsde.core import (
 from kinsde.fields import build_coefficients, linear_langevin_coefficients, zero_coefficients
 from kinsde.integrators import simulate_ensemble
 
-DIRAC = DiracInit(PhaseState([0.0], [0.0]))
+DIRAC = DiracInit([0.0], [0.0])
 
 
-class TestPhaseState:
+class TestDiracInit:
     def test_basic(self):
-        s = PhaseState([1.0, 2.0], [3.0])
-        assert s.d1 == 2 and s.d2 == 1
+        s = DiracInit([1.0, 2.0], [3.0])
+        assert s.x.size == 2 and s.y.size == 1
         assert np.allclose(s.x, [1.0, 2.0])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            PhaseState([np.nan], [0.0])
+            DiracInit([np.nan], [0.0])
         with pytest.raises(ValueError):
-            PhaseState([0.0], [np.inf])
+            DiracInit([0.0], [np.inf])
+
+    def test_refusals_keep_their_classes(self):
+        # a non-finite point is a refused input (CLI exit 2), a non-flat one a caller's bug
+        with pytest.raises(InputError, match="coordinates must be finite"):
+            DiracInit([0.0], [np.nan])
+        with pytest.raises(ValueError, match="x must be a flat vector, got shape"):
+            DiracInit([[0.0, 1.0]], [0.0])
+        with pytest.raises(ValueError, match="y must be a flat vector, got shape"):
+            DiracInit([0.0], [[0.0], [1.0]])
 
 
 class TestAdmissiblePair:

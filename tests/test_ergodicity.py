@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinsde.core import (DiracInit, EmpiricalLaw, HistogramSpec, MeasureFlow, NumericError,
-                         PhaseState, SimConfig)
+                         SimConfig)
 from kinsde import ergodicity
 from kinsde.ergodicity import (
     HistogramLaw,
@@ -259,6 +259,17 @@ class TestCompareFlows:
         assert np.array_equal(s.tv, compare_flows(b, a, SPEC2, seed).tv)
         assert s.noise_floor == bootstrap_noise_floor(a.clouds[-1], SPEC2, seed=seed)
 
+    def test_flows_on_different_grids_refused(self):
+        # slices were once paired by position, so a flow recorded at 0 and 1 was
+        # compared with one recorded at 0 and 0.5 as if both were at 0 and 0.5
+        rng = np.random.default_rng(4)
+        clouds = [_law(rng, 5), _law(rng, 5)]
+        a = MeasureFlow(np.array([0.0, 0.5]), clouds)
+        for times in ([0.0, 1.0], [0.0]):
+            b = MeasureFlow(np.array(times), clouds[:len(times)])
+            with pytest.raises(ValueError, match="flows live on different grids"):
+                compare_flows(a, b, SPEC2, 0)
+
     @settings(max_examples=80, deadline=None)
     @given(_FIT_CASE)
     @example((np.arange(7) * 0.25, np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0,
@@ -340,8 +351,8 @@ class TestDecayFit:
         hist = HistogramSpec([-1.0, -4.0], [1.0, 4.0], [2, 16], dim=2)
         cfg = SimConfig(T=8.0, h=2e-3, N=10_000, seed=42, hist=hist)
         s = tv_decay_experiment(cfg, co,
-                                DiracInit(PhaseState([0.0], [2.0])),
-                                DiracInit(PhaseState([0.0], [-2.0])),
+                                DiracInit([0.0], [2.0]),
+                                DiracInit([0.0], [-2.0]),
                                 np.arange(0.5, 8.01, 0.5))
         m = s.times >= 1.0
         fit = fit_exponential_decay(s.times[m], s.tv[m], noise_floor=s.noise_floor)

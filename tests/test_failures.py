@@ -2,9 +2,11 @@
 failure a NumericError (exit 3), and any other exception escapes ``main`` as a bug."""
 
 import contextlib
+import hashlib
 import importlib
 import inspect
 import io
+import json
 import re
 import sys
 import tempfile
@@ -118,6 +120,30 @@ class TestMutatedConfigs:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("\n".join(SHRUNK[name]) + "\n")
         assert run_main([COMMAND[name], str(cfg), "--out", str(tmp_path / "o")]) == (0, "")
+
+    # the sha256 of every output, captured while ConfiningDrift and RieszDrift
+    # were still called through adapters that dropped t and the law
+    SHRUNK_SHA256 = {
+        "h_bound": {
+            "envelope.csv": "8d5cf4ddd1994e3f6a4e262269151993bc3873712be448e87bad2a1e310a1da0"},
+        "khasminskii": {
+            "khasminskii.json": "1f59331d4083e9b6c430dfe859ccd670735fdfa966e513eb6f4a9c4f741fa487"},
+        "langevin": {
+            "snapshot.bin": "8f32d17e6b3498db02a659497354009c89024e370e33967c80afd5468e3832a1",
+            "snapshot.json": "f40965ac5bfb8ea5cb9e50629d2998c2b4b7fcbbb43fe93d61bb49ba66e3844d"},
+        "lyapunov_confining": {
+            "lyapunov.json": "8d06e5302b2e75821649d21d2474dc23f4e6c9b1faa1a173e32a0e715376fddd",
+            "margins.csv": "ca3222837fd3f03d553cf8d75becadc133831f0b9ff242298be100f3ed6e7b41"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHRUNK_SHA256))
+    def test_shrunk_config_bytes(self, tmp_path, name):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+        cfg.write_text("\n".join(SHRUNK[name]) + "\n")
+        assert run_main([COMMAND[name], str(cfg), "--out", str(out)]) == (0, "")
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in outputs} == \
+            self.SHRUNK_SHA256[name]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kinsde.core import CloudInit, DiracInit, EmpiricalLaw, NumericError, PhaseState, SimConfig
+from kinsde.core import CloudInit, DiracInit, EmpiricalLaw, NumericError, SimConfig
 from kinsde.fields import (
     build_coefficients,
     linear_langevin_coefficients,
@@ -30,7 +30,7 @@ from kinsde.integrators import (
     step_normals,
 )
 
-ORIGIN = DiracInit(PhaseState([0.0], [0.0]))
+ORIGIN = DiracInit([0.0], [0.0])
 
 
 def sha256_of(*arrays) -> str:
@@ -50,12 +50,12 @@ def one_step(s, t, h, coeffs, dW, tamed=False):
     """One step of a single particle through the ensemble step function."""
     x1, y1 = step_arrays(coeffs, t, h, s.x[None, :], s.y[None, :], None,
                          np.asarray(dW, dtype=float)[None, :], tamed)
-    return PhaseState(x1[0], y1[0])
+    return DiracInit(x1[0], y1[0])
 
 
 class TestSteps:
     def test_zero_fields_identity(self):
-        s = PhaseState([0.5], [-0.25])
+        s = DiracInit([0.5], [-0.25])
         out = one_step(s, 0.0, 0.1, zero_coefficients(), np.zeros(1))
         assert np.array_equal(out.x, s.x) and np.array_equal(out.y, s.y)
 
@@ -64,17 +64,17 @@ class TestSteps:
         co = build_coefficients(z1=lambda t, x, y: y.copy(),
                                 z2=lambda t, x, y, law: np.zeros_like(y),
                                 b=None, sigma=1.0, d1=1, d2=1)
-        out = one_step(PhaseState([0.0], [1.0]), 0.0, 0.1, co, np.zeros(1))
+        out = one_step(DiracInit([0.0], [1.0]), 0.0, 0.1, co, np.zeros(1))
         assert out.x == pytest.approx([0.1]) and out.y == pytest.approx([1.0])
 
     def test_ou_step(self):
         # z2 = -y, sigma = 1, dW = 0, h = 0.01, y = 2 -> 1.98
-        out = one_step(PhaseState([0.0], [2.0]), 0.0, 0.01, scalar_ou_coefficients(1.0),
+        out = one_step(DiracInit([0.0], [2.0]), 0.0, 0.01, scalar_ou_coefficients(1.0),
                        np.zeros(1))
         assert out.y == pytest.approx([1.98])
 
     def test_taming_identity_at_zero_drift(self):
-        s = PhaseState([0.4], [0.8])
+        s = DiracInit([0.4], [0.8])
         dw = np.array([0.3])
         a = one_step(s, 0.0, 0.05, zero_coefficients(sigma=1.0), dw)
         b = one_step(s, 0.0, 0.05, zero_coefficients(sigma=1.0), dw, tamed=True)
@@ -86,7 +86,7 @@ class TestSteps:
         co = build_coefficients(z1=lambda t, x, y: np.full_like(x, v),
                                 z2=lambda t, x, y, law: np.zeros_like(y),
                                 b=None, sigma=1.0, d1=1, d2=1)
-        out = one_step(PhaseState([0.0], [0.0]), 0.0, h, co, np.zeros(1), tamed=True)
+        out = one_step(DiracInit([0.0], [0.0]), 0.0, h, co, np.zeros(1), tamed=True)
         assert out.x == pytest.approx([h * v / 2.0])
 
     def test_taming_second_order_agreement_for_small_drift(self):
@@ -95,7 +95,7 @@ class TestSteps:
         co = build_coefficients(z1=lambda t, x, y: np.full_like(x, 5.0),
                                 z2=lambda t, x, y, law: -y,
                                 b=None, sigma=1.0, d1=1, d2=1)
-        s = PhaseState([1.0], [2.0])
+        s = DiracInit([1.0], [2.0])
         a = one_step(s, 0.0, h, co, np.zeros(1))
         b = one_step(s, 0.0, h, co, np.zeros(1), tamed=True)
         # gap is h|v| * h|v|/(1 + h|v|) <= (h |v|)^2 per block
@@ -106,7 +106,7 @@ class TestSteps:
         cub = build_coefficients(z1=lambda t, x, y: np.zeros_like(x),
                                  z2=lambda t, x, y, law: -y**3,
                                  b=None, sigma=1.0, d1=1, d2=1, growth="superlinear")
-        init = DiracInit(PhaseState([0.0], [1.0]))
+        init = DiracInit([0.0], [1.0])
         coarse = simulate_ensemble(
             SimConfig(T=1.0, h=1e-3, N=2000, seed=9, scheme="tamed"), cub, init)
         fine = simulate_ensemble(
@@ -169,7 +169,7 @@ class TestEnsemble:
                                  z2=lambda t, x, y, law: y**3,
                                  b=None, sigma=1.0, d1=1, d2=1)
         cfg = SimConfig(T=2.0, h=0.05, N=64, seed=1)
-        ens = simulate_ensemble(cfg, bad, DiracInit(PhaseState([0.0], [3.0])))
+        ens = simulate_ensemble(cfg, bad, DiracInit([0.0], [3.0]))
         assert ens.n_dead > 0
         assert ens.unstable
         assert np.all(np.isfinite(ens.y))

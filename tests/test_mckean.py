@@ -10,7 +10,7 @@ import pytest
 
 from kinsde import ergodicity, integrators, mckean
 from kinsde.cli import main as cli_main
-from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, InputError, PhaseState, SimConfig
+from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, InputError, SimConfig
 from kinsde.ergodicity import empirical_var_distance, histogram_law
 from kinsde.fields import (
     ConfiningDrift,
@@ -35,7 +35,7 @@ from kinsde.mckean import (
 HIST = HistogramSpec(-6.0, 6.0, 10, dim=2)
 DRIFT = ConfiningDrift(c1=1.0, c2=1.0, c3=1.0, delta=0.0)
 TANH_Y = MeanFieldKernel.target(lambda xp, yp: np.tanh(yp), 1.0)
-INIT = DiracInit(PhaseState([1.0], [1.0]))
+INIT = DiracInit([1.0], [1.0])
 
 
 def coeffs_with(kappa, kernel=TANH_Y):
@@ -138,8 +138,8 @@ class TestParticleSystem:
         co = coeffs_with(kappa, MeanFieldKernel.constant([w]))
         _, ens = particle_system_run(cfg, co, INIT, record_times=[0.5], stream=2)
         shifted = build_coefficients(
-            z1=lambda t, x, y: DRIFT.z1(x, y),
-            z2=lambda t, x, y, law: DRIFT.z2(x, y) + kappa * w,
+            z1=DRIFT.z1,
+            z2=lambda t, x, y, law: DRIFT.z2(t, x, y, law) + kappa * w,
             b=None, sigma=1.0, d1=1, d2=1,
         )
         plain = simulate_ensemble(cfg, shifted, INIT, stream=2)

@@ -10,7 +10,7 @@ from scipy.linalg import solve_banded
 
 import kinsde.zvonkin as zvonkin
 from kinsde.cli import main
-from kinsde.core import DiracInit, HistogramSpec, InputError, NumericError, PhaseState, SimConfig
+from kinsde.core import DiracInit, HistogramSpec, InputError, NumericError, SimConfig
 from kinsde.fields import ConfiningDrift, RieszDrift, build_coefficients
 from kinsde.integrators import drift_difference_xi, step_arrays
 from kinsde.zvonkin import (
@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def riesz_scalar(eta=1e-4, alpha=0.5, w=1.0):
     rz = RieszDrift([(0.0, w)], alpha=alpha, eta_sing=eta)
-    return lambda yy: rz(yy[:, None])[:, 0]
+    return lambda yy: rz(0.0, yy[:, None])[:, 0]
 
 
 def zigzag_solution(n=41, L=2.0):
@@ -238,8 +238,8 @@ class TestTransform:
         drift = ConfiningDrift(c1=1.0, c2=0.5, c3=1.0, delta=0.0)
         b = (lambda t, y: np.ones_like(y)) if with_b else None
         return build_coefficients(
-            z1=lambda t, x, y: drift.z1(x, y),
-            z2=lambda t, x, y, law: drift.z2(x, y),
+            z1=drift.z1,
+            z2=drift.z2,
             b=b, sigma=1.0, d1=1, d2=1,
         )
 
@@ -329,7 +329,7 @@ class TestEquivalence:
         )
         cfg = SimConfig(T=0.5, h=0.01, N=2000, seed=17,
                         hist=HistogramSpec(-6.0, 6.0, 12, dim=2))
-        rep = equivalence_experiment(co, cfg, DiracInit(PhaseState([0.0], [0.0])),
+        rep = equivalence_experiment(co, cfg, DiracInit([0.0], [0.0]),
                                      L=10.0, n_grid=801)
         assert rep.tv == 0.0
         assert rep.verdict == "equivalent"
@@ -338,13 +338,13 @@ class TestEquivalence:
         drift = ConfiningDrift(c1=1.0, c2=0.5, c3=1.0, delta=0.0)
         rz = RieszDrift([(0.0, 1.0)], alpha=0.5, eta_sing=1e-4)
         co = build_coefficients(
-            z1=lambda t, x, y: drift.z1(x, y),
-            z2=lambda t, x, y, law: drift.z2(x, y),
-            b=lambda t, y: rz(y),
+            z1=drift.z1,
+            z2=drift.z2,
+            b=rz,
             sigma=1.0, d1=1, d2=1,
         )
         hist = HistogramSpec(-6.0, 6.0, 12, dim=2)
-        init = DiracInit(PhaseState([0.0], [0.0]))
+        init = DiracInit([0.0], [0.0])
         tvs = {}
         for h in (2e-3, 1e-3):
             cfg = SimConfig(T=1.0, h=h, N=4000, seed=17, hist=hist)
@@ -357,14 +357,14 @@ class TestEquivalence:
     def test_constant_b_equivalent(self):
         drift = ConfiningDrift(c1=1.0, c2=0.5, c3=1.0, delta=0.0)
         co = build_coefficients(
-            z1=lambda t, x, y: drift.z1(x, y),
-            z2=lambda t, x, y, law: drift.z2(x, y),
+            z1=drift.z1,
+            z2=drift.z2,
             b=lambda t, y: np.ones_like(y),
             sigma=1.0, d1=1, d2=1,
         )
         cfg = SimConfig(T=1.0, h=2e-3, N=4000, seed=17,
                         hist=HistogramSpec(-6.0, 6.0, 12, dim=2))
-        rep = equivalence_experiment(co, cfg, DiracInit(PhaseState([0.0], [0.0])),
+        rep = equivalence_experiment(co, cfg, DiracInit([0.0], [0.0]),
                                      L=12.0, n_grid=2001)
         assert rep.verdict == "equivalent"
         assert rep.tv < 3.0 * rep.noise_floor
@@ -386,10 +386,9 @@ class TestEquivalence:
         want = lambda_sweep(riesz_scalar(), math.sqrt(2.0), 0.1, 12.0, 4001)
         assert want.lam == 8192.0
         for sigma in (S, lambda t, y: np.tile(S, (y.shape[0], 1, 1))):
-            co = build_coefficients(z1=lambda t, x, y: drift.z1(x, y),
-                                    z2=lambda t, x, y, law: drift.z2(x, y),
-                                    b=lambda t, y: rz(y), sigma=sigma, d1=1, d2=1, m=2)
-            rep = equivalence_experiment(co, cfg, DiracInit(PhaseState([0.0], [0.0])),
+            co = build_coefficients(z1=drift.z1, z2=drift.z2, b=rz, sigma=sigma,
+                                    d1=1, d2=1, m=2)
+            rep = equivalence_experiment(co, cfg, DiracInit([0.0], [0.0]),
                                          L=12.0, n_grid=4001)
             assert rep.solution.lam == want.lam
             assert rep.solution.u.tobytes() == want.u.tobytes()
@@ -406,9 +405,7 @@ class TestCallableSigma:
     def _coeffs(self, sigma):
         drift = ConfiningDrift(c1=1.0, c2=0.5, c3=1.0, delta=0.0)
         rz = RieszDrift([(0.0, 1.0)], alpha=0.5, eta_sing=1e-4)
-        return build_coefficients(z1=lambda t, x, y: drift.z1(x, y),
-                                  z2=lambda t, x, y, law: drift.z2(x, y),
-                                  b=lambda t, y: rz(y), sigma=sigma, d1=1, d2=1)
+        return build_coefficients(z1=drift.z1, z2=drift.z2, b=rz, sigma=sigma, d1=1, d2=1)
 
     def test_constant_and_callable_sigma_agree(self):
         const = self._coeffs(self.S)
@@ -426,7 +423,7 @@ class TestCallableSigma:
 
         cfg = SimConfig(T=0.25, h=0.005, N=1000, seed=17,
                         hist=HistogramSpec(-6.0, 6.0, 12, dim=2))
-        init = DiracInit(PhaseState([0.0], [0.0]))
+        init = DiracInit([0.0], [0.0])
         ra, rb = (equivalence_experiment(co, cfg, init, L=12.0, n_grid=2001)
                   for co in (const, call))
         assert (rb.tv, rb.noise_floor, rb.out_of_domain_fraction, rb.verdict) == \
