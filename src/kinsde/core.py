@@ -297,10 +297,11 @@ class EmpiricalLaw:
 
 @dataclass(frozen=True)
 class MeasureFlow:
-    """Particle clouds at strictly increasing grid times: a flow of laws."""
+    """Particle clouds at strictly increasing grid times: a flow of laws.  A run
+    recorded only to be compared holds some slices as their histograms."""
 
     times: np.ndarray
-    clouds: list[EmpiricalLaw]
+    clouds: list  # EmpiricalLaw, or ergodicity.HistogramLaw
 
     def __post_init__(self):
         if len(self.clouds) != self.times.size:

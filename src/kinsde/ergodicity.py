@@ -75,9 +75,14 @@ def _binning(law: EmpiricalLaw, spec: HistogramSpec) -> tuple[np.ndarray, Histog
     return kept
 
 
-def histogram_law(law: EmpiricalLaw, spec: HistogramSpec) -> HistogramLaw:
+def histogram_law(law: EmpiricalLaw | HistogramLaw, spec: HistogramSpec) -> HistogramLaw:
     """The law's masses on ``spec``'s bins, equal to ``np.histogramdd``'s, and the
-    mass outside the box; computed once per law and spec (:func:`_binning`)."""
+    mass outside the box; computed once per law and spec (:func:`_binning`).  A
+    slice kept as its histogram on ``spec`` is its own histogram."""
+    if isinstance(law, HistogramLaw):
+        if law.spec != spec:
+            raise ValueError("binning mismatch between histogram laws")
+        return law
     return _binning(law, spec)[1]
 
 
@@ -98,7 +103,8 @@ def empirical_v_distance(a: HistogramLaw, b: HistogramLaw, V: LyapunovV) -> floa
     return float(np.sum(w * np.abs(a.masses - b.masses)) + w_out * abs(a.out_mass - b.out_mass))
 
 
-def law_distances(laws_a: Sequence[EmpiricalLaw], laws_b: Sequence[EmpiricalLaw],
+def law_distances(laws_a: Sequence[EmpiricalLaw | HistogramLaw],
+                  laws_b: Sequence[EmpiricalLaw | HistogramLaw],
                   spec: HistogramSpec) -> np.ndarray:
     """Slice-by-slice total variation between two law series binned on ``spec``."""
     if len(laws_a) != len(laws_b):
@@ -207,11 +213,14 @@ def tv_decay_experiment(
 ) -> TVDecaySeries:
     """TV(t) between the laws of two flows started from different initial laws.
 
-    The two runs use independent noise streams (1 and 2); the noise floor is
-    the bootstrap TV between same-law resamples of the terminal cloud.
+    The two runs use independent noise streams (1 and 2) and keep each slice
+    but the last as its histogram on ``cfg.hist``; the noise floor is the
+    bootstrap TV between same-law resamples of the terminal cloud.
     """
-    ens_a = simulate_ensemble(cfg, coeffs, init_a, stream=1, record_times=record_times)
-    ens_b = simulate_ensemble(cfg, coeffs, init_b, stream=2, record_times=record_times)
+    ens_a = simulate_ensemble(cfg, coeffs, init_a, stream=1, record_times=record_times,
+                              hist=cfg.hist)
+    ens_b = simulate_ensemble(cfg, coeffs, init_b, stream=2, record_times=record_times,
+                              hist=cfg.hist)
     return compare_flows(ens_a.flow, ens_b.flow, cfg.hist, cfg.seed)
 
 

@@ -18,8 +18,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from kinsde.core import (CoefficientSet, EmpiricalLaw, InputError, MeasureFlow, NumericError,
-                         SimConfig, _percentiles, _row_norm)
+from kinsde.core import (CoefficientSet, EmpiricalLaw, HistogramSpec, InputError, MeasureFlow,
+                         NumericError, SimConfig, _percentiles, _row_norm)
 
 BLOWUP_THRESHOLD = 1e12
 UNSTABLE_DEAD_FRACTION = 1e-3
@@ -238,6 +238,7 @@ def simulate_ensemble(
     stream: int = 0,
     record_times: Sequence[float] | None = None,
     observe: Callable | None = None,
+    hist: HistogramSpec | None = None,
 ) -> Ensemble:
     """Advance N paths of the system from ``init.sample(N)`` to the horizon.
 
@@ -249,6 +250,9 @@ def simulate_ensemble(
 
     The laws of the alive particles at ``record_times``, grid times in
     [0, T] (:meth:`SimConfig.record_steps`), make up the ensemble's ``flow``.
+    With ``hist``, a run recorded only to be compared keeps each slice but the
+    last as its histogram on ``hist``, binned when it is recorded; the last
+    stays a cloud, since a noise floor resamples its bins.
 
     ``observe(k, t, x, y, dW)`` sees the state at t_k before step k, with
     that step's increments, for k = 0 .. K - 1, and once more at k = K
@@ -268,13 +272,21 @@ def simulate_ensemble(
     if coeffs.growth == "superlinear" and cfg.scheme != "tamed":
         raise InputError("superlinear drift (a confining delta > 0) requires scheme = tamed")
     steps = None if record_times is None else cfg.record_steps(record_times)
+    if hist is not None and (steps is None or steps.size == 0):
+        raise InputError("no record time: a run recorded to be compared records a law")
+    from kinsde.ergodicity import histogram_law  # ergodicity imports this module
     x, y = init.sample(cfg.N)  # never written into: each step makes new arrays
     n, h, K = cfg.N, cfg.h, cfg.n_steps
     tamed = cfg.scheme == "tamed"
     alive = np.ones(n, dtype=bool)
 
     rec_set = set() if steps is None else set(steps.tolist())
-    clouds = [alive_law(x, y, alive)] if 0 in rec_set else []
+
+    def record(k: int):
+        law = alive_law(x, y, alive)
+        return law if hist is None or k == steps[-1] else histogram_law(law, hist)
+
+    clouds = [record(0)] if 0 in rec_set else []
 
     n_alive = n
     noise = _step_noise(cfg.seed, stream, n, cfg.m, h, K)
@@ -302,7 +314,7 @@ def simulate_ensemble(
                 y = np.where(alive[:, None], ny, y)
 
             if (k + 1) in rec_set:
-                clouds.append(alive_law(x, y, alive))
+                clouds.append(record(k + 1))
     finally:
         noise.close()
     if observe is not None:

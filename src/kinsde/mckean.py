@@ -18,7 +18,7 @@ import numpy as np
 from kinsde.core import (CloudInit, CoefficientSet, EmpiricalLaw, HistogramSpec, InputError,
                          MeasureFlow, SimConfig)
 from kinsde.ergodicity import (DecayFit, HistogramLaw, TVDecaySeries, bootstrap_noise_floor,
-                               compare_flows, empirical_var_distance, histogram_law)
+                               compare_flows, histogram_law, law_distances)
 from kinsde.integrators import (
     Ensemble,
     GirsanovAccumulator,
@@ -43,29 +43,21 @@ class _ReadOnceFlow(MeasureFlow):
     """A flow that only the Picard loop holds, frozen into its next iterate.
 
     Step j reads cloud j once, and from then on rho_lam needs only the cloud's
-    histogram, which ``hists`` keeps: :meth:`law_at` drops the cloud, so an
-    iterate holds one flow and a slice, not two flows.  It takes over
-    ``flow``'s list of clouds, so ``flow`` must be one that nothing else holds."""
+    histogram on ``spec``: :meth:`law_at` swaps the cloud for it, so an iterate
+    holds one flow and a slice, not two flows.  It takes over ``flow``'s list
+    of clouds, so ``flow`` must be one that nothing else holds."""
 
     def __init__(self, flow: MeasureFlow, spec: HistogramSpec):
         super().__init__(flow.times, flow.clouds)
-        # the previous iterate's rho_lam binned these clouds already (histogram_law memo)
-        object.__setattr__(self, "hists", [histogram_law(law, spec) for law in flow.clouds])
+        object.__setattr__(self, "spec", spec)
 
     def law_at(self, t: float) -> EmpiricalLaw:
         law = super().law_at(t)
-        if law is None:
+        if isinstance(law, HistogramLaw):
             raise ValueError(f"the frozen law at t = {t!r} was read already")
-        self.clouds[self._index[t]] = None
+        # binned by the previous iterate's rho_lam (memo), or here for the initial law
+        self.clouds[self._index[t]] = histogram_law(law, self.spec)
         return law
-
-
-def _histograms(flow: MeasureFlow, spec: HistogramSpec) -> list[HistogramLaw]:
-    """The flow's slice histograms on ``spec``; a :class:`_ReadOnceFlow` gives the
-    ones it kept (binned on the spec it was built with)."""
-    if isinstance(flow, _ReadOnceFlow):
-        return flow.hists
-    return [histogram_law(law, spec) for law in flow.clouds]
 
 
 def rho_lambda(a: MeasureFlow, b: MeasureFlow, lam: float, spec) -> float:
@@ -74,7 +66,7 @@ def rho_lambda(a: MeasureFlow, b: MeasureFlow, lam: float, spec) -> float:
         raise InputError(f"lam must be nonnegative and finite, got {lam!r}")
     if not np.array_equal(a.times, b.times):
         raise ValueError("flows live on different grids")
-    dist = map(empirical_var_distance, _histograms(a, spec), _histograms(b, spec))
+    dist = law_distances(a.clouds, b.clouds, spec)
     return float(max((math.exp(-lam * t) * d for t, d in zip(a.times, dist)), default=0.0))
 
 
@@ -86,15 +78,17 @@ def particle_system_run(
     init,
     record_times: Sequence[float] | None = None,
     stream: int = 0,
+    hist: HistogramSpec | None = None,
 ) -> tuple[MeasureFlow, Ensemble]:
     """N coupled particles; the measure argument is the ensemble's own law.
 
     Each step sees the empirical law of the previous slice's states, so the
     mean-field average never reads in-progress updates.  Dead particles are
-    excluded from the law and reported.
+    excluded from the law and reported.  ``hist`` bins the recorded slices as
+    :func:`simulate_ensemble` does.
     """
     own_law = lambda k, t, x, y, alive: alive_law(x, y, alive)
-    ens = simulate_ensemble(cfg, coeffs, init, law=own_law, stream=stream,
+    ens = simulate_ensemble(cfg, coeffs, init, law=own_law, stream=stream, hist=hist,
                             record_times=cfg.times() if record_times is None else record_times)
     return ens.flow, ens
 
@@ -206,9 +200,9 @@ def girsanov_flow_bound(
             np.add(a_int, np.exp(logw) * sq * h, out=a_int)
 
     ens_ref = simulate_ensemble(cfg, coeffs, init, law=frozen(flow_nu), stream=streams[0],
-                                record_times=record_times, observe=observe)
+                                record_times=record_times, observe=observe, hist=cfg.hist)
     ens_tgt = simulate_ensemble(cfg, coeffs, init, law=frozen(flow_mu), stream=streams[1],
-                                record_times=record_times)
+                                record_times=record_times, hist=cfg.hist)
     series = compare_flows(ens_ref.flow, ens_tgt.flow, cfg.hist, cfg.seed)
     pinsker = np.array([math.sqrt(max(0.0, 2.0 * float(np.mean(np.exp(lw) * lw))))
                         for lw, _ in snapshots])
@@ -251,15 +245,16 @@ def uniform_ergodicity_sweep(
     """Two-initial-law TV decay of the interacting system across couplings.
 
     Each coupling strength runs the particle system from both initial laws
-    with independent noise streams (40 + 2i and 41 + 2i for the i-th coupling)
-    and fits the log-linear decay of TV(t) above the bootstrap floor.  Returns
-    the largest coupling whose decay is confirmed.
+    with independent noise streams (40 + 2i and 41 + 2i for the i-th coupling),
+    keeping each slice but the last as its histogram on ``cfg.hist``, and fits
+    the log-linear decay of TV(t) above the bootstrap floor.  Returns the
+    largest coupling whose decay is confirmed.
     """
     entries: list[SweepEntry] = []
     for i, kappa in enumerate(kappas):
         coeffs = coeffs_factory(kappa)
-        flow_a, _ = particle_system_run(cfg, coeffs, init_a, record_times, stream=40 + 2 * i)
-        flow_b, _ = particle_system_run(cfg, coeffs, init_b, record_times, stream=41 + 2 * i)
+        flow_a, _ = particle_system_run(cfg, coeffs, init_a, record_times, 40 + 2 * i, cfg.hist)
+        flow_b, _ = particle_system_run(cfg, coeffs, init_b, record_times, 41 + 2 * i, cfg.hist)
         series = compare_flows(flow_a, flow_b, cfg.hist, cfg.seed + i)
         entries.append(SweepEntry(kappa, series, series.fit(fit_from)))
     confirmed = [e.kappa for e in entries if e.fit.verdict == "decay confirmed"]

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kinsde.core import (DiracInit, EmpiricalLaw, HistogramSpec, MeasureFlow, NumericError,
-                         SimConfig)
-from kinsde import ergodicity
+from kinsde.core import (CloudInit, DiracInit, EmpiricalLaw, HistogramSpec, InputError,
+                         MeasureFlow, NumericError, SimConfig)
+from kinsde import ergodicity, integrators
 from kinsde.ergodicity import (
     HistogramLaw,
     HTransform,
@@ -27,10 +28,11 @@ from kinsde.fields import (
     ConfiningDrift,
     LyapunovV,
     PhiFamily,
+    build_coefficients,
     confining_coefficients,
     scalar_ou_coefficients,
 )
-from kinsde.integrators import bootstrap_rng
+from kinsde.integrators import bootstrap_rng, simulate_ensemble
 from kinsde.lyapunov import LogRadialSamples, search_constants
 
 SPEC2 = HistogramSpec(-4.0, 4.0, 8, dim=2)
@@ -282,6 +284,116 @@ class TestCompareFlows:
         _same_fit(series.fit(fit_from), fit_exponential_decay(times[window], tv[window], floor))
         _same_fit(series.fit(), fit_exponential_decay(times, tv, floor))
         assert series.fit(times[-1] + 0.25).verdict == "insufficient signal"
+
+
+def _traced_peak(run) -> int:
+    """The most bytes ``run()`` held at once beyond what was held before it, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+_H = 0.05
+
+
+def _dying_coefficients(die_at):
+    """z1 = 0 keeps each row's label x; z2 = -y, NaN on the rows labelled 1 from step
+    ``die_at`` on (never if None), so those rows die and the laws drop them."""
+
+    def z2(t, x, y, law):
+        out = -y
+        if die_at is not None and t > (die_at - 0.5) * _H:
+            out[x[:, 0] == 1.0] = np.nan
+        return out
+
+    return build_coefficients(z1=lambda t, x, y: np.zeros_like(x), z2=z2, b=None, sigma=1.0,
+                              d1=1, d2=1)
+
+
+def _labelled_init(n, centre):
+    x = np.zeros((n, 1))
+    x[::7] = 1.0
+    return CloudInit(EmpiricalLaw(x, centre + np.linspace(-1.0, 1.0, n)[:, None]))
+
+
+@st.composite
+def _compared_case(draw):
+    """Steps K, record times on the grid (t = 0 and t = T each in or out, one slice
+    or more), the step at which the labelled rows die (or None) and a seed."""
+    K = draw(st.integers(1, 12))
+    steps = set(draw(st.lists(st.integers(0, K), min_size=1, max_size=5)))
+    steps.update(k for k, keep in ((0, draw(st.booleans())), (K, draw(st.booleans()))) if keep)
+    die_at = draw(st.one_of(st.none(), st.integers(0, K - 1)))
+    return K, np.array(sorted(steps)) * _H, die_at, draw(st.integers(0, 2**32 - 1))
+
+
+class TestComparedRuns:
+    """Runs recorded only to be compared keep each slice but the last as its histogram."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_compared_case())
+    @example((6, np.array([6 * _H]), None, 1))             # one slice, at T
+    @example((6, np.array([0.0]), 2, 1))                   # one slice, at 0
+    @example((6, np.arange(7) * _H, 2, 5))                 # every step, from 0 to T, deaths
+    def test_binned_at_record_equals_clouds_then_compare(self, case):
+        K, times, die_at, seed = case
+        cfg = SimConfig(T=K * _H, h=_H, N=70, seed=seed, hist=SPEC2)
+        co = _dying_coefficients(die_at)
+        inits = _labelled_init(cfg.N, 1.0), _labelled_init(cfg.N, -1.0)
+        got = tv_decay_experiment(cfg, co, *inits, times)
+        runs = [simulate_ensemble(cfg, co, init, stream=s, record_times=times)
+                for init, s in zip(inits, (1, 2))]
+        want = compare_flows(runs[0].flow, runs[1].flow, cfg.hist, cfg.seed)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.tv.tobytes() == want.tv.tobytes()
+        assert np.float64(got.noise_floor).tobytes() == np.float64(want.noise_floor).tobytes()
+        assert runs[0].n_dead == (0 if die_at is None else 10)
+        kept = simulate_ensemble(cfg, co, inits[0], stream=1, record_times=times, hist=cfg.hist)
+        assert all(isinstance(s, HistogramLaw) for s in kept.flow.clouds[:-1])
+        assert isinstance(kept.flow.clouds[-1], EmpiricalLaw)
+
+    def test_a_histogram_is_its_own_histogram(self):
+        law = _law(np.random.default_rng(3), 50)
+        hist = histogram_law(law, SPEC2)
+        assert histogram_law(hist, SPEC2) is hist
+        with pytest.raises(ValueError, match="binning mismatch"):
+            histogram_law(hist, HistogramSpec(-4.0, 4.0, 4, dim=2))
+
+    def test_empty_record_times_refused_before_any_step(self, monkeypatch):
+        # both runs once ran to the end, then compare_flows failed on an IndexError
+        monkeypatch.setattr(integrators, "step_arrays", None)
+        cfg = SimConfig(T=0.5, h=_H, N=20, seed=1, hist=SPEC2)
+        with pytest.raises(InputError, match="no record time"):
+            tv_decay_experiment(cfg, scalar_ou_coefficients(1.0), DiracInit([1.0], [1.0]),
+                                DiracInit([-1.0], [-1.0]), [])
+
+    def test_compared_runs_hold_slices_not_clouds(self):
+        # N = 10^4 and 16 slices: beyond the peak of an unrecorded run (its noise ring,
+        # states and drift blocks), a TV-decay run holds less than 4 clouds; the two
+        # flows of 16 clouds it once kept (5.1 MB) break that bound
+        N = 10**4
+        cfg = SimConfig(T=0.15, h=0.01, N=N, seed=3, hist=HistogramSpec(-4.0, 4.0, 12, dim=2))
+        co, times = scalar_ou_coefficients(1.0), np.arange(16) * 0.01
+        a, b = DiracInit([2.0], [2.0]), DiracInit([-2.0], [-2.0])
+        bare = lambda: simulate_ensemble(cfg, co, a, stream=1)
+        bare()  # the first run with a noise helper imports its thread pool
+        bound = _traced_peak(bare) + 4 * N * (cfg.d1 + cfg.d2) * 8
+        assert _traced_peak(lambda: tv_decay_experiment(cfg, co, a, b, times)) < bound
+
+        def clouds():
+            flows = [simulate_ensemble(cfg, co, init, stream=s, record_times=times).flow
+                     for init, s in ((a, 1), (b, 2))]
+            compare_flows(*flows, cfg.hist, cfg.seed)
+
+        assert _traced_peak(clouds) > bound
 
 
 class TestVDistance:

@@ -11,7 +11,7 @@ import pytest
 from kinsde import ergodicity, integrators, mckean
 from kinsde.cli import main as cli_main
 from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, InputError, SimConfig
-from kinsde.ergodicity import empirical_var_distance, histogram_law
+from kinsde.ergodicity import compare_flows, empirical_var_distance, histogram_law
 from kinsde.fields import (
     ConfiningDrift,
     MeanFieldKernel,
@@ -281,6 +281,13 @@ class TestPicard:
         with pytest.raises(ValueError, match="read already"):
             flow.law_at(0.01)
 
+    def test_read_once_flow_keeps_each_read_cloud_as_its_histogram(self):
+        law = EmpiricalLaw(*INIT.sample(8))
+        flow = mckean._ReadOnceFlow(constant_flow(law, np.array([0.0, 0.01])), HIST)
+        assert flow.law_at(0.0) is law
+        assert flow.clouds[0] is histogram_law(law, HIST) and flow.clouds[1] is law
+        assert rho_lambda(flow, constant_flow(law, flow.times), 1.0, HIST) == 0.0
+
     @pytest.mark.parametrize("max_iter", [0, -5])
     def test_max_iter_below_one_refused_before_any_run(self, monkeypatch, max_iter):
         monkeypatch.setattr(mckean, "picard_iterate", None)
@@ -341,6 +348,25 @@ class TestFlowBound:
         with pytest.raises(ValueError, match="cloud has 1 particles"):
             girsanov_flow_bound(cfg, coeffs_with(0.2), flow, flow, record_times=[0.0, 0.1])
 
+    def test_tv_is_the_comparison_of_the_clouds(self):
+        # the two runs keep their slices as histograms, and read the series
+        # compare_flows reads off the clouds of the same runs
+        cfg = SimConfig(T=0.3, h=0.01, N=300, seed=5, hist=HIST)
+        co, rec = coeffs_with(0.2), [0.0, 0.1, 0.3]
+        mu, nu = atom_flow(1.5, 1.5, cfg.times()), atom_flow(-1.5, -1.5, cfg.times())
+        rep = girsanov_flow_bound(cfg, co, mu, nu, record_times=rec, init=INIT)
+        ref, tgt = (simulate_ensemble(cfg, co, INIT, law=frozen(f), stream=s, record_times=rec)
+                    for f, s in ((nu, 21), (mu, 22)))
+        want = compare_flows(ref.flow, tgt.flow, HIST, cfg.seed)
+        assert rep.tv.tobytes() == want.tv.tobytes() and rep.noise_floor == want.noise_floor
+
+    def test_empty_record_times_refused_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(integrators, "step_arrays", None)
+        cfg = SimConfig(T=0.1, h=0.01, N=20, seed=5, hist=HIST)
+        flow = atom_flow(1.0, 1.0, cfg.times())
+        with pytest.raises(InputError, match="no record time"):
+            girsanov_flow_bound(cfg, coeffs_with(0.2), flow, flow, record_times=[], init=INIT)
+
     def test_bound_scales_linearly_in_kappa(self):
         cfg = SimConfig(T=1.0, h=0.01, N=800, seed=5, hist=HIST)
         flow_mu = atom_flow(1.5, 1.5, cfg.times())
@@ -370,3 +396,20 @@ class TestSweep:
         for e in res.entries:
             assert np.all(e.series.tv[1:] <= 2.5 * e.series.noise_floor)
             assert e.fit.verdict in ("insufficient signal", "no decay")
+
+    def test_series_are_the_comparison_of_the_clouds(self):
+        cfg = SimConfig(T=0.3, h=0.02, N=300, seed=5, hist=HIST)
+        a, b, rec = DiracInit([1.0], [1.0]), DiracInit([-1.0], [-1.0]), [0.0, 0.1, 0.3]
+        res = uniform_ergodicity_sweep(cfg, coeffs_with, [0.0, 0.5], a, b, rec)
+        for i, e in enumerate(res.entries):
+            flows = [particle_system_run(cfg, coeffs_with(e.kappa), init, rec, stream=s)[0]
+                     for init, s in ((a, 40 + 2 * i), (b, 41 + 2 * i))]
+            want = compare_flows(*flows, HIST, cfg.seed + i)
+            assert e.series.tv.tobytes() == want.tv.tobytes()
+            assert e.series.noise_floor == want.noise_floor
+
+    def test_empty_record_times_refused_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(integrators, "step_arrays", None)
+        cfg = SimConfig(T=0.1, h=0.02, N=20, seed=5, hist=HIST)
+        with pytest.raises(InputError, match="no record time"):
+            uniform_ergodicity_sweep(cfg, coeffs_with, [0.0], INIT, INIT, record_times=[])

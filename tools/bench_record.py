@@ -4,7 +4,10 @@ Runs ``perfbench/run.py --trace 0`` 5 times per workload and writes,
 for each end-to-end metric, the median and quartiles over the runs, with each
 run's seed, result and CPU steal read from ``/proc/stat``, the git HEAD
 with a digest of the measured sources, and ``src_lines``, the line count of
-``src/kinsde/*.py`` (as ``wc -l`` counts it).  Run it from anywhere:
+``src/kinsde/*.py`` (as ``wc -l`` counts it).  Each run also keeps the wall
+time, import time and peak RSS of every op in every pass, as ``run.py``
+prints them, and each workload names its ``peak_op``, the op that most often
+sets a pass's peak RSS.  Run it from anywhere:
 
     python3 tools/bench_record.py --pr N
 
@@ -15,7 +18,9 @@ workloads share the machine's drift and each repeat uses its own seed.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -58,6 +63,44 @@ def src_lines() -> int:
     return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "kinsde").glob("*.py"))
 
 
+# one op of a pass, as perfbench/run.py's ``describe`` prints it
+OP_LINE = re.compile(r"  (\S+)\s+rc=-?\d+ wall=([\d.]+)s import=(n/a|[\d.]+s) rss=([\d.]+)MB")
+
+
+def op_passes(stdout: str) -> list[dict]:
+    """Each pass's ops: name -> ``wall_s``, ``import_s`` (None where the op reported
+    none) and ``rss_mb``, at the precision ``run.py`` prints them."""
+    passes: list[dict] = []
+    for line in stdout.splitlines():
+        if line.startswith("pass "):
+            passes.append({})
+        elif passes and (m := OP_LINE.match(line)):
+            name, wall, imp, rss = m.groups()
+            passes[-1][name] = {"wall_s": float(wall), "rss_mb": float(rss),
+                                "import_s": None if imp == "n/a" else float(imp[:-1])}
+    return passes
+
+
+def op_summary(runs: list[dict]) -> tuple[dict, str | None]:
+    """Each op's median wall, import and RSS over every pass of the runs, and the op
+    whose RSS is a pass's peak most often (``peak_rss_mb`` is the median peak)."""
+    passes = [p for r in runs for p in r.get("passes", []) if p]
+    ops = {}
+    for name in dict.fromkeys(n for p in passes for n in p):
+        values = {k: [p[name][k] for p in passes if name in p and p[name][k] is not None]
+                  for k in ("wall_s", "import_s", "rss_mb")}
+        ops[name] = {k: statistics.median(v) for k, v in values.items() if v}
+    peaks = collections.Counter(max(p, key=lambda n: p[n]["rss_mb"]) for p in passes)
+    return ops, (peaks.most_common(1)[0][0] if peaks else None)
+
+
+def dumps(record: dict) -> str:
+    """``json.dumps(record, indent=1)`` with each innermost object or list on one line."""
+    return re.sub(r"([\[{])\n\s+([^\[\]{}]*?)\n\s*([\]}])",
+                  lambda m: m[1] + re.sub(r",\n\s+", ", ", m[2]) + m[3],
+                  json.dumps(record, indent=1))
+
+
 def run_once(workload: str, seed: int) -> dict:
     steal0, total0 = cpu_ticks()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -72,7 +115,8 @@ def run_once(workload: str, seed: int) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     run.update(correct=result["correct"], failed_frac=result["failed"] / result["attempted"],
                metrics={k: v["value"] for k, v in result["metrics"].items()},
-               units={k: v["unit"] for k, v in result["metrics"].items()})
+               units={k: v["unit"] for k, v in result["metrics"].items()},
+               passes=op_passes(proc.stdout))
     return run
 
 
@@ -105,10 +149,14 @@ def main(argv: list[str] | None = None) -> int:
         "head": head,
         "src_lines": src_lines(),
         "command": f"perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
-        "workloads": {w: {"metrics": summary(rs), "runs": rs} for w, rs in runs.items()},
+        "workloads": {},
     }
+    for w, rs in runs.items():
+        ops, peak_op = op_summary(rs)
+        record["workloads"][w] = {"metrics": summary(rs), "peak_op": peak_op, "ops": ops,
+                                  "runs": rs}
     out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n")
+    out.write_text(dumps(record) + "\n")
     print(f"wrote {out}")
     return 0 if all(r.get("correct") for rs in runs.values() for r in rs) else 1
 
