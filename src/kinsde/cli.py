@@ -86,8 +86,8 @@ def _parse_config(text: str) -> dict:
 
 
 def _whole(key: str, val, least: int = -2**53) -> int:
-    """``val`` as an int in [least, 2^53); integral floats such as 1e4 pass."""
-    whole = isinstance(val, int) or (isinstance(val, float) and val.is_integer())
+    """``val`` as an int in [least, 2^53); integral floats such as 1e4 pass, booleans do not."""
+    whole = type(val) is int or (isinstance(val, float) and val.is_integer())
     if not (whole and abs(val) < 2**53):
         raise InputError(f"{key} must be a whole number below 2^53 in size, got {val!r}")
     if val < least:

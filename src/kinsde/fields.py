@@ -155,19 +155,19 @@ class LyapunovV:
         s = 1.0 + np.sum(pts * pts, axis=1)
         return s**self.theta
 
+    def powers(self, s):
+        """V = s^theta, g = 2 theta s^(theta - 1) and g2 = 4 theta (theta - 1) s^(theta - 2)
+        at s = 1 + |x|^2 + |y|^2, so d_y V = g y, d_x d_y V = g2 x y^T, d_y^2 V = g I + g2 y y^T.
+        A float s raises OverflowError out of the float range, an array gives inf there."""
+        th = self.theta
+        return s**th, 2.0 * th * s ** (th - 1.0), 4.0 * th * (th - 1.0) * s ** (th - 2.0)
+
     def blocks(self, x, y) -> LyapunovBlocks:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        th = self.theta
-        s = 1.0 + float(np.sum(x * x) + np.sum(y * y))
-        v = s**th
-        g = 2.0 * th * s ** (th - 1.0)
-        g2 = 4.0 * th * (th - 1.0) * s ** (th - 2.0)
-        grad_x = g * x
-        grad_y = g * y
-        hess_xy = g2 * np.outer(x, y)
-        hess_yy = g * np.eye(y.size) + g2 * np.outer(y, y)
-        return LyapunovBlocks(v, grad_x, grad_y, hess_xy, hess_yy)
+        v, g, g2 = self.powers(1.0 + float(np.sum(x * x) + np.sum(y * y)))
+        return LyapunovBlocks(v, g * x, g * y, g2 * np.outer(x, y),
+                              g * np.eye(y.size) + g2 * np.outer(y, y))
 
 
 @dataclass(frozen=True)

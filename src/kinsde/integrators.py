@@ -510,11 +510,18 @@ def save_snapshot(base: str | Path, ens: Ensemble, config_hash: str = "") -> tup
 
 
 def load_snapshot(base: str | Path) -> tuple[EmpiricalLaw, dict]:
-    base = Path(base)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
+    """The law and sidecar :func:`save_snapshot` wrote; a sidecar of another format, or
+    a ``.bin`` of another size than 8 n (d1 + d2 + 1) bytes, is refused naming the file."""
+    bin_path, json_path = Path(base).with_suffix(".bin"), Path(base).with_suffix(".json")
+    meta = json.loads(json_path.read_text())
+    if meta.get("format") != SNAPSHOT_FORMAT:
+        raise InputError(f"{json_path}: format {meta.get('format')!r}, not {SNAPSHOT_FORMAT}")
     n, d1, d2 = meta["n"], meta["d1"], meta["d2"]
+    data, size = bin_path.read_bytes(), 8 * n * (d1 + d2 + 1)
+    if len(data) != size:
+        raise InputError(f"{bin_path} holds {len(data)} bytes, its sidecar implies {size}")
+    raw = np.frombuffer(data, dtype="<f8")
     x = raw[:n * d1].reshape(n, d1).copy()
     y = raw[n * d1:n * (d1 + d2)].reshape(n, d2).copy()
-    w = raw[n * (d1 + d2):n * (d1 + d2 + 1)].copy()
+    w = raw[n * (d1 + d2):].copy()
     return EmpiricalLaw(x, y, w), meta

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinsde.core import CoefficientSet, InputError, NumericError
+from kinsde.core import CoefficientSet, InputError, NumericError, _row_norm
 from kinsde.fields import LyapunovV, PhiFamily
 
 
@@ -72,19 +72,15 @@ def shell_offsets(d2: int, eps: float, m_shell: int = 32, seed: int = 1) -> np.n
 def shell_norms(V: LyapunovV, x: np.ndarray, y: np.ndarray, offs: np.ndarray):
     """||d_x d_y V||, |d_y V| and ||d_y^2 V|| at (x_i, y_i + off_j), each (n, m).
 
-    x is (n, d1), y is (n, d2), offs is (m, d2).  The blocks of
-    V = (1 + |z|^2)^theta are d_y V = g y, d_x d_y V = g2 x y^T and
-    d_y^2 V = g I + g2 y y^T, so the spectral norms are |g2| |x| |y| and,
-    from the eigenvalues g (d2 - 1 times) and g + g2 |y|^2, |g + g2 |y|^2|
-    when d2 = 1 and max(|g|, |g + g2 |y|^2|) when d2 >= 2.
+    x is (n, d1), y is (n, d2), offs is (m, d2).  With g and g2 of
+    :meth:`LyapunovV.powers`, the spectral norms are |g2| |x| |y| and, from the
+    eigenvalues g (d2 - 1 times) and g + g2 |y|^2, |g + g2 |y|^2| when d2 = 1 and
+    max(|g|, |g + g2 |y|^2|) when d2 >= 2.
     """
-    th = V.theta
     ys = y[:, None, :] + offs[None, :, :]
     y2 = np.sum(ys * ys, axis=2)
     x2 = np.sum(x * x, axis=1)[:, None]
-    s = 1.0 + (x2 + y2)
-    g = 2.0 * th * s ** (th - 1.0)
-    g2 = 4.0 * th * (th - 1.0) * s ** (th - 2.0)
+    _, g, g2 = V.powers(1.0 + (x2 + y2))
     ny = np.sqrt(y2)
     hess_xy = np.abs(g2) * np.sqrt(x2) * ny
     hess_yy = np.abs(g + g2 * y2)
@@ -100,33 +96,32 @@ def drift_condition_lhs(
     points: np.ndarray,
     m_shell: int = 32,
 ) -> np.ndarray:
-    """Left side of the drift condition at each sampled phase point.
+    """Left side of the drift condition at each sampled phase point, in one pass.
 
     eps * sup over the eps-shell of {|Z1| ||d_x d_y V|| + |Z2| (|d_y V| + ||d_y^2 V||)}
     plus the inner products <Z1, d_x V> + <Z2, d_y V> at the point itself.
     The drift magnitudes are evaluated at the point, not on the shell; the
-    shell applies to the derivative factors only.  A point where a drift or a
-    float power of V fails (say by leaving the float range) gets an infinite
-    left side, so it is flagged; any other exception is a bug and escapes.
+    shell applies to the derivative factors only.  A point where V leaves the
+    float range gets an infinite left side, so it is flagged.  The drifts are
+    called once on the whole sample, so a drift that raises ArithmeticError
+    flags every point; any other exception is a bug and escapes.
     """
-    d1 = coeffs.d1
-    offs = shell_offsets(coeffs.d2, eps, m_shell)
-    out = np.empty(points.shape[0])
+    if not (0.0 < eps < 1.0):
+        raise InputError("eps must lie in (0, 1)")
+    x, y = points[:, :coeffs.d1], points[:, coeffs.d1:]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite left side gets flagged
-        hess_xy, grad_y, hess_yy = shell_norms(V, points[:, :d1], points[:, d1:], offs)
-        for i, pt in enumerate(points):
-            x, y = pt[:d1], pt[d1:]
-            try:
-                z1 = np.asarray(coeffs.z1(0.0, x[None, :], y[None, :]))[0]
-                z2 = np.asarray(coeffs.z2(0.0, x[None, :], y[None, :], None))[0]
-                here = V.blocks(x, y)
-            except ArithmeticError:
-                out[i] = math.inf
-                continue
-            n1 = float(np.linalg.norm(z1))
-            n2 = float(np.linalg.norm(z2))
-            shell_max = float(np.max(n1 * hess_xy[i] + n2 * (grad_y[i] + hess_yy[i])))
-            out[i] = eps * shell_max + float(z1 @ here.grad_x) + float(z2 @ here.grad_y)
+        try:
+            z1 = np.asarray(coeffs.z1(0.0, x, y))
+            z2 = np.asarray(coeffs.z2(0.0, x, y, None))
+        except ArithmeticError:
+            return np.full(points.shape[0], math.inf)
+        hess_xy, grad_y, hess_yy = shell_norms(V, x, y, shell_offsets(coeffs.d2, eps, m_shell))
+        v, g, _ = V.powers(1.0 + (np.sum(x * x, axis=1) + np.sum(y * y, axis=1)))
+        n1, n2 = _row_norm(z1, keepdims=True), _row_norm(z2, keepdims=True)
+        shell_max = np.max(n1 * hess_xy + n2 * (grad_y + hess_yy), axis=1)
+        g = g[:, None]  # d_x V = g x and d_y V = g y
+        out = eps * shell_max + np.sum(z1 * (g * x), axis=1) + np.sum(z2 * (g * y), axis=1)
+    out[np.isinf(v)] = math.inf
     return out
 
 
@@ -167,20 +162,20 @@ def check_drift_condition(
     A point whose left side overflows or is not a number is flagged rather
     than skipped; a flagged point blocks a "holds" verdict.
     """
-    if not (0.0 < eps < 1.0):
-        raise InputError("eps must lie in (0, 1)")
     pts = samples.points(coeffs.d1, coeffs.d2)
     return _drift_report(V, phi, K, samples, pts, drift_condition_lhs(coeffs, V, eps, pts))
 
 
 def _drift_report(V: LyapunovV, phi: PhiFamily, K: float, samples: LogRadialSamples,
                   pts: np.ndarray, lhs: np.ndarray) -> DriftConditionReport:
-    """Margins K - Phi(V) - LHS and the verdict; a point with a non-finite left side is
-    flagged, and a flagged point or a margin that is not a number >= 0 fails it."""
+    """Margins K - (LHS + Phi(V)), the sum whose max is K_min, and the verdict; a point
+    with a non-finite left side is flagged, and a flagged point or a margin that is not
+    a number >= 0 fails it."""
     flagged = np.flatnonzero(~np.isfinite(lhs)).tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Phi(V) fails the margin
-        rhs = K - np.asarray(phi(V.value_points(pts)))
-        margins = rhs - lhs
+        phiv = np.asarray(phi(V.value_points(pts)))
+        rhs = K - phiv
+        margins = K - (lhs + phiv)
     ok = not flagged and bool(np.all(margins >= 0.0))
     return DriftConditionReport(
         points=pts, lhs=lhs, rhs=rhs, margins=margins, flagged=flagged,
@@ -216,19 +211,16 @@ def search_constants(
     flagged.  A left side that is not a number anywhere certifies nothing
     and raises :class:`CertificationError`.
     """
-    if not (0.0 < eps < 1.0):
-        raise InputError("eps must lie in (0, 1)")
     if math.isnan(k_cap):  # it would fail every comparison and certify the bracket floor
         raise InputError("k_cap must be a number or inf, got nan")
     pts = samples.points(coeffs.d1, coeffs.d2)
     lhs = drift_condition_lhs(coeffs, V, eps, pts)
     with np.errstate(over="ignore"):  # V overflows where lhs is flagged
-        vvals = V.value_points(pts)
+        w = np.asarray(PhiFamily(phi_kind, 1.0, beta)(V.value_points(pts)))
 
-    def k_min(c0: float) -> float:
-        phi = PhiFamily(phi_kind, c0, beta)
+    def k_min(c0: float) -> float:  # Phi_c0(V) = c0 Phi_1(V) bit for bit, for both kinds
         with np.errstate(over="ignore"):  # an overflowing Phi(V) makes K infinite
-            return float(np.max(lhs + np.asarray(phi(vvals))))
+            return float(np.max(lhs + c0 * w))
 
     lo, hi = c0_bracket
     k_lo = k_min(lo)

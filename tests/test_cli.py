@@ -85,7 +85,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "line", ["N = 2.5", "seed = 1.9", "d1 = 1.7", "d2 = 1.5", "m = 1.5",
-                 "hist.bins = 8.5", "hist.bins = [8, 8.5]", "d1 = [1, 1]"],
+                 "hist.bins = 8.5", "hist.bins = [8, 8.5]", "d1 = [1, 1]",
+                 "N = True", "seed = False"],
     )
     def test_non_integral_count_exit_2(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path, f"drift = zero\n{line}\n")
@@ -104,7 +105,9 @@ class TestConfigHandling:
         [("lyapunov-check", "lyap.radii = 6.9\nlyap.dirs = 4\n", "lyap.radii"),
          ("lyapunov-check", "lyap.radii = 6\nlyap.dirs = 4.5\n", "lyap.dirs"),
          ("zvonkin", "zvonkin.n = 400.5\n", "zvonkin.n"),
-         ("mkv-picard", "picard.maxiter = 2.5\n", "picard.maxiter")],
+         ("mkv-picard", "picard.maxiter = 2.5\n", "picard.maxiter"),
+         ("lyapunov-check", "lyap.radii = True\nlyap.dirs = 4\n", "lyap.radii"),
+         ("mkv-picard", "picard.maxiter = True\n", "picard.maxiter")],
     )
     def test_non_integral_module_count_exit_2(self, tmp_path, capsys, command, extra, key):
         cfg = write_cfg(tmp_path, extra)
@@ -506,6 +509,18 @@ class TestLyapunovCheck:
         assert rep["mode"] == "search"
         assert rep["verdict"] == "holds"
         assert rep["c0"] > 0.0
+
+    def test_searched_certificate_holds_at_a_large_cap(self, tmp_path):
+        # K_min and the margins are one sum: at this cap the search once found
+        # c0 = 5.78... with K = 1e4 and then wrote "fails" with min_margin -9.1e-13
+        text = (ROOT / "configs" / "lyapunov_confining.cfg").read_text(encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace("seed = 7", "seed = 6").replace("lyap.kcap = 50.0",
+                                                                    "lyap.kcap = 10000"))
+        assert main(["lyapunov-check", str(cfg), "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "lyapunov.json").read_text())
+        assert (rep["mode"], rep["K"], rep["n_flagged"]) == ("search", 10000.0, 0)
+        assert rep["verdict"] == "holds" and rep["min_margin"] == 0.0
 
     @pytest.mark.parametrize("mode, extra", [("search", ""), ("check", "phi.c0 = 1.0\n")],
                              ids=["search", "check"])

@@ -131,9 +131,10 @@ class TestMutatedConfigs:
         "langevin": {
             "snapshot.bin": "8f32d17e6b3498db02a659497354009c89024e370e33967c80afd5468e3832a1",
             "snapshot.json": "f40965ac5bfb8ea5cb9e50629d2998c2b4b7fcbbb43fe93d61bb49ba66e3844d"},
+        # margins.csv since its margins became K - (LHS + Phi(V)), the sum K_min maximises
         "lyapunov_confining": {
             "lyapunov.json": "8d06e5302b2e75821649d21d2474dc23f4e6c9b1faa1a173e32a0e715376fddd",
-            "margins.csv": "ca3222837fd3f03d553cf8d75becadc133831f0b9ff242298be100f3ed6e7b41"},
+            "margins.csv": "5826b2e643f5cbb39166dcda1e85b220ebfa52878416149f38e07612a1c4947d"},
     }
 
     @pytest.mark.parametrize("name", sorted(SHRUNK_SHA256))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 import tempfile
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kinsde.core import CloudInit, DiracInit, EmpiricalLaw, NumericError, SimConfig
+from kinsde.core import CloudInit, DiracInit, EmpiricalLaw, InputError, NumericError, SimConfig
 from kinsde.fields import (
     build_coefficients,
     linear_langevin_coefficients,
@@ -418,3 +419,32 @@ class TestSnapshots:
         assert set(meta) == {"format", "config_hash", "seed", "stream", "time", "n", "d1", "d2",
                              "n_dead", "unstable"}
         assert meta["format"] == 2 and meta["n_dead"] == n - want.n
+
+    def _saved(self, tmp_path):
+        cfg = SimConfig(T=0.2, h=0.1, N=20, seed=3)
+        ens = simulate_ensemble(cfg, linear_langevin_coefficients(), ORIGIN)
+        return save_snapshot(tmp_path / "snap", ens)
+
+    @pytest.mark.parametrize("change", [b"\0" * 16, -8], ids=["padded", "truncated"])
+    def test_bin_of_another_size_refused_naming_it(self, tmp_path, change):
+        # a padded file once loaded silently, a truncated one failed with
+        # "weights must be one per particle"
+        bin_path, _ = self._saved(tmp_path)
+        data = bin_path.read_bytes()
+        bin_path.write_bytes(data + change if isinstance(change, bytes) else data[:change])
+        size = len(bin_path.read_bytes())
+        message = f"{bin_path} holds {size} bytes, its sidecar implies {8 * 20 * 3}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            load_snapshot(tmp_path / "snap")
+
+    @pytest.mark.parametrize("fmt", [1, 3, None])
+    def test_other_format_refused_naming_the_sidecar(self, tmp_path, fmt):
+        _, json_path = self._saved(tmp_path)
+        meta = json.loads(json_path.read_text())
+        if fmt is None:
+            del meta["format"]
+        else:
+            meta["format"] = fmt
+        json_path.write_text(json.dumps(meta))
+        with pytest.raises(InputError, match=re.escape(f"{json_path}: format {fmt!r}, not 2")):
+            load_snapshot(tmp_path / "snap")

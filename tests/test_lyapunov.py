@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kinsde.core import InputError
@@ -75,7 +75,9 @@ class TestCheckB3:
 
         co = build_coefficients(broken_z1, lambda t, x, y, law: -y, None, 1.0, 1, 1)
         rep = check_drift_condition(co, V1, PhiFamily("linear", 1e-4), K=50.0, eps=0.1, samples=SAMPLES)
-        assert rep.flagged
+        # the drifts are called once on the whole sample, so the raise flags every point
+        assert rep.flagged == list(range(rep.points.shape[0]))
+        assert np.all(np.isposinf(rep.lhs))
         assert rep.verdict == "fails"
 
     def test_summary_wording(self):
@@ -225,6 +227,51 @@ class TestSearchReport:
         with pytest.raises(InputError, match="k_cap must be a number or inf, got nan"):
             search_constants(confining_good(), V1, "linear", eps=0.1, samples=SAMPLES,
                              k_cap=math.nan)
+
+
+def searched(seed, k_cap, c2, d):
+    """The confining model's search on the lyapunov_confining.cfg domain at ``seed``;
+    an input with no certificate is rejected."""
+    co = confining_coefficients(ConfiningDrift(c1=1.0, c2=c2, c3=1.0, delta=0.0), d=d)
+    V = LyapunovV(1.0, d, d)
+    samples = LogRadialSamples(r_max=50.0, n_radii=20, n_dirs=12, seed=seed)
+    try:
+        res = search_constants(co, V, "linear", eps=0.1, samples=samples, k_cap=k_cap)
+    except CertificationError:
+        assume(False)
+    return co, V, samples, res
+
+
+SEARCH_INPUTS = dict(seed=st.integers(0, 2**32 - 1),
+                     k_cap=st.floats(0.0, 6.0).map(lambda e: 10.0**e),  # log-uniform in [1, 1e6]
+                     c2=st.floats(0.0, 2.5), d=st.sampled_from([1, 2]))
+
+
+class TestCertificateProperties:
+    """K_min and the margins are one sum, so the search's certificate holds and is
+    the check at the same constants."""
+
+    # seed 6 at k_cap = 1e4 once found K = 1e4 and then read "fails" by -9.1e-13
+    @settings(max_examples=200, deadline=None)
+    @given(**SEARCH_INPUTS)
+    @example(seed=6, k_cap=1e4, c2=0.05, d=1)
+    @example(seed=6, k_cap=1e4, c2=0.05, d=2)
+    def test_searched_certificate_holds(self, seed, k_cap, c2, d):
+        _, _, _, res = searched(seed, k_cap, c2, d)
+        assume(not res.report.flagged)
+        assert res.K <= k_cap
+        assert res.report.min_margin >= 0.0 and res.report.verdict == "holds"
+
+    @settings(max_examples=100, deadline=None)
+    @given(**SEARCH_INPUTS)
+    def test_search_report_is_the_check_at_its_constants(self, seed, k_cap, c2, d):
+        co, V, samples, res = searched(seed, k_cap, c2, d)
+        rep = check_drift_condition(co, V, PhiFamily("linear", res.c0), res.K, eps=0.1,
+                                    samples=samples)
+        for field in ("points", "lhs", "rhs", "margins"):
+            assert getattr(res.report, field).tobytes() == getattr(rep, field).tobytes()
+        assert (res.report.flagged, res.report.domain, res.report.verdict) == \
+            (rep.flagged, rep.domain, rep.verdict)
 
 
 class TestDriftLhs:

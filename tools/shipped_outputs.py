@@ -3,7 +3,11 @@
 Runs each ``configs/*.cfg`` through the subcommand the benchmark runs it with
 (``perfbench/ops.py``'s ``WORKLOADS``) into a temporary directory, and prints
 one ``<config>/<file> <sha256>`` line per output, hashed as the benchmark
-hashes them: the manifest without its ``wall_clock_s``.  It takes no options:
+hashes them: the manifest without its ``wall_clock_s``.  Then it runs
+``perfbench/child.py``'s library op (``search_constants`` with a superlinear
+Phi, then ``fit_h_envelope``, which no config runs) at seeds 1-5 and prints
+``libop-seed<n>/<file> <sha256>`` lines alike.  Every run imports the
+checkout's own ``src/``.  It takes no options:
 
     python3 tools/shipped_outputs.py > outputs.txt
 
@@ -13,6 +17,7 @@ config has no subcommand there, or a run fails.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +27,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 from ops import WORKLOADS, output_hashes  # noqa: E402  the benchmark's ops and output hashing
+
+LIBOP_SEEDS = range(1, 6)  # the benchmark's seeds for the certify workload
+
+
+def _hashed(label: str, argv: list[str], out: Path, env: dict) -> list[str] | None:
+    """The ``<label>/<file> <sha256>`` lines of one run's outputs; None if it failed."""
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    hashes, problems = output_hashes(out)
+    if run.returncode or problems:
+        print(f"shipped_outputs: {label} exited {run.returncode}: "
+              f"{run.stderr.strip() or '; '.join(problems)}", file=sys.stderr)
+        return None
+    return [f"{label}/{name} {digest}" for name, digest in sorted(hashes.items())]
 
 
 def main() -> int:
@@ -35,18 +53,19 @@ def main() -> int:
         return 1
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in configs:
-            out = Path(tmp) / cfg.stem
-            run = subprocess.run([sys.executable, "-m", "kinsde.cli", command[cfg.stem],
-                                  str(cfg), "--out", str(out)],
-                                 env=env, capture_output=True, text=True)
-            hashes, problems = output_hashes(out)
-            if run.returncode or problems:
-                print(f"shipped_outputs: {cfg.name} exited {run.returncode}: "
-                      f"{run.stderr.strip() or '; '.join(problems)}", file=sys.stderr)
+        runs = [(cfg.stem, [sys.executable, "-m", "kinsde.cli", command[cfg.stem], str(cfg),
+                            "--out", str(Path(tmp) / cfg.stem)], Path(tmp) / cfg.stem)
+                for cfg in configs]
+        for seed in LIBOP_SEEDS:
+            out = Path(tmp) / f"libop-seed{seed}"
+            spec = {"lib": {"seed": seed, "out": str(out)}, "timing": str(out) + ".timing.json"}
+            runs.append((out.name, [sys.executable, str(ROOT / "perfbench" / "child.py"),
+                                    json.dumps(spec)], out))
+        for label, argv, out in runs:
+            lines = _hashed(label, argv, out, env)
+            if lines is None:
                 return 1
-            for name, digest in sorted(hashes.items()):
-                print(f"{cfg.stem}/{name} {digest}")
+            print("\n".join(lines))
     return 0
 
 
