@@ -255,8 +255,8 @@ def _uniform_weights(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class EmpiricalLaw:
     """A weighted particle cloud standing in for a probability law.  Its arrays
-    are never written after construction: the cloud's bins and histogram are
-    kept on it (``ergodicity.histogram_law``)."""
+    are never written after construction: the cloud's histogram is kept on it
+    (``ergodicity.histogram_law``)."""
 
     x: np.ndarray          # (n, d1)
     y: np.ndarray          # (n, d2)
@@ -298,7 +298,7 @@ class EmpiricalLaw:
 @dataclass(frozen=True)
 class MeasureFlow:
     """Particle clouds at strictly increasing grid times: a flow of laws.  A run
-    recorded only to be compared holds some slices as their histograms."""
+    recorded only to be compared holds its slices as their histograms."""
 
     times: np.ndarray
     clouds: list  # EmpiricalLaw, or ergodicity.HistogramLaw

@@ -23,11 +23,12 @@ from kinsde.integrators import bootstrap_rng, simulate_ensemble
 
 @dataclass(frozen=True)
 class HistogramLaw:
-    """Binned proxy for a probability law on the configured box."""
+    """Binned proxy for a probability law on the configured box, binned from ``n`` rows."""
 
     spec: HistogramSpec
     masses: np.ndarray
     out_mass: float
+    n: int
 
     def __post_init__(self):
         total = math.fsum(self.masses.tolist()) + self.out_mass
@@ -53,37 +54,29 @@ def _bin_index(pts: np.ndarray, spec: HistogramSpec) -> np.ndarray:
 
 def _binned(idx: np.ndarray, weights: np.ndarray, spec: HistogramSpec) -> HistogramLaw:
     """The histogram of points in the padded bins ``idx`` (:func:`_bin_index`)
-    with these weights: the core bins' masses, and the rest of the mass as out."""
+    with these weights: the core bins' masses, the rest of the mass as out, and
+    the number of points."""
     nbin = spec.bins + 2
     hist = np.bincount(idx, weights, minlength=int(np.prod(nbin))).reshape(nbin)
     masses = hist[(slice(1, -1),) * spec.dim].ravel()
-    return HistogramLaw(spec, masses, max(0.0, 1.0 - math.fsum(masses.tolist())))
-
-
-def _binning(law: EmpiricalLaw, spec: HistogramSpec) -> tuple[np.ndarray, HistogramLaw]:
-    """The law's :func:`_bin_index` on ``spec`` and its histogram, kept on the
-    (immutable) law: a cloud is binned once however many flows, comparisons and
-    noise floors read it."""
-    kept = law.__dict__.get("_binning")
-    if kept is None or not (kept[1].spec is spec or kept[1].spec == spec):
-        idx = _bin_index(law.points(), spec)
-        # kept in the narrowest type that holds every padded bin (one byte for 12 x 12)
-        idx = idx.astype(np.min_scalar_type(int(np.prod(spec.bins + 2)) - 1))
-        kept = (idx, _binned(idx, law.weights, spec))
-        kept[1].masses.flags.writeable = False  # every holder of the law shares them
-        object.__setattr__(law, "_binning", kept)
-    return kept
+    return HistogramLaw(spec, masses, max(0.0, 1.0 - math.fsum(masses.tolist())), idx.size)
 
 
 def histogram_law(law: EmpiricalLaw | HistogramLaw, spec: HistogramSpec) -> HistogramLaw:
     """The law's masses on ``spec``'s bins, equal to ``np.histogramdd``'s, and the
-    mass outside the box; computed once per law and spec (:func:`_binning`).  A
-    slice kept as its histogram on ``spec`` is its own histogram."""
+    mass outside the box; computed once per law and spec and kept on the
+    (immutable) law, however many flows, comparisons and noise floors read it.
+    A slice kept as its histogram on ``spec`` is its own histogram."""
     if isinstance(law, HistogramLaw):
         if law.spec != spec:
             raise ValueError("binning mismatch between histogram laws")
         return law
-    return _binning(law, spec)[1]
+    kept = law.__dict__.get("_histogram")
+    if kept is None or not (kept.spec is spec or kept.spec == spec):
+        kept = _binned(_bin_index(law.points(), spec), law.weights, spec)
+        kept.masses.flags.writeable = False  # every holder of the law shares them
+        object.__setattr__(law, "_histogram", kept)
+    return kept
 
 
 def empirical_var_distance(a: HistogramLaw, b: HistogramLaw) -> float:
@@ -115,33 +108,20 @@ def law_distances(laws_a: Sequence[EmpiricalLaw | HistogramLaw],
     ])
 
 
-def bootstrap_noise_floor(
-    law: EmpiricalLaw,
-    spec: HistogramSpec,
-    n_boot: int = 100,
-    seed: int = 0,
-) -> float:
-    """95th percentile of TV between two same-law resamples of the cloud.
+def bootstrap_noise_floor(hist: HistogramLaw, seed: int = 0) -> float:
+    """95th percentile of TV between two same-law resamples of the ``hist.n``
+    rows binned into ``hist``, over 100 pairs.
 
-    A resampled particle sits in the bin of the particle it copies, so each
-    resample's histogram is a count of the cloud's bins (:func:`_binning`) with
-    the uniform weights a resampled cloud carries.
+    A resampled row lands in the bin of the row it copies, so a resample's
+    histogram is a multinomial(n, masses + [out_mass]) count, for uniform and
+    weighted laws alike; the outlier bin goes last, so it takes the remainder.
+    A bin holding every row can sum its weights to just above 1, which the
+    multinomial refuses, so masses are read at most 1.
     """
     rng = bootstrap_rng(seed, stream=1)
-    n = law.n
-    uniform = np.all(law.weights == law.weights[0])
-    idx = _binning(law, spec)[0]
-    w = np.full(n, 1.0 / n)
-    tvs = np.empty(n_boot)
-    for i in range(n_boot):
-        if uniform:
-            ia = rng.integers(0, n, n)
-            ib = rng.integers(0, n, n)
-        else:
-            ia = rng.choice(n, size=n, p=law.weights)
-            ib = rng.choice(n, size=n, p=law.weights)
-        tvs[i] = empirical_var_distance(_binned(idx[ia], w, spec), _binned(idx[ib], w, spec))
-    return _percentiles(tvs, [95.0])[0]
+    pvals = np.append(np.minimum(hist.masses, 1.0), hist.out_mass)
+    counts = rng.multinomial(hist.n, pvals, size=(100, 2))
+    return _percentiles(np.abs(counts[:, 0] - counts[:, 1]).sum(axis=1) / hist.n, [95.0])[0]
 
 
 # --- exponential decay fits -------------------------------------------------------
@@ -197,11 +177,13 @@ class TVDecaySeries:
 def compare_flows(a: MeasureFlow, b: MeasureFlow, spec: HistogramSpec,
                   floor_seed: int) -> TVDecaySeries:
     """:func:`law_distances` of two flows recorded at the same times, read against
-    the bootstrap noise floor of ``a``'s last cloud at ``floor_seed``."""
+    the bootstrap noise floor of ``a``'s last slice, binned on ``spec``, at
+    ``floor_seed``."""
     if not np.array_equal(a.times, b.times):
         raise ValueError("flows live on different grids")
     tv = law_distances(a.clouds, b.clouds, spec)
-    return TVDecaySeries(a.times, tv, bootstrap_noise_floor(a.clouds[-1], spec, seed=floor_seed))
+    floor = bootstrap_noise_floor(histogram_law(a.clouds[-1], spec), floor_seed)
+    return TVDecaySeries(a.times, tv, floor)
 
 
 def tv_decay_experiment(
@@ -214,14 +196,15 @@ def tv_decay_experiment(
     """TV(t) between the laws of two flows started from different initial laws.
 
     The two runs use independent noise streams (1 and 2) and keep each slice
-    but the last as its histogram on ``cfg.hist``; the noise floor is the
-    bootstrap TV between same-law resamples of the terminal cloud.
+    as its histogram on ``cfg.hist``, and only their flows, so neither run's
+    final states outlive it; the noise floor is the bootstrap TV between
+    same-law resamples of the terminal histogram of the first.
     """
-    ens_a = simulate_ensemble(cfg, coeffs, init_a, stream=1, record_times=record_times,
-                              hist=cfg.hist)
-    ens_b = simulate_ensemble(cfg, coeffs, init_b, stream=2, record_times=record_times,
-                              hist=cfg.hist)
-    return compare_flows(ens_a.flow, ens_b.flow, cfg.hist, cfg.seed)
+    flow_a = simulate_ensemble(cfg, coeffs, init_a, stream=1, record_times=record_times,
+                               hist=cfg.hist).flow
+    flow_b = simulate_ensemble(cfg, coeffs, init_b, stream=2, record_times=record_times,
+                               hist=cfg.hist).flow
+    return compare_flows(flow_a, flow_b, cfg.hist, cfg.seed)
 
 
 # --- H-transform envelope (integrated rate function) ------------------------------

@@ -250,9 +250,8 @@ def simulate_ensemble(
 
     The laws of the alive particles at ``record_times``, grid times in
     [0, T] (:meth:`SimConfig.record_steps`), make up the ensemble's ``flow``.
-    With ``hist``, a run recorded only to be compared keeps each slice but the
-    last as its histogram on ``hist``, binned when it is recorded; the last
-    stays a cloud, since a noise floor resamples its bins.
+    With ``hist``, a run recorded only to be compared keeps each slice as its
+    histogram on ``hist``, binned when it is recorded.
 
     ``observe(k, t, x, y, dW)`` sees the state at t_k before step k, with
     that step's increments, for k = 0 .. K - 1, and once more at k = K
@@ -282,11 +281,11 @@ def simulate_ensemble(
 
     rec_set = set() if steps is None else set(steps.tolist())
 
-    def record(k: int):
+    def record():
         law = alive_law(x, y, alive)
-        return law if hist is None or k == steps[-1] else histogram_law(law, hist)
+        return law if hist is None else histogram_law(law, hist)
 
-    clouds = [record(0)] if 0 in rec_set else []
+    clouds = [record()] if 0 in rec_set else []
 
     n_alive = n
     noise = _step_noise(cfg.seed, stream, n, cfg.m, h, K)
@@ -314,7 +313,7 @@ def simulate_ensemble(
                 y = np.where(alive[:, None], ny, y)
 
             if (k + 1) in rec_set:
-                clouds.append(record(k + 1))
+                clouds.append(record())
     finally:
         noise.close()
     if observe is not None:

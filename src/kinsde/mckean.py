@@ -138,7 +138,7 @@ def picard_fixed_point(
     flow = constant_flow(EmpiricalLaw(*init.sample(cfg.N)), cfg.times())
     flow, rho = picard_iterate(_ReadOnceFlow(flow, cfg.hist), cfg, coeffs, init, lam)
     rhos = [rho]
-    floor = bootstrap_noise_floor(flow.clouds[-1], cfg.hist, seed=cfg.seed)
+    floor = bootstrap_noise_floor(histogram_law(flow.clouds[-1], cfg.hist), cfg.seed)
     converged = False
     while len(rhos) < max_iter and not converged:
         flow, rho = picard_iterate(_ReadOnceFlow(flow, cfg.hist), cfg, coeffs, init, lam)
@@ -199,11 +199,12 @@ def girsanov_flow_bound(
         if dW is not None:
             np.add(a_int, np.exp(logw) * sq * h, out=a_int)
 
-    ens_ref = simulate_ensemble(cfg, coeffs, init, law=frozen(flow_nu), stream=streams[0],
-                                record_times=record_times, observe=observe, hist=cfg.hist)
-    ens_tgt = simulate_ensemble(cfg, coeffs, init, law=frozen(flow_mu), stream=streams[1],
-                                record_times=record_times, hist=cfg.hist)
-    series = compare_flows(ens_ref.flow, ens_tgt.flow, cfg.hist, cfg.seed)
+    # only the flows are kept, so the reference run's final states do not outlive it
+    ref = simulate_ensemble(cfg, coeffs, init, law=frozen(flow_nu), stream=streams[0],
+                            record_times=record_times, observe=observe, hist=cfg.hist).flow
+    tgt = simulate_ensemble(cfg, coeffs, init, law=frozen(flow_mu), stream=streams[1],
+                            record_times=record_times, hist=cfg.hist).flow
+    series = compare_flows(ref, tgt, cfg.hist, cfg.seed)
     pinsker = np.array([math.sqrt(max(0.0, 2.0 * float(np.mean(np.exp(lw) * lw))))
                         for lw, _ in snapshots])
     xi_bound = np.array([math.sqrt(max(0.0, float(np.mean(a)))) for _, a in snapshots])
@@ -246,15 +247,15 @@ def uniform_ergodicity_sweep(
 
     Each coupling strength runs the particle system from both initial laws
     with independent noise streams (40 + 2i and 41 + 2i for the i-th coupling),
-    keeping each slice but the last as its histogram on ``cfg.hist``, and fits
-    the log-linear decay of TV(t) above the bootstrap floor.  Returns the
+    keeping each slice as its histogram on ``cfg.hist`` and only the flows, and
+    fits the log-linear decay of TV(t) above the bootstrap floor.  Returns the
     largest coupling whose decay is confirmed.
     """
     entries: list[SweepEntry] = []
     for i, kappa in enumerate(kappas):
         coeffs = coeffs_factory(kappa)
-        flow_a, _ = particle_system_run(cfg, coeffs, init_a, record_times, 40 + 2 * i, cfg.hist)
-        flow_b, _ = particle_system_run(cfg, coeffs, init_b, record_times, 41 + 2 * i, cfg.hist)
+        flow_a = particle_system_run(cfg, coeffs, init_a, record_times, 40 + 2 * i, cfg.hist)[0]
+        flow_b = particle_system_run(cfg, coeffs, init_b, record_times, 41 + 2 * i, cfg.hist)[0]
         series = compare_flows(flow_a, flow_b, cfg.hist, cfg.seed + i)
         entries.append(SweepEntry(kappa, series, series.fit(fit_from)))
     confirmed = [e.kappa for e in entries if e.fit.verdict == "decay confirmed"]

@@ -199,7 +199,7 @@ class TestCriterion5:
         direct = simulate_ensemble(cfg, shifted, ORIGIN, stream=3)
         tv = empirical_var_distance(histogram_law(res.law, cfg.hist),
                                     histogram_law(direct.law(), cfg.hist))
-        floor = bootstrap_noise_floor(res.law, cfg.hist, seed=8)
+        floor = bootstrap_noise_floor(histogram_law(res.law, cfg.hist), seed=8)
         law_match = tv < 3.0 * floor
 
         # flow comparison: empirical TV under its relative-entropy bound throughout
@@ -275,7 +275,7 @@ class TestCriterion7:
             histogram_law(res.flow.clouds[-1], self.HIST),
             histogram_law(flow_i.clouds[-1], self.HIST),
         )
-        floor = bootstrap_noise_floor(flow_i.clouds[-1], self.HIST, seed=5)
+        floor = bootstrap_noise_floor(histogram_law(flow_i.clouds[-1], self.HIST), seed=5)
         match = tv < 3.0 * floor
 
         co0 = confining_coefficients(drift, d=1, kernel=kernel, kappa=0.0)

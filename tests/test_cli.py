@@ -413,12 +413,15 @@ class TestErgodicity:
         assert text.startswith("# config_hash = ")
         assert text.splitlines()[1] == "t,distance,noise_floor"
         assert "\r" not in text and "," in text.splitlines()[2]
-        # captured while off-grid record times were still rounded to a step
+        # captured while off-grid record times were still rounded to a step, and
+        # again, with only noise_floor moved (0.2000 -> 0.1705), when the floor
+        # became a multinomial draw on the last slice's histogram
         assert file_sha256(tmp_path / "distances.csv") == (
-            "2a94a6539c0e1e0e70f0a0dbef364d206b6ab05d0b69948bb34012b0894aee6a")
-        # captured before the fit window moved onto TVDecaySeries.fit
+            "898c77367dfc1897d149f43f2f5ea1751a80d993bfc0a5e2781702c14ede66e0")
+        # captured before the fit window moved onto TVDecaySeries.fit, and again
+        # when the floor did as above
         assert file_sha256(tmp_path / "fit.json") == (
-            "d723e1d4d4caa83fff78e1be01cb752c92f3764049be9c4af0d5e1a218c0bb54")
+            "1e6949890bd2cdacbaa2319418a93182a555cebbda2fe883713b082908bb687b")
 
     def test_replay_single_row(self, tmp_path):
         # one data row is read as one row, not as a flat array of its cells
@@ -633,7 +636,9 @@ class TestOtherSubcommands:
 
     # configs/mkv_picard.cfg with the clipped-difference kernel at N = 300, and
     # the sha256 of its outputs, captured when the kernel was still evaluated
-    # by broadcasting over every (particle, cloud point) pair
+    # by broadcasting over every (particle, cloud point) pair; picard.json again,
+    # with only noise_floor moved (0.18733 -> 0.18667), when the floor became a
+    # multinomial draw on the last cloud's histogram
     MEAN_ATTRACTION = (
         "# Fixed-point iteration of the law-flow map with a bounded tanh coupling.\n"
         "T = 1.0\nh = 0.01\nN = 300\nseed = 5\nhist.min = -6.0\nhist.max = 6.0\n"
@@ -641,7 +646,7 @@ class TestOtherSubcommands:
         "kernel = mean_attraction\nkappa = 0.5\ninit.a = (1.0, 1.0)\n"
     )
     MEAN_ATTRACTION_SHA256 = {
-        "picard.json": "ffeb6889acf8aa387d1305e68ecfb54ee3afbf6c855a922935ae2d3a781b8ecc",
+        "picard.json": "a738e42025b874d99a2d346f6fe2c1ff6e049980352daa3776e8ecd8225fb989",
         "rho.csv": "6502b1c12898a827a37d62479a2614ef20bfc1a819c5c82aecc8e8241887a6e0",
     }
 
@@ -654,9 +659,11 @@ class TestOtherSubcommands:
 
     # configs/zvonkin_riesz.cfg at N = 2000 and T = 0.2, and the sha256 of its
     # outputs and of the transformed ensemble's x, y and alive bytes,
-    # captured when every table lookup was an np.interp call
+    # captured when every table lookup was an np.interp call; zvonkin.json again,
+    # with only noise_floor moved (0.08605 -> 0.0741), when the floor became a
+    # multinomial draw on the last cloud's histogram
     ZVONKIN_SHA256 = {
-        "zvonkin.json": "0a03eb20597ae095411e7b55acd024d26fd84e75de79b9c69ee8d6cecf788e19",
+        "zvonkin.json": "53822ea6edb4dd1b3d2f230426dedeb036901acc99670e72de65f6f11ff76ef1",
         "solution.csv": "3f284e837663119586da62630dcd57f81ad72a68460f737fdb658efd73725c9e",
         "transformed": "5e109b0c75ba80bb8ee0a824f006835bfd8372800e7472d45ee1738dcf639e86",
     }
@@ -744,10 +751,12 @@ for argv in {runs!r}:
     # configs/ergodicity_riesz.cfg (confining pair plus the floored Riesz drift)
     # at N = 2000 and T = 1.0, and the sha256 of its outputs and of both final
     # ensembles' x, y and alive bytes, captured before the particle fields
-    # shared one row-norm helper
+    # shared one row-norm helper; distances.csv and fit.json again, with only
+    # noise_floor moved (0.06605 -> 0.0622), when the floor became a multinomial
+    # draw on the last slice's histogram
     ERGODICITY_RIESZ_SHA256 = {
-        "distances.csv": "9d41f3af91112ea3e5d7ebd2bf9e829051185ba955d51cbb6eba0c8677bf4dee",
-        "fit.json": "bdf94b28f86a4d26d2e8fd96a6b38f23ca00ad10b96cea68fe29a453df0b2f18",
+        "distances.csv": "52b9166c7a6ed62404e9757f9245cc6b73f3a87ef1199ee95a398775c823f9b7",
+        "fit.json": "7006fcd125566f8a0ea05dc040679df31f79a51c298f69667bcb75c2bdb52a30",
         "ensembles": "6e0a5bc23088281e078390dbea5ff1a9c7b3a931cc692163a2aff87966bf9263",
     }
 
@@ -772,11 +781,14 @@ for argv in {runs!r}:
         assert len(ensembles) == 2
         assert digests == self.ERGODICITY_RIESZ_SHA256
 
+    # all three captured again, with only noise_floor moved (kappa 0: 0.1202 ->
+    # 0.0826, kappa 0.2: 0.0901 -> 0.102), when the floor became a multinomial
+    # draw on the last slice's histogram
     SWEEP_SHA256 = {
-        "sweep_tv_0.csv": "847c3a7955a8fb0615aaa9a11328444a778862e1e31dbdbcfa2c0de03b36c52d",
-        "sweep_tv_0.2.csv": "a60197f688325864a6febcc27659b6bbcb049509766b71da9605953033ea9fbd",
+        "sweep_tv_0.csv": "9dde6f249945483533ac5778a114accfb94b7baa7ee8c85ca53d220b245a5d3b",
+        "sweep_tv_0.2.csv": "ebbf39d67b5878eca5982c1ff070085149be3222daf101b30647417b4465225f",
         # captured before SweepEntry stopped copying its series' fields
-        "sweep.json": "7f6bc6f7d0ca9efd9bae8fdbf3dee02b78ce714bd38a0fbe254386eef1c47e4b",
+        "sweep.json": "d3c11bbe822831c3289a70c1a1f640597ddf518afc92190130b92c9b23479096",
     }
 
     def test_mkv_sweep_outputs(self, tmp_path):

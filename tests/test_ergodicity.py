@@ -141,10 +141,10 @@ class TestHistogramLaw:
 
     def test_nan_mass_is_a_numeric_failure(self):
         masses = np.full(64, 1.0 / 64)
-        HistogramLaw(SPEC2, masses, 0.0)
+        HistogramLaw(SPEC2, masses, 0.0, 64)
         masses[5] = np.nan
         with pytest.raises(NumericError, match="histogram mass nan"):
-            HistogramLaw(SPEC2, masses, 0.0)
+            HistogramLaw(SPEC2, masses, 0.0, 64)
 
 
 class TestVarDistance:
@@ -259,7 +259,7 @@ class TestCompareFlows:
         assert np.array_equal(s.times, a.times)
         assert np.all(compare_flows(a, a, SPEC2, seed).tv == 0.0)
         assert np.array_equal(s.tv, compare_flows(b, a, SPEC2, seed).tv)
-        assert s.noise_floor == bootstrap_noise_floor(a.clouds[-1], SPEC2, seed=seed)
+        assert s.noise_floor == bootstrap_noise_floor(histogram_law(a.clouds[-1], SPEC2), seed)
 
     def test_flows_on_different_grids_refused(self):
         # slices were once paired by position, so a flow recorded at 0 and 1 was
@@ -336,7 +336,7 @@ def _compared_case(draw):
 
 
 class TestComparedRuns:
-    """Runs recorded only to be compared keep each slice but the last as its histogram."""
+    """Runs recorded only to be compared keep each slice as its histogram."""
 
     @settings(max_examples=40, deadline=None)
     @given(_compared_case())
@@ -357,8 +357,7 @@ class TestComparedRuns:
         assert np.float64(got.noise_floor).tobytes() == np.float64(want.noise_floor).tobytes()
         assert runs[0].n_dead == (0 if die_at is None else 10)
         kept = simulate_ensemble(cfg, co, inits[0], stream=1, record_times=times, hist=cfg.hist)
-        assert all(isinstance(s, HistogramLaw) for s in kept.flow.clouds[:-1])
-        assert isinstance(kept.flow.clouds[-1], EmpiricalLaw)
+        assert all(isinstance(s, HistogramLaw) for s in kept.flow.clouds)
 
     def test_a_histogram_is_its_own_histogram(self):
         law = _law(np.random.default_rng(3), 50)
@@ -377,15 +376,17 @@ class TestComparedRuns:
 
     def test_compared_runs_hold_slices_not_clouds(self):
         # N = 10^4 and 16 slices: beyond the peak of an unrecorded run (its noise ring,
-        # states and drift blocks), a TV-decay run holds less than 4 clouds; the two
-        # flows of 16 clouds it once kept (5.1 MB) break that bound
+        # states and drift blocks), a TV-decay run holds less than one cloud (about 0.3),
+        # since every slice is a histogram and neither run's final states outlive it;
+        # the two flows of 16 clouds it once kept (5.1 MB) break that bound
         N = 10**4
         cfg = SimConfig(T=0.15, h=0.01, N=N, seed=3, hist=HistogramSpec(-4.0, 4.0, 12, dim=2))
         co, times = scalar_ou_coefficients(1.0), np.arange(16) * 0.01
         a, b = DiracInit([2.0], [2.0]), DiracInit([-2.0], [-2.0])
         bare = lambda: simulate_ensemble(cfg, co, a, stream=1)
         bare()  # the first run with a noise helper imports its thread pool
-        bound = _traced_peak(bare) + 4 * N * (cfg.d1 + cfg.d2) * 8
+        tv_decay_experiment(cfg, co, a, b, times)  # so a first call's one-off set-up is not counted
+        bound = _traced_peak(bare) + N * (cfg.d1 + cfg.d2) * 8
         assert _traced_peak(lambda: tv_decay_experiment(cfg, co, a, b, times)) < bound
 
         def clouds():
@@ -623,8 +624,8 @@ class TestHEnvelope:
 
 
 def _resampled_floor(law, spec, n_boot, seed):
-    """The noise floor as it was first written: each resample a new cloud,
-    binned by np.histogramdd."""
+    """The noise floor as it was first written: each resample a new cloud drawn
+    from the law's rows (by weight), binned by np.histogramdd."""
     rng = bootstrap_rng(seed, stream=1)
     n = law.n
     uniform = np.all(law.weights == law.weights[0])
@@ -641,34 +642,42 @@ def _resampled_floor(law, spec, n_boot, seed):
 
 
 class TestNoiseFloor:
-    @settings(max_examples=40, deadline=None)
-    @given(_boxed_cloud(), st.booleans(), st.integers(0, 2**32))
-    def test_floor_is_the_resampled_clouds_floor(self, spec_law, uniform, seed):
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    def test_floor_agrees_with_the_resampled_clouds_floor(self, weighted):
+        # the multinomial draw on the histogram and the resampled clouds have one law;
+        # over 16 seeds a floor here spreads by about 3 % of its mean (0.15), so the
+        # means of the two estimators differ by about 1 % (one standard error) by
+        # chance, and 3 % bounds them
+        rng = np.random.default_rng(11)
+        n = 2000
+        x, y = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
+        law = EmpiricalLaw(x, y, weights=np.exp(y[:, 0]) if weighted else None)
+        seeds = range(16)
+        hist = histogram_law(law, SPEC2)
+        ours = np.mean([bootstrap_noise_floor(hist, seed) for seed in seeds])
+        ref = np.mean([_resampled_floor(law, SPEC2, 100, seed) for seed in seeds])
+        assert ours == pytest.approx(ref, rel=0.03)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_boxed_cloud(), st.integers(0, 2**32))
+    def test_rows_binned_and_one_bin_has_no_noise(self, spec_law, seed):
         spec, law = spec_law
-        if uniform:
-            law = EmpiricalLaw(law.x, law.y)
-        assert bootstrap_noise_floor(law, spec, n_boot=12, seed=seed) == _resampled_floor(
-            law, spec, 12, seed)
+        assert histogram_law(law, spec).n == law.n
+        # every row at the first row's point, inside the box or out of it
+        rows = np.zeros(law.n, dtype=int)
+        one = histogram_law(EmpiricalLaw(law.x[rows], law.y[rows], weights=law.weights), spec)
+        assert one.n == law.n
+        assert bootstrap_noise_floor(one, seed) == 0.0
+
+    def test_one_bin_whose_weights_sum_above_one_has_no_noise(self):
+        # nine weights of 1/9 sum to 1 + 2^-52 in one bin, a mass the multinomial refuses
+        law = EmpiricalLaw(np.zeros((9, 1)), np.zeros((9, 1)))
+        hist = histogram_law(law, SPEC2)
+        assert hist.masses.max() > 1.0 and hist.n == 9
+        assert bootstrap_noise_floor(hist, 4) == 0.0
 
     def test_floor_scales_with_sample_size(self):
         rng = np.random.default_rng(2)
-        small = bootstrap_noise_floor(_law(rng, 500), SPEC2, n_boot=60, seed=1)
-        big = bootstrap_noise_floor(_law(rng, 8000), SPEC2, n_boot=60, seed=1)
+        small = bootstrap_noise_floor(histogram_law(_law(rng, 500), SPEC2), seed=1)
+        big = bootstrap_noise_floor(histogram_law(_law(rng, 8000), SPEC2), seed=1)
         assert big < small
-
-    def test_nearly_uniform_weights_are_resampled_by_weight(self):
-        # weights 2e-5 apart (relative) are within np.allclose of 1/n at N = 2000
-        rng = np.random.default_rng(5)
-        n = 2000
-        w = np.where(np.arange(n) % 2 == 0, 1.0, 1.0 + 2e-5)
-        law = EmpiricalLaw(rng.normal(size=(n, 1)), rng.normal(size=(n, 1)), weights=w)
-        assert not np.all(law.weights == law.weights[0])
-        ref = bootstrap_rng(3, stream=1)
-        tvs = []
-        for _ in range(20):
-            ia = ref.choice(n, size=n, p=law.weights)
-            ib = ref.choice(n, size=n, p=law.weights)
-            tvs.append(empirical_var_distance(
-                histogram_law(EmpiricalLaw(law.x[ia], law.y[ia]), SPEC2),
-                histogram_law(EmpiricalLaw(law.x[ib], law.y[ib]), SPEC2)))
-        assert bootstrap_noise_floor(law, SPEC2, n_boot=20, seed=3) == np.percentile(tvs, 95.0)

@@ -264,7 +264,7 @@ class TestGirsanov:
         direct = simulate_ensemble(cfg, shifted, ORIGIN, stream=3)
         tv = empirical_var_distance(histogram_law(res.law, hist),
                                     histogram_law(direct.law(), hist))
-        floor = bootstrap_noise_floor(res.law, hist, seed=8)
+        floor = bootstrap_noise_floor(histogram_law(res.law, hist), seed=8)
         assert tv < 3.0 * floor
 
     def test_criterion5_weights_and_law_pinned(self):

@@ -179,7 +179,7 @@ class TestParticleSystem:
 
         tv = empirical_var_distance(histogram_law(fa.clouds[-1], HIST),
                                     histogram_law(fb.clouds[-1], HIST))
-        floor = bootstrap_noise_floor(fa.clouds[-1], HIST, seed=5)
+        floor = bootstrap_noise_floor(histogram_law(fa.clouds[-1], HIST), seed=5)
         assert tv < 3.0 * floor
 
 
@@ -213,13 +213,13 @@ class TestPicard:
             histogram_law(res.flow.clouds[-1], HIST),
             histogram_law(flow_i.clouds[-1], HIST),
         )
-        floor = bootstrap_noise_floor(flow_i.clouds[-1], HIST, seed=5)
+        floor = bootstrap_noise_floor(histogram_law(flow_i.clouds[-1], HIST), seed=5)
         assert tv < 3.0 * floor
 
     def test_shipped_iterates_bin_each_cloud_once(self, tmp_path):
         # configs/mkv_picard.cfg stops after two iterates of 101 clouds each: the
         # first rho bins its flow and the initial cloud, the noise floor reuses the
-        # last cloud's bins, and the second rho bins only the new flow
+        # last cloud's histogram, and the second rho bins only the new flow
         cfg = Path(__file__).resolve().parents[1] / "configs" / "mkv_picard.cfg"
         with mock.patch.object(ergodicity, "_bin_index", wraps=ergodicity._bin_index) as spy:
             assert cli_main(["mkv-picard", str(cfg), "--out", str(tmp_path)]) == 0
