@@ -14,34 +14,15 @@ the 1-D Zvonkin change of variables, Girsanov reweighting diagnostics,
 and empirical ergodicity measurements.
 """
 
-from kinsde.core import (
-    AdmissiblePair,
-    CoefficientSet,
-    DiracInit,
-    EmpiricalLaw,
-    HistogramSpec,
-    SimConfig,
-    localized_lpq_norm,
-)
+from kinsde.core import (AdmissiblePair, CoefficientSet, DiracInit, EmpiricalLaw, HistogramSpec,
+                         SimConfig, localized_lpq_norm)
 from kinsde.fields import ConfiningDrift, LyapunovV, MeanFieldKernel, PhiFamily, RieszDrift
 from kinsde.integrators import Ensemble, simulate_ensemble
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissiblePair",
-    "CoefficientSet",
-    "DiracInit",
-    "EmpiricalLaw",
-    "Ensemble",
-    "ConfiningDrift",
-    "HistogramSpec",
-    "LyapunovV",
-    "MeanFieldKernel",
-    "PhiFamily",
-    "RieszDrift",
-    "SimConfig",
-    "localized_lpq_norm",
-    "simulate_ensemble",
-    "__version__",
+    "AdmissiblePair", "CoefficientSet", "DiracInit", "EmpiricalLaw", "Ensemble", "ConfiningDrift",
+    "HistogramSpec", "LyapunovV", "MeanFieldKernel", "PhiFamily", "RieszDrift", "SimConfig",
+    "localized_lpq_norm", "simulate_ensemble", "__version__",
 ]

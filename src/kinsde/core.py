@@ -301,7 +301,7 @@ class MeasureFlow:
     recorded only to be compared holds its slices as their histograms."""
 
     times: np.ndarray
-    clouds: list  # EmpiricalLaw, or ergodicity.HistogramLaw
+    clouds: list  # EmpiricalLaw, ergodicity.HistogramLaw or ergodicity.FrozenSlice
 
     def __post_init__(self):
         if len(self.clouds) != self.times.size:
@@ -342,7 +342,8 @@ class CoefficientSet:
     ``b(t, y) -> (n, d2)`` (``None`` means zero), and ``sigma`` is either a
     constant ``(d2, m)`` matrix or a callable ``(t, y) -> (n, d2, m)``.
     A constant sigma is zero (noise-free diagnostic dynamics) or
-    nondegenerate, which construction checks.
+    nondegenerate, which construction checks.  z2 accepts ``law_part(law)``,
+    all it reads of a law, in the law's place (by default the law itself).
     """
 
     d1: int
@@ -353,6 +354,7 @@ class CoefficientSet:
     b: Callable | None
     sigma: np.ndarray | Callable
     growth: str = "linear"  # one of bounded | linear | superlinear
+    law_part: Callable = lambda law: law
 
     def __post_init__(self):
         if isinstance(self.sigma, np.ndarray) and np.any(self.sigma):

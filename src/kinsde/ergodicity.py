@@ -36,6 +36,13 @@ class HistogramLaw:
             raise NumericError(f"histogram mass {total!r} is not 1 within 1e-12")
 
 
+class FrozenSlice:
+    """A Picard slice: the law's histogram, and what z2 reads of it (its ``law_part``)."""
+    __slots__ = ("hist", "part")
+    def __init__(self, hist: HistogramLaw, part):
+        self.hist, self.part = hist, part
+
+
 def _bin_index(pts: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     """Each point's flat index among ``spec``'s bins padded by one outlier bin per
     side, found as ``np.histogramdd`` finds it: per axis a right-sided search of
@@ -66,7 +73,9 @@ def histogram_law(law: EmpiricalLaw | HistogramLaw, spec: HistogramSpec) -> Hist
     """The law's masses on ``spec``'s bins, equal to ``np.histogramdd``'s, and the
     mass outside the box; computed once per law and spec and kept on the
     (immutable) law, however many flows, comparisons and noise floors read it.
-    A slice kept as its histogram on ``spec`` is its own histogram."""
+    A slice kept as its histogram on ``spec`` (or a FrozenSlice) is its own histogram."""
+    if isinstance(law, FrozenSlice):
+        law = law.hist
     if isinstance(law, HistogramLaw):
         if law.spec != spec:
             raise ValueError("binning mismatch between histogram laws")

@@ -8,7 +8,7 @@ the package ever divides by zero.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -205,6 +205,13 @@ class PhiFamily:
 
 # --- mean-field interaction ------------------------------------------------------
 
+class LawPart:
+    """What a kernel's integral reads of a law of ``n`` rows (:meth:`MeanFieldKernel.part`)."""
+    __slots__ = ("n", "mean", "x", "weights", "__weakref__")
+    def __init__(self, n: int, mean=None, x=None, weights=None):
+        self.n, self.mean, self.x, self.weights = n, mean, x, weights
+
+
 @dataclass(frozen=True)
 class MeanFieldKernel:
     """Bounded interaction kernel W(x, y, x', y') -> R^d2.
@@ -215,6 +222,7 @@ class MeanFieldKernel:
       clipped_difference  -- W = clip(x' - x, -1, 1) coordinate by coordinate; one sort
                              of the cloud, prefix sums and three binary searches per
                              coordinate, O((n + M) log M) per step (``_clipped_mean``)
+    A frozen flow keeps each slice's :meth:`part`, which gives the law's bits.
     """
 
     structure: str
@@ -239,16 +247,25 @@ class MeanFieldKernel:
         coordinates it reaches sqrt(d1), which ``interaction_z2`` rejects."""
         return MeanFieldKernel("clipped_difference", 1.0, None, None)
 
-    def mean_against(self, x: np.ndarray, y: np.ndarray, law: EmpiricalLaw) -> np.ndarray:
-        """integral of W(x, y, ., .) d law, as a weighted particle average: (n, d2),
-        or one (1, d2) row for every particle when W does not read (x, y)
-        (``constant`` and ``target``), which a sum with an (n, d2) block broadcasts."""
+    def part(self, law: EmpiricalLaw) -> LawPart:
+        """What :meth:`mean_against` reads of ``law``: the (1, d2) integral of a kernel
+        that does not read (x, y) (``constant``, ``target``), else positions and weights."""
         if self.structure == "constant":
-            return self.const_value[None, :]
+            return LawPart(law.n, self.const_value[None, :])
         if self.structure == "target":
             vals = np.atleast_2d(np.asarray(self.func(law.x, law.y), dtype=float))
-            return (law.weights @ vals)[None, :]
-        return np.stack([_clipped_mean(x[:, j], law.x[:, j], law.weights)
+            return LawPart(law.n, (law.weights @ vals)[None, :])
+        return LawPart(law.n, x=law.x, weights=law.weights)
+
+    def mean_against(self, x: np.ndarray, y: np.ndarray, law: EmpiricalLaw | LawPart) -> np.ndarray:
+        """integral of W(x, y, ., .) d law, as a weighted particle average: (n, d2),
+        or one (1, d2) row for every particle when W does not read (x, y)
+        (``constant`` and ``target``), which a sum with an (n, d2) block broadcasts.
+        ``law`` may be the law's :meth:`part`."""
+        part = law if isinstance(law, LawPart) else self.part(law)
+        if part.mean is not None:
+            return part.mean
+        return np.stack([_clipped_mean(x[:, j], part.x[:, j], part.weights)
                          for j in range(x.shape[1])], axis=1)
 
     def sample_magnitudes(self, n: int, d1: int, d2: int, seed: int = 7) -> np.ndarray:
@@ -261,10 +278,12 @@ class MeanFieldKernel:
         if self.structure == "constant":
             vals = np.broadcast_to(self.const_value, (n, self.const_value.size))
         elif self.structure == "target":
-            vals = np.atleast_2d(np.asarray(self.func(xp, yp), dtype=float))
+            vals = np.asarray(self.func(xp, yp), dtype=float)
         else:
             vals = np.clip(xp - x, -1.0, 1.0)
-        return _row_norm(np.atleast_2d(vals)).ravel()
+        if vals.shape != (n, d2):
+            raise InputError(f"kernel values have shape {vals.shape}, not ({n}, d2 = {d2})")
+        return _row_norm(vals)
 
 
 def _clipped_mean(q: np.ndarray, xp: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -304,9 +323,9 @@ def interaction_z2(
     """Build the z2 field Z2(t, x, y, mu) = base(t, x, y, mu) + kappa * integral of W d mu.
 
     The declared kernel bound must be <= 1 and is spot-checked at 256 samples;
-    a violated bound rejects the construction.  With ``mu = None`` the
-    reference measure is the Dirac mass at the origin, matching how the
-    measure-free reading of the field is defined elsewhere.
+    a violated bound, or values not of shape (256, d2), rejects the construction.
+    With ``mu = None`` the reference measure is the Dirac mass at the origin,
+    matching how the measure-free reading of the field is defined elsewhere.
     The built field is Lipschitz in the measure argument in total variation
     with constant at most ``kappa * bound``.
     """
@@ -370,13 +389,14 @@ def confining_coefficients(
 ) -> CoefficientSet:
     """Assemble the shipped drift family into a full coefficient set.
 
-    ``kernel``/``kappa`` add a mean-field term to z2; ``b`` attaches the
-    singular (floored) drift to the noisy block.
+    ``kernel``/``kappa`` add a mean-field term to z2, whose ``law_part`` is the
+    kernel's part; ``b`` attaches the singular (floored) drift to the noisy block.
     """
-    z2 = drift.z2
+    z2, part = drift.z2, lambda law: None
     if kernel is not None and kappa != 0.0:
-        z2 = interaction_z2(z2, kernel, kappa, d1=d, d2=d)
-    return build_coefficients(drift.z1, z2, b, sigma, d1=d, d2=d, m=d, growth=drift.growth)
+        z2, part = interaction_z2(z2, kernel, kappa, d1=d, d2=d), kernel.part
+    return replace(build_coefficients(drift.z1, z2, b, sigma, d1=d, d2=d, m=d,
+                                      growth=drift.growth), law_part=part)
 
 
 def linear_langevin_coefficients(d: int = 1, sigma=None) -> CoefficientSet:

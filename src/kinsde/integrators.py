@@ -239,19 +239,22 @@ def simulate_ensemble(
     record_times: Sequence[float] | None = None,
     observe: Callable | None = None,
     hist: HistogramSpec | None = None,
+    part: Callable | None = None,
 ) -> Ensemble:
     """Advance N paths of the system from ``init.sample(N)`` to the horizon.
 
-    ``law(k, t, x, y, alive)`` returns the measure fed to z2 at step k,
-    from the states at t_k: a frozen flow's law at t_k gives the decoupled
-    dynamics the fixed-point iteration acts on, the ensemble's own law
-    gives the interacting particle system.  Without it, measure-dependent
+    ``law(k, t, x, y, alive)`` returns what z2 reads of the measure at step k,
+    from the states at t_k: a law, or the part of one that z2 reads
+    (``CoefficientSet.law_part``).  A frozen flow's slice at t_k gives the
+    decoupled dynamics the fixed-point iteration acts on, the ensemble's own
+    law gives the interacting particle system.  Without it, measure-dependent
     coefficients see their reference measure.
 
     The laws of the alive particles at ``record_times``, grid times in
     [0, T] (:meth:`SimConfig.record_steps`), make up the ensemble's ``flow``.
     With ``hist``, a run recorded only to be compared keeps each slice as its
-    histogram on ``hist``, binned when it is recorded.
+    histogram on ``hist``, binned when it is recorded; with ``part`` too, a run
+    recorded to be frozen keeps ``FrozenSlice(histogram, part(law))``.
 
     ``observe(k, t, x, y, dW)`` sees the state at t_k before step k, with
     that step's increments, for k = 0 .. K - 1, and once more at k = K
@@ -273,7 +276,7 @@ def simulate_ensemble(
     steps = None if record_times is None else cfg.record_steps(record_times)
     if hist is not None and (steps is None or steps.size == 0):
         raise InputError("no record time: a run recorded to be compared records a law")
-    from kinsde.ergodicity import histogram_law  # ergodicity imports this module
+    from kinsde.ergodicity import FrozenSlice, histogram_law  # it imports this module
     x, y = init.sample(cfg.N)  # never written into: each step makes new arrays
     n, h, K = cfg.N, cfg.h, cfg.n_steps
     tamed = cfg.scheme == "tamed"
@@ -283,7 +286,8 @@ def simulate_ensemble(
 
     def record():
         law = alive_law(x, y, alive)
-        return law if hist is None else histogram_law(law, hist)
+        kept = law if hist is None else histogram_law(law, hist)
+        return kept if part is None else FrozenSlice(kept, part(law))
 
     clouds = [record()] if 0 in rec_set else []
 

@@ -17,15 +17,10 @@ import numpy as np
 
 from kinsde.core import (CloudInit, CoefficientSet, EmpiricalLaw, HistogramSpec, InputError,
                          MeasureFlow, SimConfig)
-from kinsde.ergodicity import (DecayFit, HistogramLaw, TVDecaySeries, bootstrap_noise_floor,
+from kinsde.ergodicity import (DecayFit, FrozenSlice, TVDecaySeries, bootstrap_noise_floor,
                                compare_flows, histogram_law, law_distances)
-from kinsde.integrators import (
-    Ensemble,
-    GirsanovAccumulator,
-    alive_law,
-    drift_difference_xi,
-    simulate_ensemble,
-)
+from kinsde.integrators import (Ensemble, GirsanovAccumulator, alive_law, drift_difference_xi,
+                                simulate_ensemble)
 
 
 def constant_flow(law: EmpiricalLaw, times) -> MeasureFlow:
@@ -34,29 +29,28 @@ def constant_flow(law: EmpiricalLaw, times) -> MeasureFlow:
 
 
 def frozen(flow: MeasureFlow) -> Callable:
-    """The ``law`` argument of :func:`simulate_ensemble` that freezes ``flow``;
-    a step at a time the flow did not record raises ``ValueError``."""
-    return lambda k, t, *_: flow.law_at(t)
+    """The ``law`` argument of :func:`simulate_ensemble` that freezes ``flow``: it
+    hands z2 a :class:`FrozenSlice`'s part, or a cloud; a step at a time the flow
+    did not record raises ``ValueError``."""
+
+    def law(k, t, *_):
+        s = flow.law_at(t)
+        return s.part if isinstance(s, FrozenSlice) else s
+    return law
 
 
 class _ReadOnceFlow(MeasureFlow):
-    """A flow that only the Picard loop holds, frozen into its next iterate.
+    """A Picard flow that only the Picard loop holds, frozen into its next iterate.
 
-    Step j reads cloud j once, and from then on rho_lam needs only the cloud's
-    histogram on ``spec``: :meth:`law_at` swaps the cloud for it, so an iterate
-    holds one flow and a slice, not two flows.  It takes over ``flow``'s list
-    of clouds, so ``flow`` must be one that nothing else holds."""
+    Step j reads slice j's part once, and from then on rho_lam needs only the
+    slice's histogram: :meth:`law_at` drops the part, so parts that are positions
+    fill one flow and a slice, not two.  Its slices are a flow's that nothing else holds."""
 
-    def __init__(self, flow: MeasureFlow, spec: HistogramSpec):
-        super().__init__(flow.times, flow.clouds)
-        object.__setattr__(self, "spec", spec)
-
-    def law_at(self, t: float) -> EmpiricalLaw:
+    def law_at(self, t: float) -> FrozenSlice:
         law = super().law_at(t)
-        if isinstance(law, HistogramLaw):
+        if not isinstance(law, FrozenSlice):
             raise ValueError(f"the frozen law at t = {t!r} was read already")
-        # binned by the previous iterate's rho_lam (memo), or here for the initial law
-        self.clouds[self._index[t]] = histogram_law(law, self.spec)
+        self.clouds[self._index[t]] = law.hist
         return law
 
 
@@ -98,10 +92,12 @@ def particle_system_run(
 def picard_iterate(flow: MeasureFlow, cfg: SimConfig, coeffs: CoefficientSet, init,
                    lam: float) -> tuple[MeasureFlow, float]:
     """One application of the law-flow map with ``flow`` frozen in: the next
-    flow and its rho_lam distance from ``flow``.  Every iterate runs on
-    stream 0, so successive iterates share their noise.  ``flow`` is left as it
-    is, unless it is the Picard loop's own :class:`_ReadOnceFlow`."""
-    ens = simulate_ensemble(cfg, coeffs, init, law=frozen(flow), record_times=cfg.times())
+    flow, of :class:`FrozenSlice` s on ``cfg.hist`` with ``coeffs.law_part``,
+    and its rho_lam distance from ``flow``.  Every iterate runs on stream 0, so
+    successive iterates share their noise.  ``flow`` is left as it is, unless
+    it is the Picard loop's own :class:`_ReadOnceFlow`."""
+    ens = simulate_ensemble(cfg, coeffs, init, law=frozen(flow), record_times=cfg.times(),
+                            hist=cfg.hist, part=coeffs.law_part)
     return ens.flow, rho_lambda(ens.flow, flow, lam, cfg.hist)
 
 
@@ -127,21 +123,25 @@ def picard_fixed_point(
     The metric weight ``lam`` defaults to the 4 kappa T heuristic; a weight that
     is negative or not finite, or ``max_iter`` below 1, is refused before any run.
 
-    Each iterate reads a flow that the loop alone holds (:class:`_ReadOnceFlow`),
-    so the loop holds one flow and a slice at a time, not two flows."""
+    Each slice keeps its histogram and what z2 reads of it, not its cloud; the
+    initial flow is one such slice, repeated.  Each iterate reads a flow that
+    the loop alone holds (:class:`_ReadOnceFlow`), so the loop holds one flow of
+    parts and a slice at a time, not two flows."""
     if lam is None:
         lam = 4.0 * max(kappa, 0.25) * max(1.0, cfg.T)
     if not 0.0 <= lam < math.inf:
         raise InputError(f"lam must be nonnegative and finite, got {lam!r}")
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter!r}")
-    flow = constant_flow(EmpiricalLaw(*init.sample(cfg.N)), cfg.times())
-    flow, rho = picard_iterate(_ReadOnceFlow(flow, cfg.hist), cfg, coeffs, init, lam)
+    law = EmpiricalLaw(*init.sample(cfg.N))
+    flow = constant_flow(FrozenSlice(histogram_law(law, cfg.hist), coeffs.law_part(law)),
+                         cfg.times())
+    flow, rho = picard_iterate(_ReadOnceFlow(flow.times, flow.clouds), cfg, coeffs, init, lam)
     rhos = [rho]
     floor = bootstrap_noise_floor(histogram_law(flow.clouds[-1], cfg.hist), cfg.seed)
     converged = False
     while len(rhos) < max_iter and not converged:
-        flow, rho = picard_iterate(_ReadOnceFlow(flow, cfg.hist), cfg, coeffs, init, lam)
+        flow, rho = picard_iterate(_ReadOnceFlow(flow.times, flow.clouds), cfg, coeffs, init, lam)
         rhos.append(rho)
         converged = rho < 2.0 * floor
     return PicardResult(flow, rhos, lam, converged, floor)
@@ -177,14 +177,17 @@ def girsanov_flow_bound(
     expectation, and the tests cross-check the Pinsker bound against it.
     """
 
-    def delta_z2(t, x, y):
-        return np.asarray(coeffs.z2(t, x, y, flow_mu.law_at(t))) - np.asarray(
-            coeffs.z2(t, x, y, flow_nu.law_at(t))
-        )
-
-    xi = drift_difference_xi(coeffs, delta_z2)
+    if init is None and not isinstance(flow_nu.clouds[0], EmpiricalLaw):
+        raise InputError("flow_nu keeps no cloud at its first time to start from: pass init")
     if init is None:
         init = CloudInit(flow_nu.clouds[0])  # the two decoupled runs share one initial law
+    mu_at, nu_at = frozen(flow_mu), frozen(flow_nu)
+
+    def delta_z2(t, x, y):
+        return np.asarray(coeffs.z2(t, x, y, mu_at(None, t))) - np.asarray(
+            coeffs.z2(t, x, y, nu_at(None, t)))
+
+    xi = drift_difference_xi(coeffs, delta_z2)
     rec_set = set(cfg.record_steps(record_times).tolist())
     h = cfg.h
 

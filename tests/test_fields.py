@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kinsde.core import EmpiricalLaw, InputError
+from kinsde.integrators import alive_law
 from kinsde.fields import (
     ConfiningDrift,
     LyapunovV,
@@ -12,6 +13,7 @@ from kinsde.fields import (
     PhiFamily,
     RieszDrift,
     build_coefficients,
+    _clipped_mean,
     confining_coefficients,
     interaction_z2,
 )
@@ -300,6 +302,15 @@ class TestInteractionZ2:
         with pytest.raises(ValueError, match="rejected"):
             interaction_z2(self._base(), lying, kappa=0.1)
 
+    def test_kernel_values_of_the_wrong_shape_refused(self):
+        # a target func returning (n,) was read as one (1, n) row and refused
+        # as "max |W| = 14.9 > 1"
+        flat = MeanFieldKernel.target(lambda xp, yp: np.tanh(yp[:, 0]), 1.0)
+        with pytest.raises(InputError, match=r"have shape \(256,\), not \(256, d2 = 1\)"):
+            interaction_z2(self._base(), flat, kappa=0.2)
+        with pytest.raises(InputError, match=r"have shape \(256, 2\), not \(256, d2 = 1\)"):
+            interaction_z2(self._base(), MeanFieldKernel.constant([0.5, 0.5]), kappa=0.2)
+
     def test_tv_lipschitz_on_finite_support(self):
         # |Z2(mu) - Z2(nu)| <= kappa ||mu - nu||_var, exact for atom laws
         kern = MeanFieldKernel.target(lambda xp, yp: np.tanh(yp), 1.0)
@@ -325,6 +336,53 @@ class TestInteractionZ2:
         x = np.array([[0.1]])
         y = np.array([[0.0]])
         assert z2(0.0, x, y, law)[0, 0] == pytest.approx(0.2)
+
+
+@st.composite
+def kernels_laws_and_queries(draw):
+    """A kernel of each structure (d = 2 where it allows it), query points, and a
+    law of 1-50 rows with uniform or random weights, or of the alive rows only."""
+    structure = draw(st.sampled_from(["constant", "target", "clipped_difference"]))
+    d = draw(st.sampled_from([1, 2]))
+    kernel = {"constant": MeanFieldKernel.constant(np.full(d, 0.5)),
+              "target": MeanFieldKernel.target(lambda xp, yp: np.tanh(yp + xp), 1.0),
+              "clipped_difference": MeanFieldKernel.clipped_difference()}[structure]
+    n = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = 3.0 * rng.standard_normal((n, d)), 3.0 * rng.standard_normal((n, d))
+    kind = draw(st.sampled_from(["uniform", "weighted", "alive"]))
+    if kind == "alive":
+        alive = rng.random(n) < 0.7
+        alive[rng.integers(n)] = True
+        law = alive_law(x, y, alive)
+    else:
+        law = EmpiricalLaw(x, y, rng.random(n) + 0.01 if kind == "weighted" else None)
+    m = draw(st.integers(1, 20))
+    return kernel, 3.0 * rng.standard_normal((m, d)), 3.0 * rng.standard_normal((m, d)), law
+
+
+class TestLawPart:
+    @settings(max_examples=150, deadline=None)
+    @given(kernels_laws_and_queries())
+    def test_part_gives_the_bits_of_the_law(self, case):
+        # both give the bits of the integral taken straight off the cloud
+        kernel, x, y, law = case
+        part = kernel.part(law)
+        assert part.n == law.n
+        if kernel.structure == "constant":
+            want = kernel.const_value[None, :]
+        elif kernel.structure == "target":
+            want = (law.weights @ kernel.func(law.x, law.y))[None, :]
+        else:
+            want = np.stack([_clipped_mean(x[:, j], law.x[:, j], law.weights)
+                             for j in range(x.shape[1])], axis=1)
+        assert kernel.mean_against(x, y, part).tobytes() == want.tobytes()
+        assert kernel.mean_against(x, y, law).tobytes() == want.tobytes()
+
+    def test_clipped_part_holds_positions_and_weights_only(self):
+        law = EmpiricalLaw(np.arange(3.0)[:, None], np.ones((3, 1)), [1.0, 2.0, 1.0])
+        part = MeanFieldKernel.clipped_difference().part(law)
+        assert part.x is law.x and part.weights is law.weights and part.mean is None
 
 
 def clipped_reference(x, law):

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -11,9 +13,10 @@ import pytest
 from kinsde import ergodicity, integrators, mckean
 from kinsde.cli import main as cli_main
 from kinsde.core import DiracInit, EmpiricalLaw, HistogramSpec, InputError, SimConfig
-from kinsde.ergodicity import compare_flows, empirical_var_distance, histogram_law
+from kinsde.ergodicity import FrozenSlice, compare_flows, empirical_var_distance, histogram_law
 from kinsde.fields import (
     ConfiningDrift,
+    LawPart,
     MeanFieldKernel,
     build_coefficients,
     confining_coefficients,
@@ -48,6 +51,15 @@ def chunk_steps(cfg: SimConfig) -> int:
 
 def atom_flow(x, y, times):
     return constant_flow(EmpiricalLaw(np.full((1, 1), x), np.full((1, 1), y)), times)
+
+
+def slice_bytes(s, kernel=None):
+    """A Picard slice's histogram (masses, out_mass, n) and its part, by bytes; with
+    ``kernel``, the slice holds a whole law and the kernel's part of it is taken."""
+    part = s.part if kernel is None else kernel.part(s.part)
+    arrays = (part.mean,) if part.mean is not None else (part.x, part.weights)
+    return (s.hist.masses.tobytes(), s.hist.out_mass, s.hist.n, part.n,
+            *(a.tobytes() for a in arrays))
 
 
 class TestMeasureFlowAndRho:
@@ -227,21 +239,27 @@ class TestPicard:
         assert spy.call_count == 203
 
     def test_shipped_second_iterate_drops_each_cloud_once_read(self, tmp_path, monkeypatch):
-        # configs/mkv_picard.cfg: while step k of the second iterate reads its law,
-        # the first iterate's clouds 0 .. k - 2 are gone (cloud k - 1 is still
-        # the law of step k - 1), so the loop holds one flow and a slice
+        # configs/mkv_picard.cfg: each slice holds its histogram and its part (the
+        # kernel's (1, 1) row), not its cloud; while step k of the second iterate
+        # reads its slice, the first iterate's parts 0 .. k - 2 are gone (part
+        # k - 1 is still what step k - 1 read) and their histograms stay
         iterate, law_at = mckean.picard_iterate, mckean._ReadOnceFlow.law_at
-        refs, dead_at_step = [], []
+        refs, hists, dead_at_step, kept_at_step = [], [], [], []
 
         def spy_iterate(flow, *args):
             if spy_iterate.calls == 1:
-                refs.extend(weakref.ref(law) for law in flow.clouds)
+                assert all(type(s) is FrozenSlice and type(s.part) is LawPart
+                           and s.part.mean.shape == (1, 1) and s.part.x is None
+                           for s in flow.clouds)
+                refs.extend(weakref.ref(s.part) for s in flow.clouds)
+                hists.extend(s.hist for s in flow.clouds)
             spy_iterate.calls += 1
             return iterate(flow, *args)
 
         def spy_law_at(self, t):
             if refs:
                 dead_at_step.append([r() is None for r in refs])
+                kept_at_step.append([a is b for a, b in zip(self.clouds, hists)])
             return law_at(self, t)
 
         spy_iterate.calls = 0
@@ -251,41 +269,74 @@ class TestPicard:
         assert cli_main(["mkv-picard", str(cfg), "--out", str(tmp_path)]) == 0
         assert spy_iterate.calls == 2 and len(refs) == 101
         assert dead_at_step == [[j < k - 1 for j in range(101)] for k in range(100)]
+        assert kept_at_step == [[j < k for j in range(101)] for k in range(100)]
         assert all(r() is None for r in refs)
 
-    def test_loop_equals_iterates_and_leaves_caller_flows_intact(self):
+    def test_shipped_run_holds_no_flow_of_clouds(self, tmp_path):
+        # one flow of clouds of configs/mkv_picard.cfg is 101 x 4000 x 2 x 8 bytes
+        # = 6.5 MB; the run peaks at about 3.2 MB, where it held clouds at 9.4 MB
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "mkv_picard.cfg"
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert cli_main(["mkv-picard", str(cfg), "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("kernel", [TANH_Y, MeanFieldKernel.clipped_difference()],
+                             ids=["target", "clipped_difference"])
+    def test_loop_equals_iterates_and_leaves_caller_flows_intact(self, kernel):
+        # the loop's flow equals the caller's iterates slice for slice (masses,
+        # out_mass, n and part by bytes), each iterate leaves the flow it read as
+        # it was, and iterates that keep whole clouds give the same bytes
         cfg = SimConfig(T=0.3, h=0.01, N=300, seed=5, hist=HIST)
-        co = coeffs_with(0.2)
+        co = coeffs_with(0.2, kernel)
         res = picard_fixed_point(cfg, co, INIT, kappa=0.2, lam=1.0, max_iter=3)
-        flows = [constant_flow(EmpiricalLaw(*INIT.sample(cfg.N)), cfg.times())]
+        law = EmpiricalLaw(*INIT.sample(cfg.N))
+        flows = [constant_flow(FrozenSlice(histogram_law(law, HIST), co.law_part(law)),
+                               cfg.times())]
+        clouds = [constant_flow(law, cfg.times())]
+        whole = dataclasses.replace(co, law_part=lambda law: law)
         rhos = []
         assert len(res.rho_history) >= 2
         for _ in res.rho_history:
             held = list(flows[-1].clouds)
-            data = [(law.x.tobytes(), law.y.tobytes(), law.weights.tobytes()) for law in held]
+            data = [slice_bytes(s) for s in held]
             flow, rho = picard_iterate(flows[-1], cfg, co, INIT, lam=1.0)
             assert len(flows[-1].clouds) == len(held)
             assert all(a is b for a, b in zip(flows[-1].clouds, held))
-            assert [(law.x.tobytes(), law.y.tobytes(), law.weights.tobytes())
-                    for law in held] == data
+            assert [slice_bytes(s) for s in held] == data
+            cloud_flow, cloud_rho = picard_iterate(clouds[-1], cfg, whole, INIT, lam=1.0)
+            assert cloud_rho == rho
+            assert [slice_bytes(s, kernel) for s in cloud_flow.clouds] == [
+                slice_bytes(s) for s in flow.clouds]
             flows.append(flow)
+            clouds.append(cloud_flow)
             rhos.append(rho)
         assert res.rho_history == rhos
-        assert [law.x.tobytes() + law.y.tobytes() for law in res.flow.clouds] == [
-            law.x.tobytes() + law.y.tobytes() for law in flows[-1].clouds]
+        assert [slice_bytes(s) for s in res.flow.clouds] == [
+            slice_bytes(s) for s in flows[-1].clouds]
 
     def test_read_once_flow_refuses_a_second_read(self):
         law = EmpiricalLaw(*INIT.sample(8))
-        flow = mckean._ReadOnceFlow(constant_flow(law, np.array([0.0, 0.01])), HIST)
-        assert flow.law_at(0.01) is law
+        s = FrozenSlice(histogram_law(law, HIST), TANH_Y.part(law))
+        flow = mckean._ReadOnceFlow(np.array([0.0, 0.01]), [s, s])
+        assert flow.law_at(0.01) is s
         with pytest.raises(ValueError, match="read already"):
             flow.law_at(0.01)
 
     def test_read_once_flow_keeps_each_read_cloud_as_its_histogram(self):
         law = EmpiricalLaw(*INIT.sample(8))
-        flow = mckean._ReadOnceFlow(constant_flow(law, np.array([0.0, 0.01])), HIST)
-        assert flow.law_at(0.0) is law
-        assert flow.clouds[0] is histogram_law(law, HIST) and flow.clouds[1] is law
+        s = FrozenSlice(histogram_law(law, HIST), TANH_Y.part(law))
+        flow = mckean._ReadOnceFlow(np.array([0.0, 0.01]), [s, s])
+        assert flow.law_at(0.0) is s
+        assert flow.clouds[0] is s.hist and flow.clouds[1] is s
         assert rho_lambda(flow, constant_flow(law, flow.times), 1.0, HIST) == 0.0
 
     @pytest.mark.parametrize("max_iter", [0, -5])
@@ -347,6 +398,36 @@ class TestFlowBound:
         flow = atom_flow(1.0, 1.0, cfg.times())
         with pytest.raises(ValueError, match="cloud has 1 particles"):
             girsanov_flow_bound(cfg, coeffs_with(0.2), flow, flow, record_times=[0.0, 0.1])
+
+    @pytest.mark.parametrize("kept", ["histograms", "picard"])
+    def test_default_init_needs_a_cloud_at_time_zero(self, monkeypatch, kept):
+        # a flow that keeps its slices as histograms, or as Picard slices, has no
+        # cloud to start the two runs from: init is asked for before any step
+        cfg = SimConfig(T=0.1, h=0.01, N=50, seed=5, hist=HIST)
+        co = coeffs_with(0.2)
+        if kept == "histograms":
+            flow = particle_system_run(cfg, co, INIT, cfg.times(), hist=HIST)[0]
+        else:
+            flow = picard_iterate(atom_flow(1.0, 1.0, cfg.times()), cfg, co, INIT, 1.0)[0]
+        monkeypatch.setattr(integrators, "step_arrays", None)
+        with pytest.raises(InputError, match="pass init"):
+            girsanov_flow_bound(cfg, co, flow, flow, record_times=[0.0, 0.1])
+
+    def test_picard_flows_bound_as_their_clouds(self):
+        # two Picard flows (histogram and part per slice) give the bytes of the
+        # same two flows kept as clouds
+        cfg = SimConfig(T=0.3, h=0.01, N=300, seed=5, hist=HIST)
+        co, rec = coeffs_with(0.2), [0.0, 0.1, 0.3]
+        starts = (atom_flow(1.5, 1.5, cfg.times()), atom_flow(-1.5, -1.5, cfg.times()))
+        picard = [picard_iterate(f, cfg, co, INIT, 1.0)[0] for f in starts]
+        clouds = [simulate_ensemble(cfg, co, INIT, law=frozen(f), record_times=cfg.times()).flow
+                  for f in starts]
+        assert all(type(s) is FrozenSlice for f in picard for s in f.clouds)
+        got = girsanov_flow_bound(cfg, co, *picard, record_times=rec, init=INIT)
+        want = girsanov_flow_bound(cfg, co, *clouds, record_times=rec, init=INIT)
+        for name in ("tv", "pinsker_bound", "xi_integral_bound"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.noise_floor, got.verdict) == (want.noise_floor, want.verdict)
 
     def test_tv_is_the_comparison_of_the_clouds(self):
         # the two runs keep their slices as histograms, and read the series
